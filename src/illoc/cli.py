@@ -2,13 +2,13 @@
 
 Commands: eval, table, taut, check-matrix, square, entail, unfold, fmt.
 Exit codes: 0 success/tautology/holds, 1 refuted/does-not-hold, 2 parse
-error, 3 semantic error, 4 budget exceeded.
+error or bad option, 3 semantic error or a formula nested too deeply, 4 budget
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -22,6 +22,7 @@ from .matrix_m import (
     classify,
     eval_m,
     is_tautology_m,
+    scan_m,
 )
 from .matrix_mb import (
     MBMode,
@@ -32,38 +33,49 @@ from .matrix_mb import (
     default_signatures,
     eval_mb,
     is_tautology_mb,
-    requirements,
+    scan_mb,
     unfold_cyclic,
     valuation_from_json,
     valuation_to_json,
-    _slots,
-    _valuation_from,
 )
 from .opposition import CheckSpace, entails, square_for_force
-from .search import DEFAULT_BUDGET, BudgetExceeded, assignment_at, space_size
+from .search import DEFAULT_BUDGET, BudgetExceeded
 from .syntax import (
     CyclicAct,
     ParseError,
     UnknownActRef,
-    atoms_of,
     format_formula,
     format_program,
     formula_to_json,
-    inline_acts,
     parse,
 )
 
 _MARK = {True: "✓", False: "✗"}  # ✓ / ✗
 
 
-def _budget_default() -> int:
-    raw = os.environ.get("ILLOC_BUDGET")
-    if raw:
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
         try:
-            return int(raw)
+            value = int(text)
         except ValueError:
-            raise ValueError(f"ILLOC_BUDGET must be an integer, got {raw!r}")
-    return DEFAULT_BUDGET
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _budget(args) -> int:
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get("ILLOC_BUDGET")
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return _int_at_least(0)(raw)
+    except argparse.ArgumentTypeError as error:
+        raise ValueError(f"ILLOC_BUDGET: {error}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -77,8 +89,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--all-valuations", action="store_true",
         help="include valuations with standard act subvalues (mb)",
     )
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--budget", type=_int_at_least(0), default=None)
+    sub.add_argument(
+        "--jobs", type=_int_at_least(1), default=1,
+        help="accepted for compatibility; scans run in one thread",
+    )
     sub.add_argument("--output", choices=("text", "json"), default="text")
     sub.add_argument("--defs", help="path to an .illoc file with act definitions")
     sub.add_argument("--valuation", help="path to a valuation JSON file (mb)")
@@ -111,7 +126,7 @@ def _space(args, algebra: Optional[AlgebraSpec]) -> CheckSpace:
         algebra=algebra,
         mode=MBMode(args.mode),
         admissible_only=not args.all_valuations,
-        budget=args.budget if args.budget is not None else _budget_default(),
+        budget=_budget(args),
         jobs=args.jobs,
     )
 
@@ -209,64 +224,43 @@ def _cmd_table(args) -> int:
     defs, formula = _load_program(args, args.formula)
     if formula is None:
         raise ValueError("no formula given")
-    budget = args.budget if args.budget is not None else _budget_default()
-    rows = []
+    rows, lines = [], []
     if args.matrix == "m":
-        resolved = inline_acts(formula, defs)
-        atoms = sorted(set(atoms_of(resolved)))
-        if 2 ** len(atoms) > budget:
-            raise BudgetExceeded(f"{2 ** len(atoms)} rows exceed the budget of {budget}")
-        for bits in itertools.product((0, 1), repeat=len(atoms)):
-            e = dict(zip(atoms, bits))
-            value = eval_m(resolved, e)
-            rows.append({"atom_values": e, "value": str(value),
+
+        def m_row(assignment: dict, values: list) -> None:
+            (value,) = values
+            rows.append({"atom_values": assignment, "value": str(value),
                          "classification": classify(value)})
-        lines = [
-            " ".join(f"{k}={v}" for k, v in row["atom_values"].items())
-            + f"  {row['value']}  {row['classification']}"
-            for row in rows
-        ]
+            lines.append(" ".join(f"{k}={v}" for k, v in assignment.items())
+                         + f"  {value}  {classify(value)}")
+
+        scan_m([formula], m_row, defs=defs, budget=_budget(args))
     else:
-        algebra = _algebra_of(args)
-        mode = MBMode(args.mode)
-        resolved = inline_acts(formula, defs)
-        slots = _slots(requirements(resolved, mode), algebra)
-        size = space_size(slots)
-        if size > budget:
-            raise BudgetExceeded(f"{size} rows exceed the budget of {budget}")
         admissible_only = not args.all_valuations
-        lines = []
-        for index in range(size):
-            assignment = assignment_at(slots, index)
-            valuation = _valuation_from(assignment, algebra, mode)
-            outcome = eval_mb(resolved, valuation)
+
+        def mb_row(valuation: MBValuation, outcomes: list) -> None:
+            (outcome,) = outcomes
             if admissible_only and not outcome.admissible:
-                continue
-            described = " ".join(
-                f"{_slot_label(key)}={_slot_value(value)}"
-                for key, value in assignment.items()
-            )
-            rows.append(
-                {"valuation": valuation_to_json(valuation), **outcome.to_json()}
-            )
-            lines.append(f"{described}  {_render_hyper(outcome.value)}")
+                return
+            rows.append({"valuation": valuation_to_json(valuation), **outcome.to_json()})
+            lines.append(f"{_describe(valuation)}  {_render_hyper(outcome.value)}")
+
+        scan_mb([formula], _algebra_of(args), MBMode(args.mode), mb_row,
+                defs=defs, budget=_budget(args))
     payload = {"formula": format_formula(formula), "rows": rows}
     _emit(args, payload, "\n".join(lines) if lines else "(no valuations)")
     return 0
 
 
-def _slot_label(key: tuple) -> str:
-    if key[0] == "atom":
-        return key[1]
-    if key[0] == "act":
-        return key[1]
-    if key[0] == "gen":
-        return f"[{key[1]}]@{key[2]}"
-    return f"sig:{key[1]}"
-
-
-def _slot_value(value) -> str:
-    return str(value)
+def _describe(v: MBValuation) -> str:
+    """A valuation's slots in scan order: atoms, acts, generators, signatures."""
+    labelled = [
+        *v.atom_values.items(),
+        *v.act_values.items(),
+        *((f"[{force}]@{atom}", h) for (force, atom), h in v.generators.items()),
+        *((f"sig:{name}", h) for name, h in v.signatures.items()),
+    ]
+    return " ".join(f"{label}={value}" for label, value in labelled)
 
 
 def _cmd_taut(args) -> int:
@@ -274,7 +268,7 @@ def _cmd_taut(args) -> int:
     if formula is None:
         raise ValueError("no formula given")
     if args.matrix == "m":
-        result = is_tautology_m(formula, defs)
+        result = is_tautology_m(formula, defs, budget=_budget(args))
         payload = {"formula": format_formula(formula), "matrix": "m"}
         payload.update(result.to_json())
         if result.status == "tautology":
@@ -283,11 +277,9 @@ def _cmd_taut(args) -> int:
         witness = " ".join(f"{k}={v}" for k, v in sorted(result.witness.items()))
         _emit(args, payload, f"refuted at {witness} with value {result.witness_value}")
         return 1
-    algebra = _algebra_of(args)
-    budget = args.budget if args.budget is not None else _budget_default()
     result = is_tautology_mb(
-        formula, algebra, MBMode(args.mode), defs=defs,
-        admissible_only=not args.all_valuations, budget=budget, jobs=args.jobs,
+        formula, _algebra_of(args), MBMode(args.mode), defs=defs,
+        admissible_only=not args.all_valuations, budget=_budget(args),
     )
     payload = {
         "formula": format_formula(formula),
@@ -508,6 +500,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as error:
         print(f"budget exceeded: {error}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print("error: formula nests too deeply", file=sys.stderr)
+        return 3
     except _SEMANTIC_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 3

@@ -13,8 +13,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
+from .search import DEFAULT_BUDGET, Slot, first_hit
 from .syntax import And, Atom, Force, Formula, Implies, Not, Or, atoms_of, inline_acts
 
 
@@ -169,18 +170,44 @@ class MTautologyResult:
         }
 
 
+def scan_m(
+    formulas: Sequence[Formula],
+    verdict: Callable[[dict[str, int], list[TruthValue4]], Any],
+    *,
+    defs: Optional[Mapping[str, Formula]] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> Optional[tuple[dict[str, int], Any]]:
+    """First 0/1 assignment on which verdict(assignment, values) is not None.
+
+    Every formula is evaluated on each assignment of their sorted atoms, 0
+    before 1 and the first atom most significant. Returns (assignment,
+    payload), or None when the verdict never fires.
+    """
+    defs = dict(defs or {})
+    resolved = [inline_acts(f, defs) for f in formulas]
+    atoms = sorted({name for r in resolved for name in atoms_of(r)})
+
+    def predicate(assignment: dict[str, int]) -> Any:
+        return verdict(assignment, [_ev(r, assignment) for r in resolved])
+
+    return first_hit([Slot(name, (0, 1)) for name in atoms], predicate, budget=budget)
+
+
 def is_tautology_m(
-    formula: Formula, defs: Optional[Mapping[str, Formula]] = None
+    formula: Formula,
+    defs: Optional[Mapping[str, Formula]] = None,
+    *,
+    budget: int = DEFAULT_BUDGET,
 ) -> MTautologyResult:
     """Exhaust all 0/1 assignments; the first refuting one (0 before 1) is the witness."""
-    resolved = inline_acts(formula, dict(defs or {}))
-    atoms = sorted(atoms_of(resolved))
-    for bits in itertools.product((0, 1), repeat=len(atoms)):
-        e = dict(zip(atoms, bits))
-        value = _ev(resolved, e)
-        if value not in DESIGNATED:
-            return MTautologyResult("refuted", e, value)
-    return MTautologyResult("tautology", None, None)
+
+    def refutes(_, values: list[TruthValue4]) -> Optional[TruthValue4]:
+        return None if values[0] in DESIGNATED else values[0]
+
+    first = scan_m([formula], refutes, defs=defs, budget=budget)
+    if first is None:
+        return MTautologyResult("tautology", None, None)
+    return MTautologyResult("refuted", *first)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import Mapping, Optional
+from functools import lru_cache, reduce
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import (
     AlgebraSpec,
@@ -57,7 +57,7 @@ from .hyper import (
     psup,
     standard,
 )
-from .search import DEFAULT_BUDGET, Slot, first_hit, space_size
+from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit, space_size
 from .syntax import (
     ActRef,
     And,
@@ -92,6 +92,7 @@ __all__ = [
     "find_idempotence_counterexample",
     "find_neg_swap_counterexample",
     "unfold_cyclic",
+    "scan_mb",
     "Requirements",
     "requirements",
     "valuation_to_json",
@@ -376,6 +377,46 @@ def _valuation_from(assignment: dict, algebra: AlgebraSpec, mode: MBMode) -> MBV
     return MBValuation(algebra, mode, atom_values, act_values, generators, signatures)
 
 
+def scan_mb(
+    formulas: Sequence[Formula],
+    algebra: AlgebraSpec,
+    mode: MBMode,
+    verdict: Callable[[MBValuation, list[EvalOutcome]], Any],
+    *,
+    defs: Optional[Mapping[str, Formula]] = None,
+    budget: int = DEFAULT_BUDGET,
+    slot_filter: Optional[Callable[[tuple, tuple], Iterable]] = None,
+) -> tuple[Optional[tuple[MBValuation, Any]], int]:
+    """First valuation on which verdict(valuation, outcomes) is not None.
+
+    The slots the formulas need are scanned atoms first, then acts,
+    generators and signatures, the first slot most significant; every formula
+    is evaluated on each valuation. Returns ((valuation, payload) or None,
+    number of valuations in the space). slot_filter(key, domain) may shrink a
+    slot's domain; returning the domain unchanged keeps the full scan.
+    """
+    defs = dict(defs or {})
+    resolved = [inline_acts(f, defs) for f in formulas]
+    reqs = reduce(Requirements.merge, [requirements(r, mode) for r in resolved])
+    if slot_filter is None:
+        # refuse before any domain is built: 4^k - 2^k values per nonstandard slot
+        k = algebra.k
+        nonstandard_slots = len(reqs.acts) + len(reqs.generators) + len(reqs.signatures)
+        check_budget(2 ** (k * len(reqs.atoms)) * (4 ** k - 2 ** k) ** nonstandard_slots, budget)
+    slots = _slots(reqs, algebra)
+    if slot_filter is not None:
+        slots = [Slot(s.key, tuple(slot_filter(s.key, s.domain))) for s in slots]
+
+    def predicate(assignment: dict) -> Optional[tuple[MBValuation, Any]]:
+        valuation = _valuation_from(assignment, algebra, mode)
+        outcomes = [_eval_resolved(r, valuation, {}, nested_pointwise=False) for r in resolved]
+        payload = verdict(valuation, outcomes)
+        return None if payload is None else (valuation, payload)
+
+    hit = first_hit(slots, predicate, budget=budget)
+    return (None if hit is None else hit[1]), space_size(slots)
+
+
 @dataclass(frozen=True)
 class MBTautologyResult:
     status: str  # "tautology" | "refuted"
@@ -402,30 +443,22 @@ def is_tautology_mb(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> MBTautologyResult:
-    """Scan every valuation of the formula's slots; designated means standard top."""
-    resolved = inline_acts(formula, dict(defs or {}))
-    slots = _slots(requirements(resolved, mode), algebra)
+    """Scan every valuation of the formula's slots; designated means standard top.
+
+    jobs is accepted for compatibility and does not change the scan.
+    """
     top = standard(algebra.top())
 
-    def refutes(assignment: dict) -> Optional[EvalOutcome]:
-        valuation = _valuation_from(assignment, algebra, mode)
-        outcome = _eval_resolved(resolved, valuation, {}, nested_pointwise=False)
+    def refutes(_, outcomes: list[EvalOutcome]) -> Optional[HyperValue]:
+        (outcome,) = outcomes
         if admissible_only and not outcome.admissible:
             return None
-        if outcome.value != top:
-            return outcome
-        return None
+        return None if outcome.value == top else outcome.value
 
-    hit = first_hit(slots, refutes, budget=budget, jobs=jobs)
-    checked = space_size(slots)
-    if hit is None:
+    first, checked = scan_mb([formula], algebra, mode, refutes, defs=defs, budget=budget)
+    if first is None:
         return MBTautologyResult("tautology", None, None, checked)
-    return MBTautologyResult(
-        "refuted",
-        _valuation_from(hit.assignment, algebra, mode),
-        hit.payload.value,
-        checked,
-    )
+    return MBTautologyResult("refuted", *first, checked)
 
 
 @dataclass(frozen=True)
@@ -454,41 +487,25 @@ def find_difference(
     *,
     defs: Optional[Mapping[str, Formula]] = None,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
     slot_filter=None,
 ) -> DifferenceResult:
     """First joint valuation on which the two formulas take different values.
 
-    slot_filter(key, domain) may shrink a slot's domain (e.g. to restrict a
-    generator search); returning the domain unchanged keeps the full scan.
+    slot_filter is passed to scan_mb (e.g. to restrict a generator search).
     """
-    defs = dict(defs or {})
-    left_resolved = inline_acts(left, defs)
-    right_resolved = inline_acts(right, defs)
-    reqs = requirements(left_resolved, mode).merge(requirements(right_resolved, mode))
-    slots = _slots(reqs, algebra)
-    if slot_filter is not None:
-        slots = [Slot(s.key, tuple(slot_filter(s.key, s.domain))) for s in slots]
 
-    def differs(assignment: dict):
-        valuation = _valuation_from(assignment, algebra, mode)
-        lhs = _eval_resolved(left_resolved, valuation, {}, nested_pointwise=False)
-        rhs = _eval_resolved(right_resolved, valuation, {}, nested_pointwise=False)
-        if lhs.value != rhs.value:
-            return (lhs.value, rhs.value)
-        return None
+    def differs(_, outcomes: list[EvalOutcome]):
+        lhs, rhs = outcomes
+        return None if lhs.value == rhs.value else (lhs.value, rhs.value)
 
-    hit = first_hit(slots, differs, budget=budget, jobs=jobs)
-    checked = space_size(slots)
-    if hit is None:
-        return DifferenceResult(False, None, None, None, checked)
-    return DifferenceResult(
-        True,
-        _valuation_from(hit.assignment, algebra, mode),
-        hit.payload[0],
-        hit.payload[1],
-        checked,
+    first, checked = scan_mb(
+        [left, right], algebra, mode, differs,
+        defs=defs, budget=budget, slot_filter=slot_filter,
     )
+    if first is None:
+        return DifferenceResult(False, None, None, None, checked)
+    valuation, (lhs, rhs) = first
+    return DifferenceResult(True, valuation, lhs, rhs, checked)
 
 
 def find_idempotence_counterexample(
@@ -497,13 +514,11 @@ def find_idempotence_counterexample(
     *,
     force: str = "f",
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> DifferenceResult:
     """Witness that performing a performance changes its value: F(F(p)) vs F(p)."""
     p = Atom("p")
     return find_difference(
-        Force(force, Force(force, p)), Force(force, p), algebra, mode,
-        budget=budget, jobs=jobs,
+        Force(force, Force(force, p)), Force(force, p), algebra, mode, budget=budget,
     )
 
 
@@ -513,7 +528,6 @@ def find_neg_swap_counterexample(
     *,
     force: str = "f",
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
     complementary_only: bool = False,
 ) -> DifferenceResult:
     """Witness that ~F(p) and F(~p) come apart.
@@ -524,16 +538,14 @@ def find_neg_swap_counterexample(
     """
     p = Atom("p")
 
-    def restrict(key, domain):
-        if complementary_only and key[0] in ("gen", "act"):
-            return tuple(
-                h for h in domain if h.on_false == complement(h.on_true)
-            )
+    def complementary(key, domain):
+        if key[0] in ("gen", "act"):
+            return tuple(h for h in domain if h.on_false == complement(h.on_true))
         return domain
 
     return find_difference(
         Not(Force(force, p)), Force(force, Not(p)), algebra, mode,
-        budget=budget, jobs=jobs, slot_filter=restrict,
+        budget=budget, slot_filter=complementary if complementary_only else None,
     )
 
 

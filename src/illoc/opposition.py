@@ -11,9 +11,8 @@ whole square.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .boolalg import AlgebraSpec
 from .hyper import (
@@ -27,21 +26,17 @@ from .hyper import (
     square_report,
     standard,
 )
-from .matrix_m import DESIGNATED as _M_DESIGNATED
-from .matrix_m import TruthValue4, eval_m
-from .matrix_m import _ev as _eval_m_resolved
+from .matrix_m import DESIGNATED, TruthValue4, scan_m
 from .matrix_mb import (
     MBMode,
     MBValuation,
     StandardAssignment,
-    _eval_resolved,
-    _slots,
-    _valuation_from,
-    requirements,
+    eval_mb,
+    scan_mb,
     valuation_to_json,
 )
-from .search import DEFAULT_BUDGET, Slot, first_hit
-from .syntax import And, Atom, Force, Formula, Not, Or, atoms_of, inline_acts
+from .search import DEFAULT_BUDGET
+from .syntax import And, Atom, Force, Formula, Not, Or
 
 
 @dataclass(frozen=True)
@@ -84,52 +79,33 @@ def entails(
     space: CheckSpace,
     defs: Optional[Mapping[str, Formula]] = None,
 ) -> EntailmentResult:
-    """Check value(left) <= value(right) under every valuation of the space."""
-    defs = dict(defs or {})
+    """Check value(left) <= value(right) under every valuation of the space.
+
+    space.jobs is accepted for compatibility and does not change the scan.
+    """
     if space.matrix == "m":
-        left_resolved = inline_acts(left, defs)
-        right_resolved = inline_acts(right, defs)
-        atoms = sorted(set(atoms_of(left_resolved)) | set(atoms_of(right_resolved)))
-        slots = [Slot(("atom", name), (0, 1)) for name in atoms]
-
-        def violates(assignment: dict):
-            e = {key[1]: bit for key, bit in assignment.items()}
-            lhs = _eval_m_resolved(left_resolved, e)
-            rhs = _eval_m_resolved(right_resolved, e)
-            if not lhs <= rhs:
-                return (lhs, rhs)
-            return None
-
-        hit = first_hit(slots, violates, budget=space.budget, jobs=space.jobs)
-        if hit is None:
+        first = scan_m(
+            [left, right], lambda _, values: None if values[0] <= values[1] else values,
+            defs=defs, budget=space.budget,
+        )
+        if first is None:
             return EntailmentResult(True, None, None, None)
-        witness = {"atom_values": {key[1]: bit for key, bit in hit.assignment.items()}}
-        return EntailmentResult(False, witness, str(hit.payload[0]), str(hit.payload[1]))
+        assignment, (lhs, rhs) = first
+        return EntailmentResult(False, {"atom_values": assignment}, str(lhs), str(rhs))
 
-    left_resolved = inline_acts(left, defs)
-    right_resolved = inline_acts(right, defs)
-    reqs = requirements(left_resolved, space.mode).merge(
-        requirements(right_resolved, space.mode)
-    )
-    slots = _slots(reqs, space.algebra)
-
-    def violates_mb(assignment: dict):
-        valuation = _valuation_from(assignment, space.algebra, space.mode)
-        lhs = _eval_resolved(left_resolved, valuation, {}, nested_pointwise=False)
-        rhs = _eval_resolved(right_resolved, valuation, {}, nested_pointwise=False)
+    def violates(_, outcomes):
+        lhs, rhs = outcomes
         if space.admissible_only and not (lhs.admissible and rhs.admissible):
             return None
-        if not hleq(lhs.value, rhs.value):
-            return (lhs.value, rhs.value, valuation)
-        return None
+        return None if hleq(lhs.value, rhs.value) else (lhs.value, rhs.value)
 
-    hit = first_hit(slots, violates_mb, budget=space.budget, jobs=space.jobs)
-    if hit is None:
-        return EntailmentResult(True, None, None, None)
-    lhs_value, rhs_value, valuation = hit.payload
-    return EntailmentResult(
-        False, valuation_to_json(valuation), str(lhs_value), str(rhs_value)
+    first, _ = scan_mb(
+        [left, right], space.algebra, space.mode, violates, defs=defs, budget=space.budget
     )
+    if first is None:
+        return EntailmentResult(True, None, None, None)
+    valuation, (lhs, rhs) = first
+    return EntailmentResult(False, valuation_to_json(valuation), str(lhs), str(rhs))
 
 
 @dataclass(frozen=True)
@@ -169,6 +145,16 @@ class LawsReport:
     excluded_middle_always_designated: bool
     contrariety_always_designated: bool
     values_coincide: bool
+
+    @classmethod
+    def of(cls, rows: Iterable[LawRow]) -> "LawsReport":
+        rows = tuple(rows)
+        return cls(
+            rows,
+            all(r.excluded_middle_designated for r in rows),
+            all(r.contrariety_designated for r in rows),
+            all(r.excluded_middle == r.contrariety for r in rows),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -230,45 +216,42 @@ def _laws_formulas(force: str, atom: str) -> tuple[Formula, Formula]:
 
 
 def _laws_report_m(force: str, atom: str) -> LawsReport:
-    excluded_middle, contrariety = _laws_formulas(force, atom)
     rows = []
-    for bit in (0, 1):
-        e = {atom: bit}
-        v8 = eval_m(excluded_middle, e)
-        v9 = eval_m(contrariety, e)
+
+    def row(assignment: dict, values: list) -> None:
+        v8, v9 = values
         rows.append(
             LawRow(
-                f"{atom}={bit}", str(v8), str(v9),
-                v8 in _M_DESIGNATED, v9 in _M_DESIGNATED,
+                f"{atom}={assignment[atom]}", str(v8), str(v9),
+                v8 in DESIGNATED, v9 in DESIGNATED,
             )
         )
-    return LawsReport(
-        tuple(rows),
-        all(r.excluded_middle_designated for r in rows),
-        all(r.contrariety_designated for r in rows),
-        all(r.excluded_middle == r.contrariety for r in rows),
-    )
+
+    scan_m(_laws_formulas(force, atom), row)
+    return LawsReport.of(rows)
 
 
 def _laws_report_mb(
-    force: str, atom: str, space: CheckSpace, generator: HyperValue
+    force: str, atom: str, space: CheckSpace, generator: Optional[HyperValue]
 ) -> LawsReport:
-    excluded_middle, contrariety = _laws_formulas(force, atom)
-    valuation = MBValuation(
-        space.algebra, space.mode, generators={(force, atom): generator}
-    )
+    """One row for the given generator, or one per nonstandard generator in scan order."""
+    formulas = _laws_formulas(force, atom)
     designated = standard(space.algebra.top())
-    v8 = _eval_resolved(excluded_middle, valuation, {}, nested_pointwise=False).value
-    v9 = _eval_resolved(contrariety, valuation, {}, nested_pointwise=False).value
-    row = LawRow(
-        f"generator={generator}", str(v8), str(v9), v8 == designated, v9 == designated
-    )
-    return LawsReport(
-        (row,),
-        row.excluded_middle_designated,
-        row.contrariety_designated,
-        row.excluded_middle == row.contrariety,
-    )
+    rows = []
+
+    def row(valuation: MBValuation, outcomes: list) -> None:
+        (g,) = valuation.generators.values()
+        v8, v9 = (outcome.value for outcome in outcomes)
+        rows.append(
+            LawRow(f"generator={g}", str(v8), str(v9), v8 == designated, v9 == designated)
+        )
+
+    if generator is None:
+        scan_mb(formulas, space.algebra, space.mode, row)
+    else:
+        valuation = MBValuation(space.algebra, space.mode, generators={(force, atom): generator})
+        row(valuation, [eval_mb(f, valuation) for f in formulas])
+    return LawsReport.of(rows)
 
 
 def criterion_holds(
@@ -319,7 +302,6 @@ def square_for_force(
     if is_standard(generator):
         raise StandardAssignment("the generator must be nonstandard")
     report = square_report(generator)
-    laws = _laws_report_mb(force, atom, space, generator)
     witness = {"generator": hyper_to_json(generator)}
     return OppositionReport(
         matrix="mb",
@@ -338,42 +320,33 @@ def square_for_force(
         subaltern_right=RelationCheck(
             report.subaltern_right, witness if not report.subaltern_right else None
         ),
-        laws=laws,
+        laws=laws_report(force, space, atom=atom, generator=generator),
         hyper=report,
     )
 
 
 def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
-    pos, neg_content, not_neg_content, not_pos = _corner_formulas(force, atom)
-
-    def successful(f: Formula, e: dict) -> bool:
-        return eval_m(f, e) == TruthValue4.HALF
-
-    def unsuccessful(f: Formula, e: dict) -> bool:
-        return eval_m(f, e) == TruthValue4.NEG_HALF
+    corners = _corner_formulas(force, atom)
 
     def quantify(condition) -> RelationCheck:
-        for bits in itertools.product((0, 1), repeat=1):
-            e = {atom: bits[0]}
-            if not condition(e):
-                return RelationCheck(False, {"atom_values": dict(e)})
-        return RelationCheck(True)
+        # condition(success, failure) gets one flag per corner, in corner order
+        def fails(assignment: dict, values: list) -> Optional[dict]:
+            success = [v == TruthValue4.HALF for v in values]
+            failure = [v == TruthValue4.NEG_HALF for v in values]
+            return None if condition(success, failure) else assignment
 
-    contrary = quantify(lambda e: not (successful(pos, e) and successful(neg_content, e)))
-    contradictory = quantify(
-        lambda e: successful(pos, e) == unsuccessful(not_pos, e)
-        and successful(neg_content, e) == unsuccessful(not_neg_content, e)
-    )
-    subcontrary = quantify(
-        lambda e: not (unsuccessful(not_pos, e) and unsuccessful(not_neg_content, e))
-    )
-    subaltern_left = quantify(
-        lambda e: successful(not_neg_content, e) if successful(pos, e) else True
-    )
-    subaltern_right = quantify(
-        lambda e: successful(not_pos, e) if successful(neg_content, e) else True
-    )
-    criterion = entails(neg_content, not_pos, space).holds
+        first = scan_m(corners, fails, budget=space.budget)
+        if first is None:
+            return RelationCheck(True)
+        return RelationCheck(False, {"atom_values": first[0]})
+
+    # corners: F(p), F(~p), ~F(~p), ~F(p)
+    contrary = quantify(lambda s, u: not (s[0] and s[1]))
+    contradictory = quantify(lambda s, u: s[0] == u[3] and s[1] == u[2])
+    subcontrary = quantify(lambda s, u: not (u[3] and u[2]))
+    subaltern_left = quantify(lambda s, u: s[2] if s[0] else True)
+    subaltern_right = quantify(lambda s, u: s[3] if s[1] else True)
+    criterion = entails(corners[1], corners[3], space).holds
     return OppositionReport(
         matrix="m",
         force=force,
@@ -399,16 +372,6 @@ def _square_mb_quantified(force: str, atom: str, space: CheckSpace) -> Oppositio
                 return RelationCheck(False, {"generator": hyper_to_json(g)})
         return RelationCheck(True)
 
-    rows = []
-    for g in generators:
-        row = _laws_report_mb(force, atom, space, g).rows[0]
-        rows.append(row)
-    laws = LawsReport(
-        tuple(rows),
-        all(r.excluded_middle_designated for r in rows),
-        all(r.contrariety_designated for r in rows),
-        all(r.excluded_middle == r.contrariety for r in rows),
-    )
     square_all = all(r.holds for r in per_generator)
     return OppositionReport(
         matrix="mb",
@@ -421,7 +384,7 @@ def _square_mb_quantified(force: str, atom: str, space: CheckSpace) -> Oppositio
         subcontrary=quantified("subcontrary"),
         subaltern_left=quantified("subaltern_left"),
         subaltern_right=quantified("subaltern_right"),
-        laws=laws,
+        laws=laws_report(force, space, atom=atom),
     )
 
 
@@ -441,14 +404,4 @@ def laws_report(
         generator = normalize(generator)
         if is_standard(generator):
             raise StandardAssignment("the generator must be nonstandard")
-        return _laws_report_mb(force, atom, space, generator)
-    rows = tuple(
-        _laws_report_mb(force, atom, space, g).rows[0]
-        for g in enumerate_nonstandard(space.algebra)
-    )
-    return LawsReport(
-        rows,
-        all(r.excluded_middle_designated for r in rows),
-        all(r.contrariety_designated for r in rows),
-        all(r.excluded_middle == r.contrariety for r in rows),
-    )
+    return _laws_report_mb(force, atom, space, generator)

@@ -1,17 +1,17 @@
 """Deterministic first-witness scans over finite assignment product spaces.
 
-Assignments are indexed in mixed radix (first slot most significant), so the
-first hit is well defined no matter how the scan is chunked across workers.
+Assignments are visited in mixed-radix order, first slot most significant and
+each domain in its listed order, so the first hit is well defined and the
+same for every caller.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 DEFAULT_BUDGET = 10_000_000
-_MIN_CHUNK = 512
 
 
 class BudgetExceeded(RuntimeError):
@@ -31,19 +31,9 @@ def space_size(slots: Sequence[Slot]) -> int:
     return size
 
 
-def assignment_at(slots: Sequence[Slot], index: int) -> dict:
-    assignment = {}
-    for slot in reversed(slots):
-        index, choice = divmod(index, len(slot.domain))
-        assignment[slot.key] = slot.domain[choice]
-    return assignment
-
-
-@dataclass(frozen=True)
-class Hit:
-    index: int
-    assignment: dict
-    payload: Any
+def check_budget(size: int, budget: int) -> None:
+    if size > budget:
+        raise BudgetExceeded(f"{size} assignments exceed the budget of {budget}")
 
 
 def first_hit(
@@ -51,46 +41,18 @@ def first_hit(
     predicate: Callable[[dict], Any],
     *,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
-) -> Optional[Hit]:
-    """First assignment (in index order) for which predicate returns a payload.
+) -> Optional[tuple[dict, Any]]:
+    """First (assignment, payload), in scan order, for which predicate hits.
 
-    The predicate returns None for a miss and any other value for a hit; that
-    value rides along in the result. The verdict and the hit are identical for
-    every jobs count by construction.
+    The predicate gets a fresh dict from slot key to value, in slot order, and
+    returns None for a miss and any other value for a hit; that value rides
+    along in the result.
     """
-    size = space_size(slots)
-    if size > budget:
-        raise BudgetExceeded(f"{size} assignments exceed the budget of {budget}")
-    if jobs <= 1 or size <= _MIN_CHUNK:
-        for index in range(size):
-            assignment = assignment_at(slots, index)
-            payload = predicate(assignment)
-            if payload is not None:
-                return Hit(index, assignment, payload)
-        return None
-
-    chunk = max(_MIN_CHUNK, -(-size // (jobs * 4)))
-    ranges = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
-    best_chunk = [len(ranges)]  # shared early-exit hint, monotone under the GIL
-
-    def scan(chunk_index: int, lo: int, hi: int) -> Optional[Hit]:
-        for index in range(lo, hi):
-            if chunk_index > best_chunk[0]:
-                return None
-            assignment = assignment_at(slots, index)
-            payload = predicate(assignment)
-            if payload is not None:
-                best_chunk[0] = min(best_chunk[0], chunk_index)
-                return Hit(index, assignment, payload)
-        return None
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(scan, ci, lo, hi) for ci, (lo, hi) in enumerate(ranges)
-        ]
-        for future in futures:
-            hit = future.result()
-            if hit is not None:
-                return hit
+    check_budget(space_size(slots), budget)
+    keys = [slot.key for slot in slots]
+    for values in itertools.product(*(slot.domain for slot in slots)):
+        assignment = dict(zip(keys, values))
+        payload = predicate(assignment)
+        if payload is not None:
+            return assignment, payload
     return None

@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import illoc
+import illoc.matrix_mb
 from illoc.cli import main
 
 CYCLIC = "act x = [promise](~x);\n"
+DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
+DEEP_FORCES = "[f](" * 300 + "p" + ")" * 300
 
 
 @pytest.fixture
@@ -127,6 +132,29 @@ class TestTaut:
             "[f](p & q) -> ([f](p) & [f](q))",
         )
         assert code == 4
+
+    def test_negative_budget_env_is_a_semantic_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ILLOC_BUDGET", "-1")
+        code, out, err = run(capsys, "taut", "--matrix", "m", "p")
+        assert code == 3 and not out and "ILLOC_BUDGET" in err
+
+    def test_matrix_m_budget_exit_code(self, capsys):
+        code, out, err = run(capsys, "taut", "--matrix", "m", "--budget", "3", "p | q | r")
+        assert code == 4 and not out
+        assert "budget" in err
+
+    def test_over_budget_space_refused_before_any_domain_is_built(self, capsys, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("a nonstandard domain was built before the budget check")
+
+        monkeypatch.setattr(illoc.matrix_mb, "enumerate_nonstandard", unreachable)
+        algebra = ",".join(f"a{i}" for i in range(12))
+        code, _, err = run(
+            capsys, "taut", "--matrix", "mb", "--algebra", algebra, "--budget", "10",
+            "[f](p) -> p",
+        )
+        assert code == 4
+        assert "budget" in err
 
     def test_jobs_give_identical_output(self, capsys):
         results = []
@@ -295,6 +323,32 @@ class TestTable:
         # the atom only occurs inside the act content, so it needs no slot
         assert len(data["rows"]) == 12
 
+    def test_matrix_mb_lists_slots_in_scan_order(self, capsys):
+        code, out, _ = run(capsys, "table", "--matrix", "mb", "--algebra", "a", "[f](p) -> p")
+        assert out.splitlines()[:2] == ["p={} [f]@p=<{},{a}>  *1", "p={} [f]@p=<{a},{}>  *1"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "option,value", [("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-1")]
+    )
+    def test_out_of_range_options_exit_2(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["taut", "--matrix", "m", option, value, "p"])
+        assert exit_.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fmt", DEEP_PARENTHESES], ["taut", "--matrix", "m", DEEP_FORCES]],
+        ids=["fmt-parentheses", "taut-forces"],
+    )
+    def test_deep_nesting_is_refused_without_a_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: formula nests too deeply\n"
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
@@ -316,3 +370,25 @@ class TestConsoleScript:
             capture_output=True, text=True,
         )
         assert result.returncode == 1
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "formula,exit_code,stdout",
+        [
+            ("p -> [think](p)", 1, "refuted at p=0 with value 1/2\n"),
+            ("[think](p) -> p", 0, "tautology\n"),
+            (DEEP_FORCES, 3, ""),
+        ],
+        ids=["refuted", "tautology", "deep-forces"],
+    )
+    def test_python_dash_m_illoc(self, formula, exit_code, stdout):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(illoc.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "illoc", "taut", "--matrix", "m", formula],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert result.returncode == exit_code
+        assert result.stdout == stdout
+        assert "Traceback" not in result.stderr

@@ -37,8 +37,10 @@ from illoc.matrix_mb import (
     valuation_to_json,
 )
 from illoc.search import BudgetExceeded
-from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula
-from mb_oracle import oracle_status
+from illoc.syntax import (
+    ActRef, And, Atom, Force, Implies, Not, Or, format_formula, parse, parse_formula,
+)
+from mb_oracle import oracle_slots, oracle_status, term_table
 
 K1 = AlgebraSpec(("a",))
 K2 = AlgebraSpec(("a", "b"))
@@ -47,6 +49,26 @@ MODES = (MBMode.FREE, MBMode.POINTWISE, MBMode.CONNECTIVE)
 
 def el(spec, *names):
     return spec.element(names)
+
+
+def _oracle_index(formula, atoms, mode, valuation):
+    """Mixed-radix index of a package valuation in the oracle's scan order."""
+
+    def table(h):
+        return term_table(atoms, frozenset(h.on_true.atoms), frozenset(h.on_false.atoms))
+
+    index = 0
+    for key, domain in oracle_slots(formula, atoms, mode):
+        if key[0] == "atom":
+            value = frozenset(valuation.atom_values[key[1]].atoms)
+        elif key[0] == "act":
+            value = table(valuation.act_values[format_formula(key[1])])
+        elif key[0] == "gen":
+            value = table(valuation.generators[(key[1], key[2])])
+        else:
+            value = table(valuation.signatures[key[1]])
+        index = index * len(domain) + domain.index(value)
+    return index
 
 
 def _schema_formulas():
@@ -274,9 +296,11 @@ class TestTautologyStatuses:
             expected = EXPECTED_STATUS_BY_K[(name, mode.value, k)]
         result = is_tautology_mb(formula, spec, mode)
         assert result.status == expected
-        status, _, _ = oracle_status(formula, spec.atoms, mode.value)
+        status, index, _ = oracle_status(formula, spec.atoms, mode.value)
         assert status == expected
         if result.status == "refuted":
+            # the first witness in scan order, the same one the oracle finds
+            assert _oracle_index(formula, spec.atoms, mode.value, result.witness) == index
             # the stored witness really refutes, admissibly
             out = eval_mb(formula, result.witness)
             assert out.admissible
