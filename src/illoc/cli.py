@@ -3,7 +3,7 @@
 Commands: eval, table, taut, check-matrix, square, entail, unfold, fmt.
 Exit codes: 0 success/tautology/holds, 1 refuted/does-not-hold, 2 parse
 error or bad option, 3 semantic error or a formula nested too deeply, 4 budget
-exceeded.
+exceeded, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .matrix_m import (
 )
 from .matrix_mb import (
     MBMode,
+    MBScan,
     MBValuation,
     MissingAssignment,
     NotCyclic,
@@ -238,10 +239,10 @@ def _cmd_table(args) -> int:
     else:
         admissible_only = not args.all_valuations
 
-        def mb_row(valuation: MBValuation, outcomes: list) -> None:
-            (outcome,) = outcomes
-            if admissible_only and not outcome.admissible:
+        def mb_row(scan: MBScan, _) -> None:
+            if admissible_only and not scan.admissible(0):
                 return
+            valuation, outcome = scan.valuation(), scan.outcome(0)
             rows.append({"valuation": valuation_to_json(valuation), **outcome.to_json()})
             lines.append(f"{_describe(valuation)}  {_render_hyper(outcome.value)}")
 
@@ -474,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SIGPIPE_EXIT = 141  # 128 + SIGPIPE, what a shell reports for a producer killed by it
+
 _SEMANTIC_ERRORS = (
     MissingAtom,
     MissingAssignment,
@@ -503,10 +506,24 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: formula nests too deeply", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not an error of the input, so
+        # nothing is printed and the exit code is the shell's for SIGPIPE
+        return _SIGPIPE_EXIT
     except _SEMANTIC_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
 
 
 def console() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _SIGPIPE_EXIT
+    if code == _SIGPIPE_EXIT:
+        # point stdout at devnull so the flush at interpreter exit cannot
+        # raise again (the SIGPIPE note in the `signal` module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    raise SystemExit(code)

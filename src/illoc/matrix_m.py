@@ -187,7 +187,8 @@ def scan_m(
     resolved = [inline_acts(f, defs) for f in formulas]
     atoms = sorted({name for r in resolved for name in atoms_of(r)})
 
-    def predicate(assignment: dict[str, int]) -> Any:
+    def predicate(values: tuple[int, ...]) -> Any:
+        assignment = dict(zip(atoms, values))
         return verdict(assignment, [_ev(r, assignment) for r in resolved])
 
     return first_hit([Slot(name, (0, 1)) for name in atoms], predicate, budget=budget)

@@ -28,34 +28,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .boolalg import (
+    AlgebraMismatch,
     AlgebraSpec,
     Element,
     algebra_from_json,
     algebra_to_json,
     complement,
     element_from_json,
+    element_index,
     element_to_json,
-    enumerate_elements,
-    join,
-    meet,
 )
 from .hyper import (
     HyperValue,
-    content_neg,
     enumerate_nonstandard,
-    hneg,
     hyper_from_json,
     hyper_to_json,
     is_standard,
     normalize,
-    oinf,
-    osup,
-    pinf,
-    psup,
-    standard,
 )
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit, space_size
 from .syntax import (
@@ -93,6 +86,9 @@ __all__ = [
     "find_neg_swap_counterexample",
     "unfold_cyclic",
     "scan_mb",
+    "MBScan",
+    "PackedOps",
+    "packed_ops",
     "Requirements",
     "requirements",
     "valuation_to_json",
@@ -164,44 +160,123 @@ class EvalOutcome:
         }
 
 
+# --- packed values ---
+#
+# Inside the evaluator a value is an int. An element of the k-atom algebra is
+# a k-bit int with bit i for atom i (the order of `element_index`), and a
+# hypervalue (u, v) is u | v << k, so a value is standard when its two halves
+# are equal. Every connective is a few bit operations, one code path for any
+# k up to the atom cap. Values become `Element`/`HyperValue` objects only where
+# a caller keeps them: a witness, a table row, the outcome of `eval_mb`.
+
+
+class PackedOps(NamedTuple):
+    """The matrix's connectives on the packed values of a k-atom algebra."""
+
+    top: int  # the standard top
+    is_standard: Callable[[int], bool]
+    neg: Callable[[int], int]
+    content_neg: Callable[[int], int]
+    and_: Callable[[int, int], int]
+    or_: Callable[[int, int], int]
+    imp: Callable[[int, int], int]
+    pointwise_imp: Callable[[int, int], int]
+    leq: Callable[[int, int], bool]
+
+
+@lru_cache(maxsize=None)
+def packed_ops(k: int) -> PackedOps:
+    low = (1 << k) - 1
+    full = (1 << 2 * k) - 1
+
+    def is_standard(h):
+        return h & low == h >> k
+
+    def neg(h):  # pointwise complement
+        return h ^ full
+
+    def content_neg(h):  # precompose with complement: swap the halves
+        return h >> k | (h & low) << k
+
+    def and_(a, b):
+        # base meet on standard pairs, the pointwise join on nonstandard ones;
+        # a mixed pair meets at its nonstandard operand
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a & b if sa else a | b
+        return b if sa else a
+
+    def or_(a, b):
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a | b if sa else a & b
+        return a if sa else b
+
+    def osup(a, b):
+        # join along the stipulated order: a mixed pair joins at its standard operand
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a | b
+        return a if sa else b
+
+    def imp(a, b):  # complement of the order-join, joined pointwise with b
+        return osup(a, b) ^ full | b
+
+    def pointwise_imp(a, b):
+        # componentwise ~a | b; used only for unfolding cyclic acts, where the
+        # order-join reading would erase the dependence on the innermost value
+        return a ^ full | b
+
+    def leq(a, b):
+        # the stipulated order: standard values dominate every nonstandard one
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a & ~b == 0
+        return sb
+
+    return PackedOps(full, is_standard, neg, content_neg, and_, or_, imp, pointwise_imp, leq)
+
+
+def _code(h: HyperValue) -> int:
+    """The packed value of h's normal form (finite exceptions are invisible)."""
+    return element_index(h.on_true) | element_index(h.on_false) << h.algebra.k
+
+
+def _element(algebra: AlgebraSpec, code: int) -> Element:
+    return Element(algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1))
+
+
+def _hyper(algebra: AlgebraSpec, code: int) -> HyperValue:
+    return HyperValue(_element(algebra, code & (1 << algebra.k) - 1),
+                      _element(algebra, code >> algebra.k))
+
+
 # --- connectives ---
 
+def _apply(connective: str, x: HyperValue, y: HyperValue) -> HyperValue:
+    if x.algebra != y.algebra:
+        raise AlgebraMismatch(f"algebra mismatch: {x.algebra.atoms} vs {y.algebra.atoms}")
+    return _hyper(x.algebra, getattr(packed_ops(x.algebra.k), connective)(_code(x), _code(y)))
+
+
 def mb_neg(x: HyperValue) -> HyperValue:
-    return hneg(x)
+    return _hyper(x.algebra, packed_ops(x.algebra.k).neg(_code(x)))
 
 
 def mb_and(x: HyperValue, y: HyperValue) -> HyperValue:
-    a, b = normalize(x), normalize(y)
-    sa, sb = is_standard(a), is_standard(b)
-    if sa and sb:
-        return standard(meet(a.on_true, b.on_true))
-    if sa or sb:
-        return oinf(a, b)
-    return psup(a, b)  # the dualized clause for nonstandard pairs
+    return _apply("and_", x, y)
 
 
 def mb_or(x: HyperValue, y: HyperValue) -> HyperValue:
-    a, b = normalize(x), normalize(y)
-    sa, sb = is_standard(a), is_standard(b)
-    if sa and sb:
-        return standard(join(a.on_true, b.on_true))
-    if sa or sb:
-        return osup(a, b)
-    return pinf(a, b)
+    return _apply("or_", x, y)
 
 
 def mb_imp(x: HyperValue, y: HyperValue) -> HyperValue:
     """Complement of the order-join of the operands, joined pointwise with y."""
-    return psup(hneg(osup(x, y)), y)
+    return _apply("imp", x, y)
 
 
-def _pointwise_imp(x: HyperValue, y: HyperValue) -> HyperValue:
-    # Componentwise ~x | y; used only for unfolding cyclic acts, where the
-    # order-join reading would erase the dependence on the innermost value.
-    return psup(hneg(x), y)
-
-
-# --- evaluation ---
+# --- the compiled evaluator ---
 
 @lru_cache(maxsize=None)
 def _act_key(node: Force) -> str:
@@ -217,84 +292,137 @@ def _contains_act(f: Formula, bound: frozenset[str]) -> bool:
     return False
 
 
+class _Program:
+    """One resolved formula compiled to closures over a tuple of slot values.
+
+    run(values) returns the formula's packed value. Each force node also
+    stores its value in acts, at a position fixed at compile time: keys[j]
+    names acts[j], in evaluation order, so admissibility and the subvalues of
+    the last run are read off without another walk.
+    """
+
+    def __init__(self, run: Callable[[tuple], int], acts: list[int], keys: list[str],
+                 ops: PackedOps):
+        self.run, self.acts, self.keys, self.ops = run, acts, tuple(keys), ops
+
+    def admissible(self) -> bool:
+        return not any(map(self.ops.is_standard, self.acts))
+
+    def outcome(self, algebra: AlgebraSpec, values: tuple) -> EvalOutcome:
+        value = self.run(values)
+        subvalues = {key: _hyper(algebra, a) for key, a in zip(self.keys, self.acts)}
+        return EvalOutcome(_hyper(algebra, value), self.admissible(), subvalues)
+
+
+def _compile(
+    resolved: Formula,
+    mode: MBMode,
+    k: int,
+    position: Mapping[tuple, int],
+    *,
+    bound: frozenset[str] = frozenset(),
+    nested_pointwise: bool = False,
+) -> _Program:
+    """Compile an act-free formula once; position maps slot keys to tuple indices.
+
+    Atoms read ("atom", name), free acts ("act", key), generators
+    ("gen", force, atom), signatures ("sig", force) and the bound act
+    references of a cyclic unfolding ("ref", name). A key missing from
+    position raises MissingAssignment here, in evaluation order, so the
+    first missing value is the one an evaluation would have hit first.
+    Whether a force reads a signature, an act value or generators is decided
+    here, once per node.
+    """
+    ops = packed_ops(k)
+    unit = (1 << k) + 1  # the standard copy of element e is e * unit
+    acts: list[int] = []
+    keys: list[str] = []
+
+    def slot(key: tuple, missing: str) -> int:
+        if key not in position:
+            raise MissingAssignment(missing)
+        return position[key]
+
+    def binary(f, left, right):
+        op = {And: ops.and_, Or: ops.or_, Implies: ops.imp}[type(f)]
+        return lambda v: op(left(v), right(v))
+
+    def extend(force: str, f: Formula):
+        # the value of a force over force-free content, from per-atom generators
+        if isinstance(f, Atom):
+            return itemgetter(slot(("gen", force, f.name),
+                                   f"no generator for force {force!r} on atom {f.name!r}"))
+        if isinstance(f, Not):
+            body, swap = extend(force, f.body), ops.content_neg
+            return lambda v: swap(body(v))
+        if isinstance(f, (And, Or, Implies)):
+            left, right = extend(force, f.left), extend(force, f.right)
+            if mode is MBMode.CONNECTIVE:
+                return binary(f, left, right)
+            if isinstance(f, And):
+                return lambda v: left(v) & right(v)
+            if isinstance(f, Or):
+                return lambda v: left(v) | right(v)
+            swap = ops.content_neg
+            return lambda v: swap(left(v)) | right(v)
+        raise TypeError(f"force-free content cannot contain {f!r}")
+
+    def compile_(f: Formula):
+        if isinstance(f, Atom):
+            i = slot(("atom", f.name), f"no value for atom {f.name!r}")
+            return lambda v: v[i] * unit
+        if isinstance(f, ActRef):
+            return itemgetter(slot(("ref", f.name), f"no value for act {f.name!r}"))
+        if isinstance(f, Not):
+            body, neg = compile_(f.body), ops.neg
+            return lambda v: neg(body(v))
+        if isinstance(f, (And, Or, Implies)):
+            return binary(f, compile_(f.left), compile_(f.right))
+        if isinstance(f, Force):
+            key = _act_key(f)
+            if _contains_act(f.content, bound):
+                i = slot(("sig", f.force), f"no signature for force {f.force!r}")
+                content = compile_(f.content)
+                imp = ops.pointwise_imp if nested_pointwise else ops.imp
+                value = lambda v: imp(v[i], content(v))
+            elif mode is MBMode.FREE:
+                value = itemgetter(slot(("act", key), f"no act value for {key!r}"))
+            else:
+                value = extend(f.force, f.content)
+            j = len(acts)
+            acts.append(0)
+            keys.append(key)
+
+            def act(v):
+                acts[j] = x = value(v)
+                return x
+
+            return act
+        raise TypeError(f"cannot evaluate {f!r}")
+
+    return _Program(compile_(resolved), acts, keys, ops)
+
+
+def _encoded(valuation: MBValuation) -> tuple[dict[tuple, int], list[int]]:
+    """Slot positions and packed values of everything a valuation assigns."""
+    codes = {
+        **{("atom", name): element_index(e) for name, e in valuation.atom_values.items()},
+        **{("act", key): _code(h) for key, h in valuation.act_values.items()},
+        **{("gen",) + pair: _code(h) for pair, h in valuation.generators.items()},
+        **{("sig", name): _code(h) for name, h in valuation.signatures.items()},
+    }
+    return {key: i for i, key in enumerate(codes)}, list(codes.values())
+
+
 def eval_mb(
     formula: Formula,
     valuation: MBValuation,
     defs: Optional[Mapping[str, Formula]] = None,
 ) -> EvalOutcome:
     resolved = inline_acts(formula, dict(defs or {}))
-    return _eval_resolved(resolved, valuation, {}, nested_pointwise=False)
-
-
-def _eval_resolved(
-    resolved: Formula,
-    valuation: MBValuation,
-    bindings: Mapping[str, HyperValue],
-    nested_pointwise: bool,
-) -> EvalOutcome:
-    subvalues: dict[str, HyperValue] = {}
-    bound = frozenset(bindings)
-
-    def ev(f: Formula) -> HyperValue:
-        if isinstance(f, Atom):
-            if f.name not in valuation.atom_values:
-                raise MissingAssignment(f"no value for atom {f.name!r}")
-            return standard(valuation.atom_values[f.name])
-        if isinstance(f, ActRef):
-            return bindings[f.name]
-        if isinstance(f, Not):
-            return mb_neg(ev(f.body))
-        if isinstance(f, And):
-            return mb_and(ev(f.left), ev(f.right))
-        if isinstance(f, Or):
-            return mb_or(ev(f.left), ev(f.right))
-        if isinstance(f, Implies):
-            return mb_imp(ev(f.left), ev(f.right))
-        if isinstance(f, Force):
-            if _contains_act(f.content, bound):
-                if f.force not in valuation.signatures:
-                    raise MissingAssignment(f"no signature for force {f.force!r}")
-                implication = _pointwise_imp if nested_pointwise else mb_imp
-                value = implication(valuation.signatures[f.force], ev(f.content))
-            elif valuation.mode is MBMode.FREE:
-                key = _act_key(f)
-                if key not in valuation.act_values:
-                    raise MissingAssignment(f"no act value for {key!r}")
-                value = valuation.act_values[key]
-            else:
-                value = _extend(f.force, f.content, valuation)
-            subvalues[_act_key(f)] = value
-            return value
-        raise TypeError(f"cannot evaluate {f!r}")
-
-    value = ev(resolved)
-    admissible = all(not is_standard(v) for v in subvalues.values())
-    return EvalOutcome(value, admissible, subvalues)
-
-
-def _extend(force: str, content: Formula, valuation: MBValuation) -> HyperValue:
-    """Value of a force over force-free content from its per-atom generators."""
-    connective = valuation.mode is MBMode.CONNECTIVE
-
-    def ext(f: Formula) -> HyperValue:
-        if isinstance(f, Atom):
-            key = (force, f.name)
-            if key not in valuation.generators:
-                raise MissingAssignment(f"no generator for force {force!r} on atom {f.name!r}")
-            return valuation.generators[key]
-        if isinstance(f, Not):
-            return content_neg(ext(f.body))
-        if isinstance(f, And):
-            return (mb_and if connective else pinf)(ext(f.left), ext(f.right))
-        if isinstance(f, Or):
-            return (mb_or if connective else psup)(ext(f.left), ext(f.right))
-        if isinstance(f, Implies):
-            if connective:
-                return mb_imp(ext(f.left), ext(f.right))
-            return psup(content_neg(ext(f.left)), ext(f.right))
-        raise TypeError(f"force-free content cannot contain {f!r}")
-
-    return ext(content)
+    position, values = _encoded(valuation)
+    program = _compile(resolved, valuation.mode, valuation.algebra.k, position)
+    return program.outcome(valuation.algebra, tuple(values))
 
 
 # --- requirement analysis and exhaustive checks ---
@@ -352,9 +480,15 @@ def requirements(resolved: Formula, mode: MBMode) -> Requirements:
     return Requirements(tuple(atoms), tuple(acts), tuple(generators), tuple(signatures))
 
 
+@lru_cache(maxsize=16)
+def _nonstandard_codes(algebra: AlgebraSpec) -> tuple[int, ...]:
+    """The nonstandard values packed, in `enumerate_nonstandard`'s order."""
+    return tuple(_code(h) for h in enumerate_nonstandard(algebra))
+
+
 def _slots(reqs: Requirements, algebra: AlgebraSpec) -> list[Slot]:
-    elements = tuple(enumerate_elements(algebra))
-    nonstandard = tuple(enumerate_nonstandard(algebra))
+    elements = range(1 << algebra.k)  # binary-counting order, as `enumerate_elements`
+    nonstandard = _nonstandard_codes(algebra)
     slots: list[Slot] = []
     slots += [Slot(("atom", name), elements) for name in reqs.atoms]
     slots += [Slot(("act", key), nonstandard) for key in reqs.acts]
@@ -363,37 +497,73 @@ def _slots(reqs: Requirements, algebra: AlgebraSpec) -> list[Slot]:
     return slots
 
 
-def _valuation_from(assignment: dict, algebra: AlgebraSpec, mode: MBMode) -> MBValuation:
-    atom_values, act_values, generators, signatures = {}, {}, {}, {}
-    for key, value in assignment.items():
-        if key[0] == "atom":
-            atom_values[key[1]] = value
-        elif key[0] == "act":
-            act_values[key[1]] = value
-        elif key[0] == "gen":
-            generators[(key[1], key[2])] = value
-        else:
-            signatures[key[1]] = value
-    return MBValuation(algebra, mode, atom_values, act_values, generators, signatures)
+def _filtered(slot: Slot, slot_filter: Callable, algebra: AlgebraSpec) -> Slot:
+    """Apply slot_filter to the decoded domain and keep the chosen codes."""
+    decode = _element if slot.key[0] == "atom" else _hyper
+    code_of = {decode(algebra, code): code for code in slot.domain}
+    return Slot(slot.key, tuple(code_of[x] for x in slot_filter(slot.key, tuple(code_of))))
+
+
+class MBScan:
+    """The compiled formulas of one scan and the valuation it is visiting.
+
+    A verdict gets this object and the packed values of the formulas on the
+    current valuation (`values`, one code per slot in slot order);
+    `admissible`, `decode`, `outcome` and `valuation` turn that valuation into
+    objects only when the verdict asks.
+    """
+
+    def __init__(self, algebra: AlgebraSpec, mode: MBMode, slots: Sequence[Slot],
+                 programs: Sequence[_Program]):
+        self.algebra, self.mode, self.programs = algebra, mode, tuple(programs)
+        self.keys = tuple(slot.key for slot in slots)
+        self.values: tuple = ()
+
+    def admissible(self, i: int) -> bool:
+        """No act subvalue of formula i is standard on the current valuation."""
+        return self.programs[i].admissible()
+
+    def decode(self, code: int) -> HyperValue:
+        return _hyper(self.algebra, code)
+
+    def outcome(self, i: int) -> EvalOutcome:
+        return self.programs[i].outcome(self.algebra, self.values)
+
+    def valuation(self) -> MBValuation:
+        atom_values, act_values, generators, signatures = {}, {}, {}, {}
+        for key, code in zip(self.keys, self.values):
+            if key[0] == "atom":
+                atom_values[key[1]] = _element(self.algebra, code)
+            elif key[0] == "act":
+                act_values[key[1]] = self.decode(code)
+            elif key[0] == "gen":
+                generators[key[1:]] = self.decode(code)
+            else:
+                signatures[key[1]] = self.decode(code)
+        return MBValuation(self.algebra, self.mode, atom_values, act_values, generators,
+                           signatures)
 
 
 def scan_mb(
     formulas: Sequence[Formula],
     algebra: AlgebraSpec,
     mode: MBMode,
-    verdict: Callable[[MBValuation, list[EvalOutcome]], Any],
+    verdict: Callable[[MBScan, list[int]], Any],
     *,
     defs: Optional[Mapping[str, Formula]] = None,
     budget: int = DEFAULT_BUDGET,
     slot_filter: Optional[Callable[[tuple, tuple], Iterable]] = None,
 ) -> tuple[Optional[tuple[MBValuation, Any]], int]:
-    """First valuation on which verdict(valuation, outcomes) is not None.
+    """First valuation on which verdict(scan, codes) is not None.
 
     The slots the formulas need are scanned atoms first, then acts,
-    generators and signatures, the first slot most significant; every formula
-    is evaluated on each valuation. Returns ((valuation, payload) or None,
-    number of valuations in the space). slot_filter(key, domain) may shrink a
-    slot's domain; returning the domain unchanged keeps the full scan.
+    generators and signatures, the first slot most significant. Each formula
+    is compiled once and evaluated on every valuation; codes holds their
+    packed values and scan (an MBScan) decodes the valuation on demand.
+    Returns ((valuation, payload) or None, number of valuations in the
+    space). slot_filter(key, domain) may shrink a slot's domain, given as
+    `Element`s or `HyperValue`s; returning the domain unchanged keeps the
+    full scan.
     """
     defs = dict(defs or {})
     resolved = [inline_acts(f, defs) for f in formulas]
@@ -405,13 +575,15 @@ def scan_mb(
         check_budget(2 ** (k * len(reqs.atoms)) * (4 ** k - 2 ** k) ** nonstandard_slots, budget)
     slots = _slots(reqs, algebra)
     if slot_filter is not None:
-        slots = [Slot(s.key, tuple(slot_filter(s.key, s.domain))) for s in slots]
+        slots = [_filtered(slot, slot_filter, algebra) for slot in slots]
+    position = {slot.key: i for i, slot in enumerate(slots)}
+    scan = MBScan(algebra, mode, slots, [_compile(r, mode, algebra.k, position) for r in resolved])
+    runs = [program.run for program in scan.programs]
 
-    def predicate(assignment: dict) -> Optional[tuple[MBValuation, Any]]:
-        valuation = _valuation_from(assignment, algebra, mode)
-        outcomes = [_eval_resolved(r, valuation, {}, nested_pointwise=False) for r in resolved]
-        payload = verdict(valuation, outcomes)
-        return None if payload is None else (valuation, payload)
+    def predicate(values: tuple) -> Optional[tuple[MBValuation, Any]]:
+        scan.values = values
+        payload = verdict(scan, [run(values) for run in runs])
+        return None if payload is None else (scan.valuation(), payload)
 
     hit = first_hit(slots, predicate, budget=budget)
     return (None if hit is None else hit[1]), space_size(slots)
@@ -447,13 +619,13 @@ def is_tautology_mb(
 
     jobs is accepted for compatibility and does not change the scan.
     """
-    top = standard(algebra.top())
+    top = packed_ops(algebra.k).top
 
-    def refutes(_, outcomes: list[EvalOutcome]) -> Optional[HyperValue]:
-        (outcome,) = outcomes
-        if admissible_only and not outcome.admissible:
+    def refutes(scan: MBScan, codes: list[int]) -> Optional[HyperValue]:
+        (code,) = codes
+        if code == top or (admissible_only and not scan.admissible(0)):
             return None
-        return None if outcome.value == top else outcome.value
+        return scan.decode(code)
 
     first, checked = scan_mb([formula], algebra, mode, refutes, defs=defs, budget=budget)
     if first is None:
@@ -494,9 +666,9 @@ def find_difference(
     slot_filter is passed to scan_mb (e.g. to restrict a generator search).
     """
 
-    def differs(_, outcomes: list[EvalOutcome]):
-        lhs, rhs = outcomes
-        return None if lhs.value == rhs.value else (lhs.value, rhs.value)
+    def differs(scan: MBScan, codes: list[int]):
+        lhs, rhs = codes
+        return None if lhs == rhs else (scan.decode(lhs), scan.decode(rhs))
 
     first, checked = scan_mb(
         [left, right], algebra, mode, differs,
@@ -598,11 +770,13 @@ def unfold_cyclic(
     open_refs = {name for node in walk(formula) if isinstance(node, ActRef)
                  for name in [node.name] if name in cyclic}
     resolved = inline_acts(formula, defs, keep=frozenset(open_refs))
-    bindings = {name: normalize(seed) for name in open_refs}
-    if isinstance(resolved, ActRef):
-        return bindings[resolved.name]
-    outcome = _eval_resolved(resolved, valuation, bindings, nested_pointwise=True)
-    return outcome.value
+    position, values = _encoded(valuation)
+    for name in open_refs:
+        position[("ref", name)] = len(values)
+        values.append(_code(seed))  # the seed's normal form
+    program = _compile(resolved, valuation.mode, valuation.algebra.k, position,
+                       bound=frozenset(open_refs), nested_pointwise=True)
+    return _hyper(valuation.algebra, program.run(tuple(values)))
 
 
 # --- JSON for valuations ---

@@ -19,7 +19,6 @@ from .hyper import (
     HyperValue,
     SquareReport,
     enumerate_nonstandard,
-    hleq,
     hyper_to_json,
     is_standard,
     normalize,
@@ -29,13 +28,15 @@ from .hyper import (
 from .matrix_m import DESIGNATED, TruthValue4, scan_m
 from .matrix_mb import (
     MBMode,
+    MBScan,
     MBValuation,
     StandardAssignment,
     eval_mb,
+    packed_ops,
     scan_mb,
     valuation_to_json,
 )
-from .search import DEFAULT_BUDGET
+from .search import DEFAULT_BUDGET, check_budget
 from .syntax import And, Atom, Force, Formula, Not, Or
 
 
@@ -93,11 +94,15 @@ def entails(
         assignment, (lhs, rhs) = first
         return EntailmentResult(False, {"atom_values": assignment}, str(lhs), str(rhs))
 
-    def violates(_, outcomes):
-        lhs, rhs = outcomes
-        if space.admissible_only and not (lhs.admissible and rhs.admissible):
+    leq = packed_ops(space.algebra.k).leq
+
+    def violates(scan: MBScan, codes: list[int]):
+        lhs, rhs = codes
+        if leq(lhs, rhs):
             return None
-        return None if hleq(lhs.value, rhs.value) else (lhs.value, rhs.value)
+        if space.admissible_only and not (scan.admissible(0) and scan.admissible(1)):
+            return None
+        return scan.decode(lhs), scan.decode(rhs)
 
     first, _ = scan_mb(
         [left, right], space.algebra, space.mode, violates, defs=defs, budget=space.budget
@@ -215,7 +220,7 @@ def _laws_formulas(force: str, atom: str) -> tuple[Formula, Formula]:
     return excluded_middle, contrariety
 
 
-def _laws_report_m(force: str, atom: str) -> LawsReport:
+def _laws_report_m(force: str, atom: str, budget: int) -> LawsReport:
     rows = []
 
     def row(assignment: dict, values: list) -> None:
@@ -227,7 +232,7 @@ def _laws_report_m(force: str, atom: str) -> LawsReport:
             )
         )
 
-    scan_m(_laws_formulas(force, atom), row)
+    scan_m(_laws_formulas(force, atom), row, budget=budget)
     return LawsReport.of(rows)
 
 
@@ -239,18 +244,20 @@ def _laws_report_mb(
     designated = standard(space.algebra.top())
     rows = []
 
-    def row(valuation: MBValuation, outcomes: list) -> None:
-        (g,) = valuation.generators.values()
-        v8, v9 = (outcome.value for outcome in outcomes)
+    def row(g: HyperValue, v8: HyperValue, v9: HyperValue) -> None:
         rows.append(
             LawRow(f"generator={g}", str(v8), str(v9), v8 == designated, v9 == designated)
         )
 
+    def scanned_row(scan: MBScan, codes: list[int]) -> None:
+        (g,) = scan.valuation().generators.values()
+        row(g, *map(scan.decode, codes))
+
     if generator is None:
-        scan_mb(formulas, space.algebra, space.mode, row)
+        scan_mb(formulas, space.algebra, space.mode, scanned_row, budget=space.budget)
     else:
         valuation = MBValuation(space.algebra, space.mode, generators={(force, atom): generator})
-        row(valuation, [eval_mb(f, valuation) for f in formulas])
+        row(generator, *(eval_mb(f, valuation).value for f in formulas))
     return LawsReport.of(rows)
 
 
@@ -275,7 +282,7 @@ def criterion_holds(
     if generator is None:
         return all(
             criterion_holds(force, space, atom=atom, generator=g)
-            for g in enumerate_nonstandard(space.algebra)
+            for g in _generators(space)
         )
     generator = normalize(generator)
     if is_standard(generator):
@@ -358,12 +365,19 @@ def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
         subcontrary=subcontrary,
         subaltern_left=subaltern_left,
         subaltern_right=subaltern_right,
-        laws=_laws_report_m(force, atom),
+        laws=_laws_report_m(force, atom, space.budget),
     )
 
 
+def _generators(space: CheckSpace) -> list[HyperValue]:
+    """Every nonstandard generator, refused before any is built when over budget."""
+    k = space.algebra.k
+    check_budget(4 ** k - 2 ** k, space.budget)
+    return list(enumerate_nonstandard(space.algebra))
+
+
 def _square_mb_quantified(force: str, atom: str, space: CheckSpace) -> OppositionReport:
-    generators = list(enumerate_nonstandard(space.algebra))
+    generators = _generators(space)
     per_generator = [square_report(g) for g in generators]
 
     def quantified(attr: str) -> RelationCheck:
@@ -397,7 +411,7 @@ def laws_report(
 ) -> LawsReport:
     """Values and designation of the two square corollaries, never asserted."""
     if space.matrix == "m":
-        return _laws_report_m(force, atom)
+        return _laws_report_m(force, atom, space.budget)
     if space.mode is MBMode.FREE:
         raise ValueError("the laws need a content-linked mode, not FREE")
     if generator is not None:

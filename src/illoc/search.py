@@ -38,21 +38,19 @@ def check_budget(size: int, budget: int) -> None:
 
 def first_hit(
     slots: Sequence[Slot],
-    predicate: Callable[[dict], Any],
+    predicate: Callable[[tuple], Any],
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[tuple[dict, Any]]:
     """First (assignment, payload), in scan order, for which predicate hits.
 
-    The predicate gets a fresh dict from slot key to value, in slot order, and
-    returns None for a miss and any other value for a hit; that value rides
-    along in the result.
+    The predicate gets the tuple of slot values, in slot order, and returns
+    None for a miss and any other value for a hit; that value rides along in
+    the result, with the hit's assignment as a dict from slot key to value.
     """
     check_budget(space_size(slots), budget)
-    keys = [slot.key for slot in slots]
     for values in itertools.product(*(slot.domain for slot in slots)):
-        assignment = dict(zip(keys, values))
-        payload = predicate(assignment)
+        payload = predicate(values)
         if payload is not None:
-            return assignment, payload
+            return dict(zip((slot.key for slot in slots), values)), payload
     return None

@@ -7,6 +7,7 @@ import pytest
 
 import illoc
 import illoc.matrix_mb
+import illoc.opposition
 from illoc.cli import main
 
 CYCLIC = "act x = [promise](~x);\n"
@@ -154,6 +155,18 @@ class TestTaut:
             "[f](p) -> p",
         )
         assert code == 4
+        assert "budget" in err
+
+    def test_quantified_square_honours_the_budget(self, capsys, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("the generators were listed before the budget check")
+
+        monkeypatch.setattr(illoc.opposition, "enumerate_nonstandard", unreachable)
+        code, out, err = run(
+            capsys, "square", "--matrix", "mb", "--algebra", "a,b,c,d,e", "--budget", "10",
+            "--output", "json",
+        )
+        assert code == 4 and not out
         assert "budget" in err
 
     def test_jobs_give_identical_output(self, capsys):
@@ -392,3 +405,25 @@ class TestModuleEntryPoint:
         assert result.returncode == exit_code
         assert result.stdout == stdout
         assert "Traceback" not in result.stderr
+
+    def test_closed_stdout_exits_like_sigpipe(self):
+        # about 258 KB of JSON: more than a pipe buffer holds, so the writer
+        # meets the closed pipe while it is still printing
+        src = os.path.dirname(os.path.dirname(os.path.abspath(illoc.__file__)))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "illoc", "square", "--matrix", "mb",
+             "--algebra", "a,b,c,d,e", "--output", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            assert len(process.stdout.read(100)) == 100
+            process.stdout.close()
+            assert process.wait(timeout=60) == 141
+            stderr = process.stderr.read().decode()
+        finally:
+            process.kill()
+            process.stderr.close()
+        assert "error:" not in stderr
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr

@@ -2,12 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_force_free
 from illoc.boolalg import AlgebraSpec, complement, enumerate_elements, join, meet
 from illoc.hyper import (
     content_neg,
     enumerate_nonstandard,
+    hleq,
     hneg,
     hyper,
     is_standard,
@@ -31,6 +34,7 @@ from illoc.matrix_mb import (
     mb_imp,
     mb_neg,
     mb_or,
+    packed_ops,
     requirements,
     unfold_cyclic,
     valuation_from_json,
@@ -40,10 +44,22 @@ from illoc.search import BudgetExceeded
 from illoc.syntax import (
     ActRef, And, Atom, Force, Implies, Not, Or, format_formula, parse, parse_formula,
 )
-from mb_oracle import oracle_slots, oracle_status, term_table
+from mb_oracle import (
+    oracle_eval,
+    oracle_slots,
+    oracle_status,
+    t_content_neg,
+    t_leq,
+    t_mb_and,
+    t_mb_imp,
+    t_mb_neg,
+    t_mb_or,
+    term_table,
+)
 
 K1 = AlgebraSpec(("a",))
 K2 = AlgebraSpec(("a", "b"))
+K3 = AlgebraSpec(("a", "b", "c"))
 MODES = (MBMode.FREE, MBMode.POINTWISE, MBMode.CONNECTIVE)
 
 
@@ -459,3 +475,98 @@ class TestHomomorphismLaws:
         gp, gq = gens[("f", "p")], gens[("f", "q")]
         assert eval_mb(parse_formula("[f](p & q)"), v).value == mb_and(gp, gq)
         assert eval_mb(parse_formula("[f](p -> q)"), v).value == mb_imp(gp, gq)
+
+
+class TestPackedConnectives:
+    """Every pair of packed values against the oracle's function tables."""
+
+    @staticmethod
+    def _values(spec):
+        """(code, HyperValue, oracle table) for every value, standard or not."""
+        k = spec.k
+        out = []
+        for code in range(1 << 2 * k):
+            u, v = (frozenset(a for i, a in enumerate(spec.atoms) if half >> i & 1)
+                    for half in (code & (1 << k) - 1, code >> k))
+            out.append((code, hyper(spec.element(u), spec.element(v)),
+                        term_table(spec.atoms, u, v)))
+        return out
+
+    @pytest.mark.parametrize("spec", [K1, K2, K3], ids=["K1", "K2", "K3"])
+    def test_unary_connectives(self, spec):
+        ops = packed_ops(spec.k)
+        values = self._values(spec)
+        for code, h, table in values:
+            assert values[ops.neg(code)][2] == t_mb_neg(spec.atoms, table)
+            assert values[ops.content_neg(code)][2] == t_content_neg(spec.atoms, table)
+            assert ops.is_standard(code) == is_standard(h)
+            assert mb_neg(h) == values[ops.neg(code)][1]
+
+    @pytest.mark.parametrize("spec", [K1, K2, K3], ids=["K1", "K2", "K3"])
+    def test_binary_connectives(self, spec):
+        ops = packed_ops(spec.k)
+        values = self._values(spec)
+        for (c1, h1, t1), (c2, h2, t2) in itertools.product(values, repeat=2):
+            for packed, public, oracle in (
+                (ops.and_, mb_and, t_mb_and(t1, t2)),
+                (ops.or_, mb_or, t_mb_or(t1, t2)),
+                (ops.imp, mb_imp, t_mb_imp(spec.atoms, t1, t2)),
+            ):
+                code, value, table = values[packed(c1, c2)]
+                assert table == oracle
+                assert public(h1, h2) == value
+            expected = t_leq(spec.atoms, t1, t2)
+            assert ops.leq(c1, c2) == expected
+            assert hleq(h1, h2) == expected
+
+    def test_top_is_the_standard_top(self):
+        for spec in (K1, K2, K3):
+            assert self._values(spec)[packed_ops(spec.k).top][1] == standard(spec.top())
+
+
+def _formulas(depth):
+    leaf = st.sampled_from([Atom("p"), Atom("q")])
+    if depth == 0:
+        return leaf
+    sub = _formulas(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Force, st.sampled_from(["f", "g"]), sub),
+    )
+
+
+def _oracle_value(formula, atoms, mode, index):
+    """The oracle's value of formula at the valuation with the given scan index."""
+    assignment = {}
+    for key, domain in reversed(oracle_slots(formula, atoms, mode)):
+        index, choice = divmod(index, len(domain))
+        assignment[key] = domain[choice]
+    return oracle_eval(formula, atoms, mode, assignment, [])
+
+
+class TestDifferentialAgainstOracle:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        formula=_formulas(4),
+        spec=st.sampled_from([K1, K2, K3]),
+        mode=st.sampled_from(MODES),
+    )
+    def test_tautology_scan_agrees_with_oracle(self, formula, spec, mode):
+        sizes = [len(domain) for _, domain in oracle_slots(formula, spec.atoms, mode.value)]
+        space = 1
+        for size in sizes:
+            space *= size
+        if space > 3136:
+            return
+        result = is_tautology_mb(formula, spec, mode)
+        status, index, total = oracle_status(formula, spec.atoms, mode.value)
+        assert (result.status, result.checked) == (status, total)
+        if status == "refuted":
+            assert _oracle_index(formula, spec.atoms, mode.value, result.witness) == index
+            value = result.witness_value
+            assert term_table(spec.atoms, value.on_true.atoms, value.on_false.atoms) == \
+                _oracle_value(formula, spec.atoms, mode.value, index)

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+import illoc.opposition
 from illoc.boolalg import AlgebraSpec, meet
 from illoc.hyper import enumerate_nonstandard, hyper, square_report, standard
 from illoc.matrix_mb import MBMode, StandardAssignment
+from illoc.search import BudgetExceeded
 from illoc.opposition import (
     CheckSpace,
     criterion_holds,
@@ -182,6 +184,34 @@ class TestLawsMatrixMB:
         assert not report.excluded_middle_always_designated
         assert not report.contrariety_always_designated
         assert report.values_coincide
+
+
+class TestBudget:
+    K5 = AlgebraSpec(("a", "b", "c", "d", "e"))
+
+    @pytest.fixture
+    def no_generators(self, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("the generators were listed before the budget check")
+
+        monkeypatch.setattr(illoc.opposition, "enumerate_nonstandard", unreachable)
+
+    def test_quantified_square_refuses_before_listing_generators(self, no_generators):
+        space = CheckSpace("mb", self.K5, MBMode.POINTWISE, budget=10)
+        with pytest.raises(BudgetExceeded, match="992 assignments"):
+            square_for_force("f", "p", space)
+
+    def test_quantified_criterion_refuses_before_listing_generators(self, no_generators):
+        space = CheckSpace("mb", self.K5, MBMode.POINTWISE, budget=10)
+        with pytest.raises(BudgetExceeded, match="992 assignments"):
+            criterion_holds("f", space)
+
+    def test_laws_scans_take_the_space_budget(self):
+        with pytest.raises(BudgetExceeded):
+            laws_report("f", CheckSpace("m", budget=1))
+        with pytest.raises(BudgetExceeded):
+            laws_report("f", CheckSpace("mb", K2, MBMode.POINTWISE, budget=11))
+        assert len(laws_report("f", CheckSpace("mb", K2, MBMode.POINTWISE, budget=12)).rows) == 12
 
 
 class TestSpaceValidation:
