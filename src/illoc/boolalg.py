@@ -111,9 +111,9 @@ def element_to_json(x: Element) -> list[str]:
     return [a for a in x.algebra.atoms if a in x.atoms]
 
 
-def element_from_json(spec: AlgebraSpec, data: Iterable[str]) -> Element:
-    if isinstance(data, str):
-        raise ValueError("an element is a list of atom names, not a string")
+def element_from_json(spec: AlgebraSpec, data: list[str]) -> Element:
+    if not isinstance(data, list) or not all(isinstance(name, str) for name in data):
+        raise ValueError(f"an element is a list of atom names, not {data!r}")
     return spec.element(data)
 
 
@@ -122,6 +122,6 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
 
 
 def algebra_from_json(data: dict) -> AlgebraSpec:
-    if not isinstance(data, dict) or "atoms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise ValueError('an algebra is {"atoms": [names]}')
     return AlgebraSpec(tuple(data["atoms"]))

@@ -3,7 +3,7 @@
 Commands: eval, table, taut, check-matrix, square, entail, unfold, fmt.
 Exit codes: 0 success/tautology/holds, 1 refuted/does-not-hold, 2 parse
 error or bad option, 3 semantic error or a formula nested too deeply, 4 budget
-exceeded, 141 stdout closed by its reader.
+exceeded, 70 internal error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -176,6 +176,8 @@ def _load_valuation(args, algebra: AlgebraSpec) -> MBValuation:
         return MBValuation(algebra, MBMode(args.mode))
     with open(args.valuation, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.valuation}: a valuation must be a JSON object")
     data.setdefault("algebra", {"atoms": list(algebra.atoms)})
     return valuation_from_json(data, default_mode=MBMode(args.mode))
 
@@ -476,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _SIGPIPE_EXIT = 141  # 128 + SIGPIPE, what a shell reports for a producer killed by it
+_INTERNAL_ERROR_EXIT = 70  # EX_SOFTWARE in sysexits.h
 
 _SEMANTIC_ERRORS = (
     MissingAtom,
@@ -513,6 +516,11 @@ def main(argv=None) -> int:
     except _SEMANTIC_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
+    except Exception as error:
+        # a fault of the program, not of the input: one line, never a traceback,
+        # and never 1, which means "refuted"
+        print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
+        return _INTERNAL_ERROR_EXIT
 
 
 def console() -> None:

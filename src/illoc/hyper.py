@@ -366,8 +366,13 @@ def hyper_from_json(spec: AlgebraSpec, data: dict) -> HyperValue:
         on_false = element_from_json(spec, data["on_false"])
     except KeyError as missing:
         raise ValueError(f"hypervalue is missing {missing}") from None
+    entries = data.get("exceptions", [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and {"at", "value"} <= entry.keys() for entry in entries
+    ):
+        raise ValueError('exceptions are a list of {"at": element, "value": element}')
     exceptions = tuple(
         (element_from_json(spec, entry["at"]), element_from_json(spec, entry["value"]))
-        for entry in data.get("exceptions", ())
+        for entry in entries
     )
     return HyperValue(on_true, on_false, exceptions)

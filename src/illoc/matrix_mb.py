@@ -41,6 +41,7 @@ from .boolalg import (
     element_from_json,
     element_index,
     element_to_json,
+    enumerate_elements,
 )
 from .hyper import (
     HyperValue,
@@ -486,22 +487,35 @@ def _nonstandard_codes(algebra: AlgebraSpec) -> tuple[int, ...]:
     return tuple(_code(h) for h in enumerate_nonstandard(algebra))
 
 
-def _slots(reqs: Requirements, algebra: AlgebraSpec) -> list[Slot]:
+def _slots(
+    reqs: Requirements, algebra: AlgebraSpec, slot_filter: Optional[Callable] = None
+) -> list[Slot]:
+    """The slots in scan order; a nonstandard domain is built only for a slot that needs it."""
+    keys = [("atom", name) for name in reqs.atoms]
+    keys += [("act", key) for key in reqs.acts]
+    keys += [("gen",) + pair for pair in reqs.generators]
+    keys += [("sig", name) for name in reqs.signatures]
+    if slot_filter is not None:
+        return [_filtered(key, slot_filter, algebra) for key in keys]
     elements = range(1 << algebra.k)  # binary-counting order, as `enumerate_elements`
-    nonstandard = _nonstandard_codes(algebra)
-    slots: list[Slot] = []
-    slots += [Slot(("atom", name), elements) for name in reqs.atoms]
-    slots += [Slot(("act", key), nonstandard) for key in reqs.acts]
-    slots += [Slot(("gen",) + pair, nonstandard) for pair in reqs.generators]
-    slots += [Slot(("sig", name), nonstandard) for name in reqs.signatures]
-    return slots
+    return [Slot(key, elements if key[0] == "atom" else _nonstandard_codes(algebra))
+            for key in keys]
 
 
-def _filtered(slot: Slot, slot_filter: Callable, algebra: AlgebraSpec) -> Slot:
-    """Apply slot_filter to the decoded domain and keep the chosen codes."""
-    decode = _element if slot.key[0] == "atom" else _hyper
-    code_of = {decode(algebra, code): code for code in slot.domain}
-    return Slot(slot.key, tuple(code_of[x] for x in slot_filter(slot.key, tuple(code_of))))
+def _filtered(key: tuple, slot_filter: Callable, algebra: AlgebraSpec) -> Slot:
+    """The values slot_filter keeps from the slot's decoded domain, packed again.
+
+    The domain is listed lazily, so a filter that picks its values without
+    reading it costs nothing however large the algebra.
+    """
+    atom = key[0] == "atom"
+    domain = enumerate_elements(algebra) if atom else enumerate_nonstandard(algebra)
+    codes = []
+    for x in slot_filter(key, domain):
+        if x.algebra != algebra or not atom and is_standard(x):
+            raise ValueError(f"{x} is outside the domain of slot {key!r}")
+        codes.append(element_index(x) if atom else _code(x))
+    return Slot(key, tuple(codes))
 
 
 class MBScan:
@@ -561,9 +575,9 @@ def scan_mb(
     is compiled once and evaluated on every valuation; codes holds their
     packed values and scan (an MBScan) decodes the valuation on demand.
     Returns ((valuation, payload) or None, number of valuations in the
-    space). slot_filter(key, domain) may shrink a slot's domain, given as
-    `Element`s or `HyperValue`s; returning the domain unchanged keeps the
-    full scan.
+    space). slot_filter(key, domain) may shrink a slot's domain, an iterable
+    of `Element`s or `HyperValue`s in scan order, listed lazily; returning
+    the domain unchanged keeps the full scan.
     """
     defs = dict(defs or {})
     resolved = [inline_acts(f, defs) for f in formulas]
@@ -573,9 +587,7 @@ def scan_mb(
         k = algebra.k
         nonstandard_slots = len(reqs.acts) + len(reqs.generators) + len(reqs.signatures)
         check_budget(2 ** (k * len(reqs.atoms)) * (4 ** k - 2 ** k) ** nonstandard_slots, budget)
-    slots = _slots(reqs, algebra)
-    if slot_filter is not None:
-        slots = [_filtered(slot, slot_filter, algebra) for slot in slots]
+    slots = _slots(reqs, algebra, slot_filter)
     position = {slot.key: i for i, slot in enumerate(slots)}
     scan = MBScan(algebra, mode, slots, [_compile(r, mode, algebra.k, position) for r in resolved])
     runs = [program.run for program in scan.programs]
@@ -795,24 +807,33 @@ def valuation_to_json(v: MBValuation) -> dict:
     }
 
 
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {data!r}")
+    return data
+
+
 def valuation_from_json(data: dict, *, default_mode: MBMode = MBMode.POINTWISE) -> MBValuation:
     if not isinstance(data, dict) or "algebra" not in data:
         raise ValueError('a valuation needs an "algebra" entry')
     algebra = algebra_from_json(data["algebra"])
     mode = MBMode(data["mode"]) if "mode" in data else default_mode
+
+    def section(name: str) -> dict:
+        return _json_object(data.get(name, {}), f'"{name}"')
+
     atom_values = {
-        name: element_from_json(algebra, e)
-        for name, e in data.get("atom_values", {}).items()
+        name: element_from_json(algebra, e) for name, e in section("atom_values").items()
     }
     act_values = {
-        key: hyper_from_json(algebra, h) for key, h in data.get("act_values", {}).items()
+        key: hyper_from_json(algebra, h) for key, h in section("act_values").items()
     }
     generators = {
         (force, atom): hyper_from_json(algebra, h)
-        for force, per_atom in data.get("generators", {}).items()
-        for atom, h in per_atom.items()
+        for force, per_atom in section("generators").items()
+        for atom, h in _json_object(per_atom, f"generators of {force!r}").items()
     }
     signatures = {
-        name: hyper_from_json(algebra, h) for name, h in data.get("signatures", {}).items()
+        name: hyper_from_json(algebra, h) for name, h in section("signatures").items()
     }
     return MBValuation(algebra, mode, atom_values, act_values, generators, signatures)

@@ -12,31 +12,21 @@ whole square.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .boolalg import AlgebraSpec
-from .hyper import (
-    HyperValue,
-    SquareReport,
-    enumerate_nonstandard,
-    hyper_to_json,
-    is_standard,
-    normalize,
-    square_report,
-    standard,
-)
+from .hyper import HyperValue, SquareReport, hyper_to_json, is_standard, normalize
 from .matrix_m import DESIGNATED, TruthValue4, scan_m
 from .matrix_mb import (
     MBMode,
     MBScan,
-    MBValuation,
+    PackedOps,
     StandardAssignment,
-    eval_mb,
     packed_ops,
     scan_mb,
     valuation_to_json,
 )
-from .search import DEFAULT_BUDGET, check_budget
+from .search import DEFAULT_BUDGET
 from .syntax import And, Atom, Force, Formula, Not, Or
 
 
@@ -236,31 +226,6 @@ def _laws_report_m(force: str, atom: str, budget: int) -> LawsReport:
     return LawsReport.of(rows)
 
 
-def _laws_report_mb(
-    force: str, atom: str, space: CheckSpace, generator: Optional[HyperValue]
-) -> LawsReport:
-    """One row for the given generator, or one per nonstandard generator in scan order."""
-    formulas = _laws_formulas(force, atom)
-    designated = standard(space.algebra.top())
-    rows = []
-
-    def row(g: HyperValue, v8: HyperValue, v9: HyperValue) -> None:
-        rows.append(
-            LawRow(f"generator={g}", str(v8), str(v9), v8 == designated, v9 == designated)
-        )
-
-    def scanned_row(scan: MBScan, codes: list[int]) -> None:
-        (g,) = scan.valuation().generators.values()
-        row(g, *map(scan.decode, codes))
-
-    if generator is None:
-        scan_mb(formulas, space.algebra, space.mode, scanned_row, budget=space.budget)
-    else:
-        valuation = MBValuation(space.algebra, space.mode, generators={(force, atom): generator})
-        row(generator, *(eval_mb(f, valuation).value for f in formulas))
-    return LawsReport.of(rows)
-
-
 def criterion_holds(
     force: str,
     space: CheckSpace,
@@ -279,16 +244,7 @@ def criterion_holds(
         return entails(Force(force, Not(p)), Not(Force(force, p)), space).holds
     if space.mode is MBMode.FREE:
         raise ValueError("the square needs a content-linked mode, not FREE")
-    if generator is None:
-        return all(
-            criterion_holds(force, space, atom=atom, generator=g)
-            for g in _generators(space)
-        )
-    generator = normalize(generator)
-    if is_standard(generator):
-        raise StandardAssignment("the generator must be nonstandard")
-    report = square_report(generator)
-    return report.holds
+    return _square_mb(force, atom, space, generator).criterion_holds
 
 
 def square_for_force(
@@ -303,33 +259,7 @@ def square_for_force(
         return _square_m(force, atom, space)
     if space.mode is MBMode.FREE:
         raise ValueError("the square needs a content-linked mode, not FREE")
-    if generator is None:
-        return _square_mb_quantified(force, atom, space)
-    generator = normalize(generator)
-    if is_standard(generator):
-        raise StandardAssignment("the generator must be nonstandard")
-    report = square_report(generator)
-    witness = {"generator": hyper_to_json(generator)}
-    return OppositionReport(
-        matrix="mb",
-        force=force,
-        atom=atom,
-        square_holds=report.holds,
-        criterion_holds=report.holds,
-        contrary=RelationCheck(report.contrary, witness if not report.contrary else None),
-        contradictory=RelationCheck(report.contradictory),
-        subcontrary=RelationCheck(
-            report.subcontrary, witness if not report.subcontrary else None
-        ),
-        subaltern_left=RelationCheck(
-            report.subaltern_left, witness if not report.subaltern_left else None
-        ),
-        subaltern_right=RelationCheck(
-            report.subaltern_right, witness if not report.subaltern_right else None
-        ),
-        laws=laws_report(force, space, atom=atom, generator=generator),
-        hyper=report,
-    )
+    return _square_mb(force, atom, space, generator)
 
 
 def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
@@ -369,36 +299,87 @@ def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
     )
 
 
-def _generators(space: CheckSpace) -> list[HyperValue]:
-    """Every nonstandard generator, refused before any is built when over budget."""
-    k = space.algebra.k
-    check_budget(4 ** k - 2 ** k, space.budget)
-    return list(enumerate_nonstandard(space.algebra))
+def _corner_relations(ops: PackedOps) -> dict[str, Callable[..., bool]]:
+    """The square's relations and its criterion on the corner codes.
+
+    Each takes the packed values of F(p), F(~p), ~F(~p), ~F(p), in that order.
+    """
+    full, leq = ops.top, ops.leq
+    return {
+        "contrary": lambda fp, fnp, nfnp, nfp: fp & fnp == 0,
+        "contradictory": lambda fp, fnp, nfnp, nfp: (
+            fp & nfp == 0 and fp | nfp == full and fnp & nfnp == 0 and fnp | nfnp == full
+        ),
+        "subcontrary": lambda fp, fnp, nfnp, nfp: nfnp | nfp == full,
+        "subaltern_left": lambda fp, fnp, nfnp, nfp: leq(fp, nfnp),
+        "subaltern_right": lambda fp, fnp, nfnp, nfp: leq(fnp, nfp),
+        "criterion": lambda fp, fnp, nfnp, nfp: leq(fnp, nfp),
+    }
 
 
-def _square_mb_quantified(force: str, atom: str, space: CheckSpace) -> OppositionReport:
-    generators = _generators(space)
-    per_generator = [square_report(g) for g in generators]
+def _square_mb(
+    force: str, atom: str, space: CheckSpace, generator: Optional[HyperValue]
+) -> OppositionReport:
+    """The square, its criterion and the law rows from one scan over the generator slot.
 
-    def quantified(attr: str) -> RelationCheck:
-        for g, report in zip(generators, per_generator):
-            if not getattr(report, attr):
-                return RelationCheck(False, {"generator": hyper_to_json(g)})
-        return RelationCheck(True)
+    The slot ranges over every nonstandard generator, sized and refused before
+    any is built when over budget, or holds only the given generator. A
+    relation's witness is its first failing generator in scan order.
+    """
+    slot_filter, budget = None, space.budget
+    if generator is not None:
+        generator = normalize(generator)
+        if is_standard(generator):
+            raise StandardAssignment("the generator must be nonstandard")
+        # one valuation, like `eval`: no budget applies
+        slot_filter, budget = (lambda key, domain: (generator,)), DEFAULT_BUDGET
+    ops = packed_ops(space.algebra.k)
+    relations = _corner_relations(ops)
+    failed: dict[str, HyperValue] = {}
+    rows: list[LawRow] = []
+    text: dict[int, str] = {}  # printed values, by code
+    squares: list[SquareReport] = []
 
-    square_all = all(r.holds for r in per_generator)
-    return OppositionReport(
-        matrix="mb",
-        force=force,
-        atom=atom,
-        square_holds=square_all,
-        criterion_holds=square_all,
-        contrary=quantified("contrary"),
-        contradictory=quantified("contradictory"),
-        subcontrary=quantified("subcontrary"),
-        subaltern_left=quantified("subaltern_left"),
-        subaltern_right=quantified("subaltern_right"),
-        laws=laws_report(force, space, atom=atom),
+    def visit(scan: MBScan, codes: list[int]) -> None:
+        corners, (em, lc) = codes[:4], codes[4:]
+        for name, relation in relations.items():
+            if name not in failed and not relation(*corners):
+                failed[name] = scan.decode(corners[0])
+        for code in (corners[0], em, lc):
+            if code not in text:
+                text[code] = str(scan.decode(code))
+        rows.append(LawRow(f"generator={text[corners[0]]}", text[em], text[lc],
+                           em == ops.top, lc == ops.top))
+        if generator is not None:
+            squares.append(_hyper_square(scan.decode, *corners, failed))
+
+    formulas = [*_corner_formulas(force, atom), *_laws_formulas(force, atom)]
+    scan_mb(formulas, space.algebra, space.mode, visit, budget=budget, slot_filter=slot_filter)
+    checks = {
+        name: RelationCheck(False, {"generator": hyper_to_json(failed[name])})
+        if name in failed else RelationCheck(True)
+        for name in relations
+    }
+    criterion = checks.pop("criterion").holds
+    return OppositionReport("mb", force, atom, criterion, criterion, **checks,
+                            laws=LawsReport.of(rows), hyper=squares[0] if squares else None)
+
+
+def _hyper_square(
+    decode: Callable[[int], HyperValue], fp: int, fnp: int, nfnp: int, nfp: int,
+    failed: Mapping[str, HyperValue],
+) -> SquareReport:
+    """The value-level square of one generator, from its corner codes."""
+    return SquareReport(
+        value=decode(fp),
+        content_negated=decode(fnp),
+        holds="criterion" not in failed,
+        **{name: name not in failed for name in
+           ("contrary", "contradictory", "subcontrary", "subaltern_left", "subaltern_right")},
+        contrary_inf=decode(fp & fnp),
+        contradictory_inf=decode(fp & nfp),
+        contradictory_sup=decode(fp | nfp),
+        subcontrary_sup=decode(nfnp | nfp),
     )
 
 
@@ -414,8 +395,4 @@ def laws_report(
         return _laws_report_m(force, atom, space.budget)
     if space.mode is MBMode.FREE:
         raise ValueError("the laws need a content-linked mode, not FREE")
-    if generator is not None:
-        generator = normalize(generator)
-        if is_standard(generator):
-            raise StandardAssignment("the generator must be nonstandard")
-    return _laws_report_mb(force, atom, space, generator)
+    return _square_mb(force, atom, space, generator).laws

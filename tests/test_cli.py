@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import illoc
+import illoc.cli
 import illoc.matrix_mb
-import illoc.opposition
 from illoc.cli import main
 
 CYCLIC = "act x = [promise](~x);\n"
@@ -161,7 +161,7 @@ class TestTaut:
         def unreachable(spec):
             raise AssertionError("the generators were listed before the budget check")
 
-        monkeypatch.setattr(illoc.opposition, "enumerate_nonstandard", unreachable)
+        monkeypatch.setattr(illoc.matrix_mb, "_nonstandard_codes", unreachable)
         code, out, err = run(
             capsys, "square", "--matrix", "mb", "--algebra", "a,b,c,d,e", "--budget", "10",
             "--output", "json",
@@ -361,6 +361,33 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert err == "error: formula nests too deeply\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [[1, 2], {"atom_values": {"p": 7}}, {"atom_values": {"p": [["a"]]}},
+         {"atom_values": [1]}, {"generators": {"f": 3}}, "p"],
+        ids=["list", "element-int", "element-nested", "atom-values-list", "generators-int",
+             "string"],
+    )
+    def test_malformed_valuation_file_is_a_semantic_error(self, capsys, tmp_path, content):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        code, out, err = run(
+            capsys, "eval", "--matrix", "mb", "--algebra", "a", "--valuation", str(path), "p"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_uncaught_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise KeyError("slot")
+
+        monkeypatch.setattr(illoc.cli, "_cmd_fmt", broken)
+        code, out, err = run(capsys, "fmt", "p")
+        assert code == 70
+        assert out == ""
+        assert err == "internal error: KeyError: 'slot'\n"
 
 
 class TestConsoleScript:

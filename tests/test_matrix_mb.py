@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import illoc.matrix_mb
 from conftest import random_force_free
 from illoc.boolalg import AlgebraSpec, complement, enumerate_elements, join, meet
 from illoc.hyper import (
@@ -371,6 +372,15 @@ class TestTautologyStatuses:
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetExceeded):
             is_tautology_mb(_schema_formulas()["and-split"], K2, MBMode.FREE, budget=10)
+
+    def test_atom_only_scan_builds_no_nonstandard_domain(self, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("a nonstandard domain was built for a scan with no such slot")
+
+        monkeypatch.setattr(illoc.matrix_mb, "_nonstandard_codes", unreachable)
+        k12 = AlgebraSpec(tuple(f"a{i}" for i in range(12)))
+        result = is_tautology_mb(parse_formula("p | ~p"), k12, MBMode.POINTWISE)
+        assert (result.status, result.checked) == ("tautology", 4096)
 
 
 class TestDeterminism:

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-import illoc.opposition
+import illoc.matrix_mb
 from illoc.boolalg import AlgebraSpec, meet
-from illoc.hyper import enumerate_nonstandard, hyper, square_report, standard
+from illoc.hyper import enumerate_nonstandard, hyper, hyper_to_json, square_report, standard
 from illoc.matrix_mb import MBMode, StandardAssignment
 from illoc.search import BudgetExceeded
 from illoc.opposition import (
@@ -15,6 +15,7 @@ from illoc.opposition import (
     square_for_force,
 )
 from illoc.syntax import parse_formula
+import mb_oracle as O
 
 K2 = AlgebraSpec(("a", "b"))
 M_SPACE = CheckSpace(matrix="m")
@@ -162,6 +163,87 @@ class TestSquareMatrixMB:
             assert hyper_side.holds == bottom
 
 
+RELATIONS = ("contrary", "contradictory", "subcontrary", "subaltern_left", "subaltern_right")
+
+
+def oracle_square(atoms):
+    """Per nonstandard generator, in scan order, the square by the oracle's tables.
+
+    Yields the generator's (f(1), f(0)), its relations, the criterion and the
+    tables of ~F(~p) | ~F(p) and ~(F(~p) & F(p)).
+    """
+    bottom, top = O.const_table(atoms, frozenset()), O.const_table(atoms, frozenset(atoms))
+    elements = O.elements(atoms)
+    for u, v in itertools.product(elements, elements):
+        if u == v:
+            continue
+        fp = O.term_table(atoms, u, v)
+        fnp = O.t_content_neg(atoms, fp)
+        nfnp, nfp = O.t_neg(atoms, fnp), O.t_neg(atoms, fp)
+        relations = {
+            "contrary": O.t_inf(fp, fnp) == bottom,
+            "contradictory": all(
+                O.t_inf(a, b) == bottom and O.t_sup(a, b) == top
+                for a, b in ((fp, nfp), (fnp, nfnp))
+            ),
+            "subcontrary": O.t_sup(nfnp, nfp) == top,
+            "subaltern_left": O.t_leq(atoms, fp, nfnp),
+            "subaltern_right": O.t_leq(atoms, fnp, nfp),
+        }
+        laws = (O.t_mb_or(nfnp, nfp), O.t_mb_neg(atoms, O.t_mb_and(fnp, fp)))
+        yield (u, v), relations, O.t_leq(atoms, fnp, nfp), laws
+
+
+class TestQuantifiedSquareAgainstOracle:
+    @pytest.mark.parametrize("mode", [MBMode.POINTWISE, MBMode.CONNECTIVE])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_relations_criterion_and_law_rows(self, k, mode):
+        atoms = tuple("abcd"[:k])
+        algebra = AlgebraSpec(atoms)
+        space = CheckSpace("mb", algebra, mode)
+        expected = list(oracle_square(atoms))
+
+        def value(on_true, on_false):
+            return hyper(algebra.element(on_true), algebra.element(on_false))
+
+        def table_value(table):  # a table lists f(a) by element index: f(0) first, f(1) last
+            return value(table[-1], table[0])
+
+        report = square_for_force("f", "p", space)
+        for name in RELATIONS:
+            failing = [g for g, relations, _, _ in expected if not relations[name]]
+            check = getattr(report, name)
+            assert check.holds == (not failing), name
+            witness = {"generator": hyper_to_json(value(*failing[0]))} if failing else None
+            assert check.witness == witness, name
+        criterion = all(c for _, _, c, _ in expected)
+        assert report.criterion_holds == report.square_holds == criterion
+        assert criterion_holds("f", space) == criterion
+
+        assert len(report.laws.rows) == len(expected)
+        for row, (g, _, _, (em, lc)) in zip(report.laws.rows, expected):
+            assert row.label == f"generator={value(*g)}"
+            assert row.excluded_middle == str(table_value(em))
+            assert row.contrariety == str(table_value(lc))
+            assert row.excluded_middle_designated == (em == O.const_table(atoms, frozenset(atoms)))
+            assert row.contrariety_designated == (lc == O.const_table(atoms, frozenset(atoms)))
+        assert laws_report("f", space) == report.laws
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fixed_generators(self, k):
+        atoms = tuple("abc"[:k])
+        algebra = AlgebraSpec(atoms)
+        space = CheckSpace("mb", algebra, MBMode.POINTWISE)
+        for (u, v), relations, criterion, (em, _) in oracle_square(atoms):
+            g = hyper(algebra.element(u), algebra.element(v))
+            report = square_for_force("f", "p", space, generator=g)
+            assert {name: getattr(report, name).holds for name in RELATIONS} == relations
+            assert report.square_holds == criterion == criterion_holds("f", space, generator=g)
+            (row,) = report.laws.rows
+            assert row.excluded_middle == str(hyper(algebra.element(em[-1]), algebra.element(em[0])))
+            assert report.hyper.to_json()["relations"]["contrary"]["holds"] == relations["contrary"]
+
+
 class TestLawsMatrixMB:
     def test_values_are_complement_of_component_join(self):
         from illoc.boolalg import complement, join
@@ -194,7 +276,7 @@ class TestBudget:
         def unreachable(spec):
             raise AssertionError("the generators were listed before the budget check")
 
-        monkeypatch.setattr(illoc.opposition, "enumerate_nonstandard", unreachable)
+        monkeypatch.setattr(illoc.matrix_mb, "_nonstandard_codes", unreachable)
 
     def test_quantified_square_refuses_before_listing_generators(self, no_generators):
         space = CheckSpace("mb", self.K5, MBMode.POINTWISE, budget=10)
@@ -205,6 +287,13 @@ class TestBudget:
         space = CheckSpace("mb", self.K5, MBMode.POINTWISE, budget=10)
         with pytest.raises(BudgetExceeded, match="992 assignments"):
             criterion_holds("f", space)
+
+    def test_fixed_generator_builds_no_domain_and_takes_no_budget(self, no_generators):
+        g = hyper(self.K5.element(["a"]), self.K5.bottom())
+        space = CheckSpace("mb", self.K5, MBMode.POINTWISE, budget=0)
+        report = square_for_force("f", "p", space, generator=g)
+        assert report.square_holds and len(report.laws.rows) == 1
+        assert criterion_holds("f", space, generator=g)
 
     def test_laws_scans_take_the_space_budget(self):
         with pytest.raises(BudgetExceeded):
