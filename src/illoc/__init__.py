@@ -30,6 +30,10 @@ from .hyper import (
     hneg,
     hyper,
     is_standard,
+    mb_and,
+    mb_imp,
+    mb_neg,
+    mb_or,
     normalize,
     oinf,
     osup,
@@ -63,10 +67,6 @@ from .matrix_mb import (
     find_idempotence_counterexample,
     find_neg_swap_counterexample,
     is_tautology_mb,
-    mb_and,
-    mb_imp,
-    mb_neg,
-    mb_or,
     unfold_cyclic,
 )
 from .opposition import (

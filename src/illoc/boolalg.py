@@ -72,18 +72,19 @@ class Element:
         return "{" + ",".join(ordered) + "}"
 
 
-def _same_algebra(x: Element, y: Element) -> None:
+def same_algebra(x, y) -> None:
+    """Raise AlgebraMismatch unless x and y (elements or values) share an algebra."""
     if x.algebra != y.algebra:
         raise AlgebraMismatch(f"algebra mismatch: {x.algebra.atoms} vs {y.algebra.atoms}")
 
 
 def meet(x: Element, y: Element) -> Element:
-    _same_algebra(x, y)
+    same_algebra(x, y)
     return Element(x.algebra, x.atoms & y.atoms)
 
 
 def join(x: Element, y: Element) -> Element:
-    _same_algebra(x, y)
+    same_algebra(x, y)
     return Element(x.algebra, x.atoms | y.atoms)
 
 
@@ -92,7 +93,7 @@ def complement(x: Element) -> Element:
 
 
 def leq(x: Element, y: Element) -> bool:
-    _same_algebra(x, y)
+    same_algebra(x, y)
     return x.atoms <= y.atoms
 
 

@@ -13,13 +13,25 @@ Two order-like structures live side by side and are deliberately kept apart:
 while `hleq`/`osup`/`oinf` follow the stipulated order in which any standard
 value dominates any nonstandard one. The top standard value is the maximum
 of the whole space, but the bottom standard value is *not* its minimum.
+
+Every operation runs on packed values. An element of the k-atom algebra is
+a k-bit int with bit i for atom i (the order of `element_index`), and a
+hypervalue (u, v) is u | v << k, so a value is standard when its two halves
+are equal. `packed_ops(k)` holds each operation once, as a few bit
+operations with one code path for any k up to the atom cap; the functions
+on `HyperValue` objects encode their operands, run it and decode the
+result. Only `content_neg` stays on objects, because it keeps the exception
+points. Elsewhere values become `Element`/`HyperValue` objects only where a
+caller keeps them: a witness, a table row, the outcome of `eval_mb`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .boolalg import (
     AlgebraSpec,
@@ -29,9 +41,7 @@ from .boolalg import (
     element_index,
     element_to_json,
     enumerate_elements,
-    join,
-    leq,
-    meet,
+    same_algebra,
 )
 
 
@@ -107,36 +117,132 @@ def is_standard(h: HyperValue) -> bool:
     return h.on_true == h.on_false
 
 
-def _same_algebra(h1: HyperValue, h2: HyperValue) -> None:
-    if h1.algebra != h2.algebra:
-        raise ValueError(
-            f"algebra mismatch: {h1.algebra.atoms} vs {h2.algebra.atoms}"
-        )
+# --- packed values ---
+
+
+class PackedOps(NamedTuple):
+    """Every operation on the packed values of a k-atom algebra."""
+
+    top: int  # the standard top
+    is_standard: Callable[[int], bool]
+    neg: Callable[[int], int]
+    content_neg: Callable[[int], int]
+    pinf: Callable[[int, int], int]
+    psup: Callable[[int, int], int]
+    osup: Callable[[int, int], int]
+    oinf: Callable[[int, int], int]
+    leq: Callable[[int, int], bool]
+    and_: Callable[[int, int], int]
+    or_: Callable[[int, int], int]
+    imp: Callable[[int, int], int]
+    pointwise_imp: Callable[[int, int], int]
+
+
+@lru_cache(maxsize=None)
+def packed_ops(k: int) -> PackedOps:
+    low = (1 << k) - 1
+    full = (1 << 2 * k) - 1
+
+    def is_standard(h):
+        return h & low == h >> k
+
+    def neg(h):  # pointwise complement
+        return h ^ full
+
+    def content_neg(h):  # precompose with complement: swap the halves
+        return h >> k | (h & low) << k
+
+    def osup(a, b):
+        # join along the stipulated order: a mixed pair joins at its standard operand
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a | b
+        return a if sa else b
+
+    def oinf(a, b):
+        # meet along the stipulated order: a mixed pair meets at its nonstandard operand
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a & b
+        return b if sa else a
+
+    def leq(a, b):
+        # the stipulated order: standard values dominate every nonstandard one
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a & ~b == 0
+        return sb
+
+    def and_(a, b):
+        # base meet on standard pairs, the pointwise join on nonstandard ones;
+        # a mixed pair meets at its nonstandard operand
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a & b if sa else a | b
+        return b if sa else a
+
+    def or_(a, b):
+        sa, sb = a & low == a >> k, b & low == b >> k
+        if sa == sb:
+            return a | b if sa else a & b
+        return a if sa else b
+
+    def imp(a, b):  # complement of the order-join, joined pointwise with b
+        return osup(a, b) ^ full | b
+
+    def pointwise_imp(a, b):
+        # componentwise ~a | b; used only for unfolding cyclic acts, where the
+        # order-join reading would erase the dependence on the innermost value
+        return a ^ full | b
+
+    return PackedOps(
+        top=full, is_standard=is_standard, neg=neg, content_neg=content_neg,
+        pinf=operator.and_, psup=operator.or_, osup=osup, oinf=oinf, leq=leq,
+        and_=and_, or_=or_, imp=imp, pointwise_imp=pointwise_imp,
+    )
+
+
+def encode(h: HyperValue) -> int:
+    """The packed value of h's normal form (finite exceptions are invisible)."""
+    return element_index(h.on_true) | element_index(h.on_false) << h.algebra.k
+
+
+def decode_element(algebra: AlgebraSpec, code: int) -> Element:
+    """The element whose atoms are the set bits of a k-bit code."""
+    return Element(algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1))
+
+
+def decode(algebra: AlgebraSpec, code: int) -> HyperValue:
+    return HyperValue(decode_element(algebra, code & (1 << algebra.k) - 1),
+                      decode_element(algebra, code >> algebra.k))
+
+
+# --- operations on values: encode, one packed operation, decode ---
+
+
+def _apply(op: str, h1: HyperValue, h2: HyperValue):
+    same_algebra(h1, h2)
+    return getattr(packed_ops(h1.algebra.k), op)(encode(h1), encode(h2))
 
 
 def equivalent(h1: HyperValue, h2: HyperValue) -> bool:
-    _same_algebra(h1, h2)
-    return normalize(h1) == normalize(h2)
+    same_algebra(h1, h2)
+    return encode(h1) == encode(h2)
 
 
 def pinf(h1: HyperValue, h2: HyperValue) -> HyperValue:
     """Pointwise greatest lower bound: componentwise meet."""
-    _same_algebra(h1, h2)
-    a, b = normalize(h1), normalize(h2)
-    return HyperValue(meet(a.on_true, b.on_true), meet(a.on_false, b.on_false))
+    return decode(h1.algebra, _apply("pinf", h1, h2))
 
 
 def psup(h1: HyperValue, h2: HyperValue) -> HyperValue:
     """Pointwise least upper bound: componentwise join."""
-    _same_algebra(h1, h2)
-    a, b = normalize(h1), normalize(h2)
-    return HyperValue(join(a.on_true, b.on_true), join(a.on_false, b.on_false))
+    return decode(h1.algebra, _apply("psup", h1, h2))
 
 
 def hneg(h: HyperValue) -> HyperValue:
     """Pointwise complement."""
-    a = normalize(h)
-    return HyperValue(complement(a.on_true), complement(a.on_false))
+    return decode(h.algebra, packed_ops(h.algebra.k).neg(encode(h)))
 
 
 def content_neg(h: HyperValue) -> HyperValue:
@@ -156,16 +262,7 @@ def hleq(h1: HyperValue, h2: HyperValue) -> bool:
     compare componentwise; a nonstandard value is below every standard one
     and never above any.
     """
-    _same_algebra(h1, h2)
-    a, b = normalize(h1), normalize(h2)
-    sa, sb = is_standard(a), is_standard(b)
-    if sa and sb:
-        return leq(a.on_true, b.on_true)
-    if sa:
-        return False
-    if sb:
-        return True
-    return leq(a.on_true, b.on_true) and leq(a.on_false, b.on_false)
+    return _apply("leq", h1, h2)
 
 
 def osup(h1: HyperValue, h2: HyperValue) -> HyperValue:
@@ -175,30 +272,28 @@ def osup(h1: HyperValue, h2: HyperValue) -> HyperValue:
     upper bound of a standard value is standard and at least it. Nonstandard
     pairs take the componentwise join, which may collapse to a constant.
     """
-    _same_algebra(h1, h2)
-    a, b = normalize(h1), normalize(h2)
-    sa, sb = is_standard(a), is_standard(b)
-    if sa and sb:
-        return standard(join(a.on_true, b.on_true))
-    if sa:
-        return a
-    if sb:
-        return b
-    return psup(a, b)
+    return decode(h1.algebra, _apply("osup", h1, h2))
 
 
 def oinf(h1: HyperValue, h2: HyperValue) -> HyperValue:
     """Meet along the stipulated order; dual of `osup`."""
-    _same_algebra(h1, h2)
-    a, b = normalize(h1), normalize(h2)
-    sa, sb = is_standard(a), is_standard(b)
-    if sa and sb:
-        return standard(meet(a.on_true, b.on_true))
-    if sa:
-        return b
-    if sb:
-        return a
-    return pinf(a, b)
+    return decode(h1.algebra, _apply("oinf", h1, h2))
+
+
+mb_neg = hneg  # the matrix negation is the pointwise complement
+
+
+def mb_and(h1: HyperValue, h2: HyperValue) -> HyperValue:
+    return decode(h1.algebra, _apply("and_", h1, h2))
+
+
+def mb_or(h1: HyperValue, h2: HyperValue) -> HyperValue:
+    return decode(h1.algebra, _apply("or_", h1, h2))
+
+
+def mb_imp(h1: HyperValue, h2: HyperValue) -> HyperValue:
+    """Complement of the order-join of the operands, joined pointwise with h2."""
+    return decode(h1.algebra, _apply("imp", h1, h2))
 
 
 class OppositionCase(Enum):
@@ -236,22 +331,22 @@ def classify_opposition(h: HyperValue) -> OppositionClassification:
     The witnesses pinf(h, content_neg(h)) and psup(h, content_neg(h)) are
     always the standard values of on_true & on_false and on_true | on_false.
     """
-    n = normalize(h)
-    if is_standard(n):
+    ops, c = packed_ops(h.algebra.k), encode(h)
+    if ops.is_standard(c):
         raise StandardInput("opposition cases are only defined for nonstandard values")
-    cn = content_neg(n)
+    cn = ops.content_neg(c)
+    inf, sup = ops.pinf(c, cn), ops.psup(c, cn)
     cases = set()
-    spec = n.algebra
-    if meet(n.on_true, n.on_false) == spec.bottom():
+    if inf == 0:
         cases.add(OppositionCase.DISJOINT)
-    if join(n.on_true, n.on_false) == spec.top():
+    if sup == ops.top:
         cases.add(OppositionCase.EXHAUSTIVE)
     if not cases:
         cases.add(OppositionCase.INCOMPARABLE)
     return OppositionClassification(
         cases=frozenset(cases),
-        inf_with_content_neg=pinf(n, cn),
-        sup_with_content_neg=psup(n, cn),
+        inf_with_content_neg=decode(h.algebra, inf),
+        sup_with_content_neg=decode(h.algebra, sup),
     )
 
 
@@ -294,38 +389,53 @@ class SquareReport:
         }
 
 
+def square_relations(ops: PackedOps) -> dict[str, Callable[[int, int, int, int], bool]]:
+    """The square's five relations and its criterion on the corner codes.
+
+    Each takes the packed values of F(p), F(~p), ~F(~p), ~F(p), in that order.
+    """
+    full, leq = ops.top, ops.leq
+    return {
+        "contrary": lambda fp, fnp, nfnp, nfp: fp & fnp == 0,
+        "contradictory": lambda fp, fnp, nfnp, nfp: (
+            fp & nfp == 0 and fp | nfp == full and fnp & nfnp == 0 and fnp | nfnp == full
+        ),
+        "subcontrary": lambda fp, fnp, nfnp, nfp: nfnp | nfp == full,
+        "subaltern_left": lambda fp, fnp, nfnp, nfp: leq(fp, nfnp),
+        "subaltern_right": lambda fp, fnp, nfnp, nfp: leq(fnp, nfp),
+        "criterion": lambda fp, fnp, nfnp, nfp: leq(fnp, nfp),
+    }
+
+
+def square_from_corners(algebra: AlgebraSpec, fp: int, fnp: int, nfnp: int, nfp: int
+                        ) -> SquareReport:
+    """The square of one act value, from the codes of its four corners."""
+    corners = (fp, fnp, nfnp, nfp)
+    holds = {name: relation(*corners)
+             for name, relation in square_relations(packed_ops(algebra.k)).items()}
+    return SquareReport(
+        value=decode(algebra, fp),
+        content_negated=decode(algebra, fnp),
+        holds=holds.pop("criterion"),
+        **holds,
+        contrary_inf=decode(algebra, fp & fnp),
+        contradictory_inf=decode(algebra, fp & nfp),
+        contradictory_sup=decode(algebra, fp | nfp),
+        subcontrary_sup=decode(algebra, nfnp | nfp),
+    )
+
+
 def square_report(h: HyperValue) -> SquareReport:
     """Check the square of opposition for a nonstandard value.
 
     All four relations reduce to the components of h being disjoint, except
     the contradictory pair, which holds by the complement laws regardless.
     """
-    n = normalize(h)
-    if is_standard(n):
+    ops, c = packed_ops(h.algebra.k), encode(h)
+    if ops.is_standard(c):
         raise StandardInput("the square is only defined for nonstandard values")
-    spec = n.algebra
-    cn = content_neg(n)
-    neg = hneg(n)
-    neg_cn = hneg(cn)
-    bot, top = standard(spec.bottom()), standard(spec.top())
-    contrary_inf = pinf(n, cn)
-    contradictory_inf = pinf(n, neg)
-    contradictory_sup = psup(n, neg)
-    subcontrary_sup = psup(neg_cn, neg)
-    return SquareReport(
-        value=n,
-        content_negated=cn,
-        holds=hleq(cn, neg),
-        contrary=contrary_inf == bot,
-        contradictory=contradictory_inf == bot and contradictory_sup == top,
-        subcontrary=subcontrary_sup == top,
-        subaltern_left=hleq(n, neg_cn),
-        subaltern_right=hleq(cn, neg),
-        contrary_inf=contrary_inf,
-        contradictory_inf=contradictory_inf,
-        contradictory_sup=contradictory_sup,
-        subcontrary_sup=subcontrary_sup,
-    )
+    cn = ops.content_neg(c)
+    return square_from_corners(h.algebra, c, cn, ops.neg(cn), ops.neg(c))
 
 
 def enumerate_hypervalues(spec: AlgebraSpec) -> Iterator[HyperValue]:

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import (
-    AlgebraMismatch,
     AlgebraSpec,
     Element,
     algebra_from_json,
@@ -45,11 +44,16 @@ from .boolalg import (
 )
 from .hyper import (
     HyperValue,
+    PackedOps,
+    decode,
+    decode_element,
+    encode,
     enumerate_nonstandard,
     hyper_from_json,
     hyper_to_json,
     is_standard,
     normalize,
+    packed_ops,
 )
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit, space_size
 from .syntax import (
@@ -76,10 +80,6 @@ __all__ = [
     "MissingAssignment",
     "StandardAssignment",
     "NotCyclic",
-    "mb_neg",
-    "mb_and",
-    "mb_or",
-    "mb_imp",
     "eval_mb",
     "is_tautology_mb",
     "find_difference",
@@ -88,8 +88,6 @@ __all__ = [
     "unfold_cyclic",
     "scan_mb",
     "MBScan",
-    "PackedOps",
-    "packed_ops",
     "Requirements",
     "requirements",
     "valuation_to_json",
@@ -161,128 +159,7 @@ class EvalOutcome:
         }
 
 
-# --- packed values ---
-#
-# Inside the evaluator a value is an int. An element of the k-atom algebra is
-# a k-bit int with bit i for atom i (the order of `element_index`), and a
-# hypervalue (u, v) is u | v << k, so a value is standard when its two halves
-# are equal. Every connective is a few bit operations, one code path for any
-# k up to the atom cap. Values become `Element`/`HyperValue` objects only where
-# a caller keeps them: a witness, a table row, the outcome of `eval_mb`.
-
-
-class PackedOps(NamedTuple):
-    """The matrix's connectives on the packed values of a k-atom algebra."""
-
-    top: int  # the standard top
-    is_standard: Callable[[int], bool]
-    neg: Callable[[int], int]
-    content_neg: Callable[[int], int]
-    and_: Callable[[int, int], int]
-    or_: Callable[[int, int], int]
-    imp: Callable[[int, int], int]
-    pointwise_imp: Callable[[int, int], int]
-    leq: Callable[[int, int], bool]
-
-
-@lru_cache(maxsize=None)
-def packed_ops(k: int) -> PackedOps:
-    low = (1 << k) - 1
-    full = (1 << 2 * k) - 1
-
-    def is_standard(h):
-        return h & low == h >> k
-
-    def neg(h):  # pointwise complement
-        return h ^ full
-
-    def content_neg(h):  # precompose with complement: swap the halves
-        return h >> k | (h & low) << k
-
-    def and_(a, b):
-        # base meet on standard pairs, the pointwise join on nonstandard ones;
-        # a mixed pair meets at its nonstandard operand
-        sa, sb = a & low == a >> k, b & low == b >> k
-        if sa == sb:
-            return a & b if sa else a | b
-        return b if sa else a
-
-    def or_(a, b):
-        sa, sb = a & low == a >> k, b & low == b >> k
-        if sa == sb:
-            return a | b if sa else a & b
-        return a if sa else b
-
-    def osup(a, b):
-        # join along the stipulated order: a mixed pair joins at its standard operand
-        sa, sb = a & low == a >> k, b & low == b >> k
-        if sa == sb:
-            return a | b
-        return a if sa else b
-
-    def imp(a, b):  # complement of the order-join, joined pointwise with b
-        return osup(a, b) ^ full | b
-
-    def pointwise_imp(a, b):
-        # componentwise ~a | b; used only for unfolding cyclic acts, where the
-        # order-join reading would erase the dependence on the innermost value
-        return a ^ full | b
-
-    def leq(a, b):
-        # the stipulated order: standard values dominate every nonstandard one
-        sa, sb = a & low == a >> k, b & low == b >> k
-        if sa == sb:
-            return a & ~b == 0
-        return sb
-
-    return PackedOps(full, is_standard, neg, content_neg, and_, or_, imp, pointwise_imp, leq)
-
-
-def _code(h: HyperValue) -> int:
-    """The packed value of h's normal form (finite exceptions are invisible)."""
-    return element_index(h.on_true) | element_index(h.on_false) << h.algebra.k
-
-
-def _element(algebra: AlgebraSpec, code: int) -> Element:
-    return Element(algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1))
-
-
-def _hyper(algebra: AlgebraSpec, code: int) -> HyperValue:
-    return HyperValue(_element(algebra, code & (1 << algebra.k) - 1),
-                      _element(algebra, code >> algebra.k))
-
-
-# --- connectives ---
-
-def _apply(connective: str, x: HyperValue, y: HyperValue) -> HyperValue:
-    if x.algebra != y.algebra:
-        raise AlgebraMismatch(f"algebra mismatch: {x.algebra.atoms} vs {y.algebra.atoms}")
-    return _hyper(x.algebra, getattr(packed_ops(x.algebra.k), connective)(_code(x), _code(y)))
-
-
-def mb_neg(x: HyperValue) -> HyperValue:
-    return _hyper(x.algebra, packed_ops(x.algebra.k).neg(_code(x)))
-
-
-def mb_and(x: HyperValue, y: HyperValue) -> HyperValue:
-    return _apply("and_", x, y)
-
-
-def mb_or(x: HyperValue, y: HyperValue) -> HyperValue:
-    return _apply("or_", x, y)
-
-
-def mb_imp(x: HyperValue, y: HyperValue) -> HyperValue:
-    """Complement of the order-join of the operands, joined pointwise with y."""
-    return _apply("imp", x, y)
-
-
 # --- the compiled evaluator ---
-
-@lru_cache(maxsize=None)
-def _act_key(node: Force) -> str:
-    return format_formula(node)
-
 
 def _contains_act(f: Formula, bound: frozenset[str]) -> bool:
     for node in walk(f):
@@ -311,8 +188,8 @@ class _Program:
 
     def outcome(self, algebra: AlgebraSpec, values: tuple) -> EvalOutcome:
         value = self.run(values)
-        subvalues = {key: _hyper(algebra, a) for key, a in zip(self.keys, self.acts)}
-        return EvalOutcome(_hyper(algebra, value), self.admissible(), subvalues)
+        subvalues = {key: decode(algebra, a) for key, a in zip(self.keys, self.acts)}
+        return EvalOutcome(decode(algebra, value), self.admissible(), subvalues)
 
 
 def _compile(
@@ -380,7 +257,7 @@ def _compile(
         if isinstance(f, (And, Or, Implies)):
             return binary(f, compile_(f.left), compile_(f.right))
         if isinstance(f, Force):
-            key = _act_key(f)
+            key = format_formula(f)
             if _contains_act(f.content, bound):
                 i = slot(("sig", f.force), f"no signature for force {f.force!r}")
                 content = compile_(f.content)
@@ -408,9 +285,9 @@ def _encoded(valuation: MBValuation) -> tuple[dict[tuple, int], list[int]]:
     """Slot positions and packed values of everything a valuation assigns."""
     codes = {
         **{("atom", name): element_index(e) for name, e in valuation.atom_values.items()},
-        **{("act", key): _code(h) for key, h in valuation.act_values.items()},
-        **{("gen",) + pair: _code(h) for pair, h in valuation.generators.items()},
-        **{("sig", name): _code(h) for name, h in valuation.signatures.items()},
+        **{("act", key): encode(h) for key, h in valuation.act_values.items()},
+        **{("gen",) + pair: encode(h) for pair, h in valuation.generators.items()},
+        **{("sig", name): encode(h) for name, h in valuation.signatures.items()},
     }
     return {key: i for i, key in enumerate(codes)}, list(codes.values())
 
@@ -470,7 +347,7 @@ def requirements(resolved: Formula, mode: MBMode) -> Requirements:
                 signatures.setdefault(f.force)
                 collect(f.content)
             elif mode is MBMode.FREE:
-                acts.setdefault(_act_key(f))
+                acts.setdefault(format_formula(f))
             else:
                 for atom in atoms_of(f.content):
                     generators.setdefault((f.force, atom))
@@ -484,7 +361,7 @@ def requirements(resolved: Formula, mode: MBMode) -> Requirements:
 @lru_cache(maxsize=16)
 def _nonstandard_codes(algebra: AlgebraSpec) -> tuple[int, ...]:
     """The nonstandard values packed, in `enumerate_nonstandard`'s order."""
-    return tuple(_code(h) for h in enumerate_nonstandard(algebra))
+    return tuple(encode(h) for h in enumerate_nonstandard(algebra))
 
 
 def _slots(
@@ -514,7 +391,7 @@ def _filtered(key: tuple, slot_filter: Callable, algebra: AlgebraSpec) -> Slot:
     for x in slot_filter(key, domain):
         if x.algebra != algebra or not atom and is_standard(x):
             raise ValueError(f"{x} is outside the domain of slot {key!r}")
-        codes.append(element_index(x) if atom else _code(x))
+        codes.append(element_index(x) if atom else encode(x))
     return Slot(key, tuple(codes))
 
 
@@ -538,7 +415,7 @@ class MBScan:
         return self.programs[i].admissible()
 
     def decode(self, code: int) -> HyperValue:
-        return _hyper(self.algebra, code)
+        return decode(self.algebra, code)
 
     def outcome(self, i: int) -> EvalOutcome:
         return self.programs[i].outcome(self.algebra, self.values)
@@ -547,7 +424,7 @@ class MBScan:
         atom_values, act_values, generators, signatures = {}, {}, {}, {}
         for key, code in zip(self.keys, self.values):
             if key[0] == "atom":
-                atom_values[key[1]] = _element(self.algebra, code)
+                atom_values[key[1]] = decode_element(self.algebra, code)
             elif key[0] == "act":
                 act_values[key[1]] = self.decode(code)
             elif key[0] == "gen":
@@ -785,10 +662,10 @@ def unfold_cyclic(
     position, values = _encoded(valuation)
     for name in open_refs:
         position[("ref", name)] = len(values)
-        values.append(_code(seed))  # the seed's normal form
+        values.append(encode(seed))  # the seed's normal form
     program = _compile(resolved, valuation.mode, valuation.algebra.k, position,
                        bound=frozenset(open_refs), nested_pointwise=True)
-    return _hyper(valuation.algebra, program.run(tuple(values)))
+    return decode(valuation.algebra, program.run(tuple(values)))
 
 
 # --- JSON for valuations ---

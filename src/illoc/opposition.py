@@ -12,20 +12,21 @@ whole square.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .boolalg import AlgebraSpec
-from .hyper import HyperValue, SquareReport, hyper_to_json, is_standard, normalize
-from .matrix_m import DESIGNATED, TruthValue4, scan_m
-from .matrix_mb import (
-    MBMode,
-    MBScan,
-    PackedOps,
-    StandardAssignment,
+from .hyper import (
+    HyperValue,
+    SquareReport,
+    hyper_to_json,
+    is_standard,
+    normalize,
     packed_ops,
-    scan_mb,
-    valuation_to_json,
+    square_from_corners,
+    square_relations,
 )
+from .matrix_m import DESIGNATED, TruthValue4, scan_m
+from .matrix_mb import MBMode, MBScan, StandardAssignment, scan_mb, valuation_to_json
 from .search import DEFAULT_BUDGET
 from .syntax import And, Atom, Force, Formula, Not, Or
 
@@ -299,24 +300,6 @@ def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
     )
 
 
-def _corner_relations(ops: PackedOps) -> dict[str, Callable[..., bool]]:
-    """The square's relations and its criterion on the corner codes.
-
-    Each takes the packed values of F(p), F(~p), ~F(~p), ~F(p), in that order.
-    """
-    full, leq = ops.top, ops.leq
-    return {
-        "contrary": lambda fp, fnp, nfnp, nfp: fp & fnp == 0,
-        "contradictory": lambda fp, fnp, nfnp, nfp: (
-            fp & nfp == 0 and fp | nfp == full and fnp & nfnp == 0 and fnp | nfnp == full
-        ),
-        "subcontrary": lambda fp, fnp, nfnp, nfp: nfnp | nfp == full,
-        "subaltern_left": lambda fp, fnp, nfnp, nfp: leq(fp, nfnp),
-        "subaltern_right": lambda fp, fnp, nfnp, nfp: leq(fnp, nfp),
-        "criterion": lambda fp, fnp, nfnp, nfp: leq(fnp, nfp),
-    }
-
-
 def _square_mb(
     force: str, atom: str, space: CheckSpace, generator: Optional[HyperValue]
 ) -> OppositionReport:
@@ -334,7 +317,7 @@ def _square_mb(
         # one valuation, like `eval`: no budget applies
         slot_filter, budget = (lambda key, domain: (generator,)), DEFAULT_BUDGET
     ops = packed_ops(space.algebra.k)
-    relations = _corner_relations(ops)
+    relations = square_relations(ops)
     failed: dict[str, HyperValue] = {}
     rows: list[LawRow] = []
     text: dict[int, str] = {}  # printed values, by code
@@ -351,7 +334,7 @@ def _square_mb(
         rows.append(LawRow(f"generator={text[corners[0]]}", text[em], text[lc],
                            em == ops.top, lc == ops.top))
         if generator is not None:
-            squares.append(_hyper_square(scan.decode, *corners, failed))
+            squares.append(square_from_corners(space.algebra, *corners))
 
     formulas = [*_corner_formulas(force, atom), *_laws_formulas(force, atom)]
     scan_mb(formulas, space.algebra, space.mode, visit, budget=budget, slot_filter=slot_filter)
@@ -363,24 +346,6 @@ def _square_mb(
     criterion = checks.pop("criterion").holds
     return OppositionReport("mb", force, atom, criterion, criterion, **checks,
                             laws=LawsReport.of(rows), hyper=squares[0] if squares else None)
-
-
-def _hyper_square(
-    decode: Callable[[int], HyperValue], fp: int, fnp: int, nfnp: int, nfp: int,
-    failed: Mapping[str, HyperValue],
-) -> SquareReport:
-    """The value-level square of one generator, from its corner codes."""
-    return SquareReport(
-        value=decode(fp),
-        content_negated=decode(fnp),
-        holds="criterion" not in failed,
-        **{name: name not in failed for name in
-           ("contrary", "contradictory", "subcontrary", "subaltern_left", "subaltern_right")},
-        contrary_inf=decode(fp & fnp),
-        contradictory_inf=decode(fp & nfp),
-        contradictory_sup=decode(fp | nfp),
-        subcontrary_sup=decode(nfnp | nfp),
-    )
 
 
 def laws_report(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class ParseError(Exception):
@@ -282,19 +282,7 @@ class _Parser:
 
 
 def _bind_refs(f: Formula, names: frozenset[str]) -> Formula:
-    if isinstance(f, Atom):
-        return ActRef(f.name) if f.name in names else f
-    if isinstance(f, Not):
-        return Not(_bind_refs(f.body, names))
-    if isinstance(f, And):
-        return And(_bind_refs(f.left, names), _bind_refs(f.right, names))
-    if isinstance(f, Or):
-        return Or(_bind_refs(f.left, names), _bind_refs(f.right, names))
-    if isinstance(f, Implies):
-        return Implies(_bind_refs(f.left, names), _bind_refs(f.right, names))
-    if isinstance(f, Force):
-        return Force(f.force, _bind_refs(f.content, names))
-    return f
+    return substitute(f, lambda leaf: ActRef(leaf.name) if leaf.name in names else leaf)
 
 
 def parse(text: str) -> ParseResult:
@@ -465,6 +453,23 @@ def detect_cycles(defs: Mapping[str, Formula]) -> list[list[str]]:
     return cycles
 
 
+def substitute(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
+    """f rebuilt with every `Atom`/`ActRef` leaf replaced by leaf(node).
+
+    One Python frame per tree level, so the nesting it handles is what the
+    parser's own recursion handles.
+    """
+    if isinstance(f, (Atom, ActRef)):
+        return leaf(f)
+    if isinstance(f, Not):
+        return Not(substitute(f.body, leaf))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(substitute(f.left, leaf), substitute(f.right, leaf))
+    if isinstance(f, Force):
+        return Force(f.force, substitute(f.content, leaf))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def inline_acts(
     f: Formula,
     defs: Mapping[str, Formula],
@@ -476,92 +481,82 @@ def inline_acts(
     value externally).
     """
     cache: dict[str, Formula] = {}
+    expanding: set[str] = set()  # the definitions on the current inlining path
 
-    def resolve(node: Formula, expanding: frozenset[str]) -> Formula:
-        if isinstance(node, ActRef):
-            if node.name in keep:
-                return node
-            if node.name in cache:
-                return cache[node.name]
-            if node.name in expanding:
-                raise CyclicAct(node.name)
-            if node.name not in defs:
-                raise UnknownActRef(node.name)
-            resolved = resolve(defs[node.name], expanding | {node.name})
-            cache[node.name] = resolved
-            return resolved
-        if isinstance(node, Not):
-            return Not(resolve(node.body, expanding))
-        if isinstance(node, And):
-            return And(resolve(node.left, expanding), resolve(node.right, expanding))
-        if isinstance(node, Or):
-            return Or(resolve(node.left, expanding), resolve(node.right, expanding))
-        if isinstance(node, Implies):
-            return Implies(resolve(node.left, expanding), resolve(node.right, expanding))
-        if isinstance(node, Force):
-            return Force(node.force, resolve(node.content, expanding))
-        return node
+    def resolve(node: Formula) -> Formula:
+        if isinstance(node, Atom) or node.name in keep:
+            return node
+        if node.name in cache:
+            return cache[node.name]
+        if node.name in expanding:
+            raise CyclicAct(node.name)
+        if node.name not in defs:
+            raise UnknownActRef(node.name)
+        expanding.add(node.name)
+        cache[node.name] = resolved = substitute(defs[node.name], resolve)
+        expanding.remove(node.name)
+        return resolved
 
-    return resolve(f, frozenset())
+    return substitute(f, resolve)
 
 
 def unfold_once(f: Formula, defs: Mapping[str, Formula]) -> Formula:
     """Replace every act reference by its definition body, one round only."""
-    if isinstance(f, ActRef):
-        if f.name not in defs:
-            raise UnknownActRef(f.name)
-        return defs[f.name]
-    if isinstance(f, Not):
-        return Not(unfold_once(f.body, defs))
-    if isinstance(f, And):
-        return And(unfold_once(f.left, defs), unfold_once(f.right, defs))
-    if isinstance(f, Or):
-        return Or(unfold_once(f.left, defs), unfold_once(f.right, defs))
-    if isinstance(f, Implies):
-        return Implies(unfold_once(f.left, defs), unfold_once(f.right, defs))
-    if isinstance(f, Force):
-        return Force(f.force, unfold_once(f.content, defs))
-    return f
+
+    def body(node: Formula) -> Formula:
+        if isinstance(node, Atom):
+            return node
+        if node.name not in defs:
+            raise UnknownActRef(node.name)
+        return defs[node.name]
+
+    return substitute(f, body)
 
 
 # --- JSON export of ASTs ---
 
+# kind -> node class and its fields in order; "name" and "force" hold
+# identifiers, every other field a subformula
+_JSON_KINDS = {
+    "atom": (Atom, ("name",)),
+    "actref": (ActRef, ("name",)),
+    "not": (Not, ("body",)),
+    "and": (And, ("left", "right")),
+    "or": (Or, ("left", "right")),
+    "implies": (Implies, ("left", "right")),
+    "force": (Force, ("force", "content")),
+}
+_JSON_KIND_OF = {cls: kind for kind, (cls, _) in _JSON_KINDS.items()}
+_JSON_NAMES = frozenset({"name", "force"})
+
+
 def formula_to_json(f: Formula) -> dict:
-    if isinstance(f, Atom):
-        return {"kind": "atom", "name": f.name}
-    if isinstance(f, ActRef):
-        return {"kind": "actref", "name": f.name}
-    if isinstance(f, Not):
-        return {"kind": "not", "body": formula_to_json(f.body)}
-    if isinstance(f, And):
-        return {"kind": "and", "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    if isinstance(f, Or):
-        return {"kind": "or", "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    if isinstance(f, Implies):
-        return {
-            "kind": "implies",
-            "left": formula_to_json(f.left),
-            "right": formula_to_json(f.right),
-        }
-    if isinstance(f, Force):
-        return {"kind": "force", "force": f.force, "content": formula_to_json(f.content)}
-    raise TypeError(f"not a formula: {f!r}")
+    kind = _JSON_KIND_OF.get(type(f))
+    if kind is None:
+        raise TypeError(f"not a formula: {f!r}")
+    data: dict = {"kind": kind}
+    for name in _JSON_KINDS[kind][1]:
+        value = getattr(f, name)
+        data[name] = value if name in _JSON_NAMES else formula_to_json(value)
+    return data
 
 
 def formula_from_json(data: dict) -> Formula:
+    """The formula a `formula_to_json` object describes; ValueError if malformed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a formula is a JSON object, not {data!r}")
     kind = data.get("kind")
-    if kind == "atom":
-        return Atom(data["name"])
-    if kind == "actref":
-        return ActRef(data["name"])
-    if kind == "not":
-        return Not(formula_from_json(data["body"]))
-    if kind == "and":
-        return And(formula_from_json(data["left"]), formula_from_json(data["right"]))
-    if kind == "or":
-        return Or(formula_from_json(data["left"]), formula_from_json(data["right"]))
-    if kind == "implies":
-        return Implies(formula_from_json(data["left"]), formula_from_json(data["right"]))
-    if kind == "force":
-        return Force(data["force"], formula_from_json(data["content"]))
-    raise ValueError(f"unknown formula kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _JSON_KINDS:
+        raise ValueError(f"unknown formula kind: {kind!r}")
+    cls, fields = _JSON_KINDS[kind]
+    args = []
+    for name in fields:
+        if name not in data:
+            raise ValueError(f"a formula of kind {kind!r} needs {name!r}")
+        value = data[name]
+        if name not in _JSON_NAMES:
+            value = formula_from_json(value)
+        elif not isinstance(value, str):
+            raise ValueError(f"{name!r} of kind {kind!r} must be a string, not {value!r}")
+        args.append(value)
+    return cls(*args)

@@ -13,6 +13,7 @@ from illoc.cli import main
 CYCLIC = "act x = [promise](~x);\n"
 DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
 DEEP_FORCES = "[f](" * 300 + "p" + ")" * 300
+DEEP_NEGATIONS = "~" * 300 + "p"
 
 
 @pytest.fixture
@@ -361,6 +362,20 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert err == "error: formula nests too deeply\n"
+
+    @pytest.mark.parametrize(
+        "argv,exit_code,first_line",
+        [
+            (["fmt", DEEP_NEGATIONS], 0, DEEP_NEGATIONS),
+            (["taut", "--matrix", "m", DEEP_NEGATIONS], 1, "refuted at p=0 with value 0"),
+            (["taut", "--matrix", "mb", "--algebra", "a", DEEP_NEGATIONS], 1,
+             "refuted with value *0"),
+        ],
+        ids=["fmt", "taut-m", "taut-mb"],
+    )
+    def test_deep_negation_is_answered(self, capsys, argv, exit_code, first_line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out.splitlines()[0], err) == (exit_code, first_line, "")
 
     @pytest.mark.parametrize(
         "content",

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,18 @@ from illoc.boolalg import AlgebraSpec, complement, enumerate_elements, join, mee
 from illoc.hyper import (
     content_neg,
     enumerate_nonstandard,
+    equivalent,
     hleq,
     hneg,
     hyper,
     is_standard,
+    mb_and,
+    mb_imp,
+    mb_neg,
+    mb_or,
+    oinf,
+    osup,
+    packed_ops,
     pinf,
     psup,
     standard,
@@ -31,11 +41,6 @@ from illoc.matrix_mb import (
     find_idempotence_counterexample,
     find_neg_swap_counterexample,
     is_tautology_mb,
-    mb_and,
-    mb_imp,
-    mb_neg,
-    mb_or,
-    packed_ops,
     requirements,
     unfold_cyclic,
     valuation_from_json,
@@ -45,16 +50,22 @@ from illoc.search import BudgetExceeded
 from illoc.syntax import (
     ActRef, And, Atom, Force, Implies, Not, Or, format_formula, parse, parse_formula,
 )
+import mb_oracle
 from mb_oracle import (
     oracle_eval,
     oracle_slots,
     oracle_status,
     t_content_neg,
+    t_inf,
     t_leq,
     t_mb_and,
     t_mb_imp,
     t_mb_neg,
     t_mb_or,
+    t_neg,
+    t_oinf,
+    t_osup,
+    t_sup,
     term_table,
 )
 
@@ -510,7 +521,9 @@ class TestPackedConnectives:
             assert values[ops.neg(code)][2] == t_mb_neg(spec.atoms, table)
             assert values[ops.content_neg(code)][2] == t_content_neg(spec.atoms, table)
             assert ops.is_standard(code) == is_standard(h)
-            assert mb_neg(h) == values[ops.neg(code)][1]
+            for public, oracle in ((mb_neg, t_mb_neg), (hneg, t_neg)):
+                assert public(h) == values[ops.neg(code)][1]
+                assert values[ops.neg(code)][2] == oracle(spec.atoms, table)
 
     @pytest.mark.parametrize("spec", [K1, K2, K3], ids=["K1", "K2", "K3"])
     def test_binary_connectives(self, spec):
@@ -521,6 +534,10 @@ class TestPackedConnectives:
                 (ops.and_, mb_and, t_mb_and(t1, t2)),
                 (ops.or_, mb_or, t_mb_or(t1, t2)),
                 (ops.imp, mb_imp, t_mb_imp(spec.atoms, t1, t2)),
+                (ops.pinf, pinf, t_inf(t1, t2)),
+                (ops.psup, psup, t_sup(t1, t2)),
+                (ops.osup, osup, t_osup(t1, t2)),
+                (ops.oinf, oinf, t_oinf(t1, t2)),
             ):
                 code, value, table = values[packed(c1, c2)]
                 assert table == oracle
@@ -528,10 +545,25 @@ class TestPackedConnectives:
             expected = t_leq(spec.atoms, t1, t2)
             assert ops.leq(c1, c2) == expected
             assert hleq(h1, h2) == expected
+            assert equivalent(h1, h2) == (t1 == t2)
 
     def test_top_is_the_standard_top(self):
         for spec in (K1, K2, K3):
             assert self._values(spec)[packed_ops(spec.k).top][1] == standard(spec.top())
+
+
+def test_oracle_imports_only_the_ast_from_illoc():
+    """The oracle never imports the code it checks, only the AST node classes."""
+    tree = ast.parse(Path(mb_oracle.__file__).read_text(encoding="utf-8"))
+    imported = []  # (module, names) for every import from the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "illoc"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "illoc":
+            imported.append((node.module, {alias.name for alias in node.names}))
+    assert [module for module, _ in imported] == ["illoc.syntax"]
+    assert imported[0][1] <= {"Atom", "ActRef", "Not", "And", "Or", "Implies", "Force"}
 
 
 def _formulas(depth):

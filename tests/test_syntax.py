@@ -179,6 +179,16 @@ def test_json_round_trip(f):
     assert formula_from_json(formula_to_json(f)) == f
 
 
+@pytest.mark.parametrize(
+    "data",
+    [[{"kind": "atom", "name": "p"}], {"kind": "not"}, {"kind": "atom", "name": 3}],
+    ids=["list", "missing-field", "non-string-name"],
+)
+def test_malformed_json_is_a_value_error(data):
+    with pytest.raises(ValueError):
+        formula_from_json(data)
+
+
 class TestCycles:
     def test_self_denying_promise_is_cyclic(self):
         defs = parse("act x = [f](~x);").definitions
