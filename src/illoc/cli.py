@@ -17,7 +17,9 @@ from typing import Optional
 from .boolalg import AlgebraMismatch, AlgebraSpec, Element
 from .hyper import HyperValue, StandardInput, hyper_to_json, normalize, standard
 from .matrix_m import (
+    CARRIER,
     MissingAtom,
+    MScan,
     check_matrix_properties,
     classify,
     eval_m,
@@ -230,8 +232,8 @@ def _cmd_table(args) -> int:
     rows, lines = [], []
     if args.matrix == "m":
 
-        def m_row(assignment: dict, values: list) -> None:
-            (value,) = values
+        def m_row(scan: MScan, codes: list[int]) -> None:
+            assignment, value = scan.assignment(), CARRIER[codes[0]]
             rows.append({"atom_values": assignment, "value": str(value),
                          "classification": classify(value)})
             lines.append(" ".join(f"{k}={v}" for k, v in assignment.items())

@@ -5,6 +5,11 @@ Sentences take the classical values 1 and 0; performances take 1/2
 roles of conjunction and disjunction swap; that dualization is what warps
 inference as soon as a force is applied. Every force symbol in a formula is
 read as the one "think" operator here.
+
+The connectives below are the one definition of the matrix. Evaluation runs
+on codes derived from them: `eval_m` and `scan_m` compile each formula once
+into closures over small integers and decode a value to `TruthValue4` only
+for a result a caller keeps.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ class TruthValue4(Enum):
 
 
 CARRIER = (TruthValue4.ONE, TruthValue4.HALF, TruthValue4.ZERO, TruthValue4.NEG_HALF)
-DESIGNATED = frozenset({TruthValue4.ONE})
 
 CLASSIFICATION = {
     TruthValue4.ONE: "true-sentence",
@@ -125,35 +129,75 @@ def classify(v: TruthValue4) -> str:
     return CLASSIFICATION[v]
 
 
+# --- codes: the compiled evaluator's values ---
+
+# A value's code is its index in CARRIER; ONE_CODE is the one designated
+# value. The tables are derived from the connectives above, which stay the one
+# definition of each: a unary table is indexed by the operand's code, a binary
+# one by 4 * left + right.
+CODE = {v: i for i, v in enumerate(CARRIER)}
+ONE_CODE, HALF_CODE, ZERO_CODE, NEG_HALF_CODE = (CODE[v] for v in CARRIER)
+NEG_TABLE = tuple(CODE[neg4(x)] for x in CARRIER)
+FORCE_TABLE = tuple(CODE[force4(x)] for x in CARRIER)
+AND_TABLE, OR_TABLE, IMP_TABLE = (
+    tuple(CODE[op(x, y)] for x in CARRIER for y in CARRIER) for op in (and4, or4, imp4)
+)
+LEQ_TABLE = tuple(x <= y for x in CARRIER for y in CARRIER)
+
+
+def _compile(resolved: Formula, slot: Callable[[str], int]) -> Callable[[tuple], int]:
+    """Compile an act-free formula once into closures over a tuple of 0/1 atom bits.
+
+    run(bits) returns the formula's code. slot(name) gives an atom's position
+    in the tuple; it is asked once per leaf, left to right, so it can refuse
+    the first leaf an evaluation would have hit first.
+    """
+    bit_code = (ZERO_CODE, ONE_CODE)
+    binary = {And: AND_TABLE, Or: OR_TABLE, Implies: IMP_TABLE}
+
+    def compile_(f: Formula) -> Callable[[tuple], int]:
+        if isinstance(f, Atom):
+            i = slot(f.name)
+            return lambda v: bit_code[v[i]]
+        if isinstance(f, Not):
+            body, table = compile_(f.body), NEG_TABLE
+            return lambda v: table[body(v)]
+        if isinstance(f, Force):
+            body, table = compile_(f.content), FORCE_TABLE
+            return lambda v: table[body(v)]
+        if isinstance(f, (And, Or, Implies)):
+            left, right, table = compile_(f.left), compile_(f.right), binary[type(f)]
+            return lambda v: table[left(v) * 4 + right(v)]
+        raise TypeError(f"cannot evaluate {f!r}")
+
+    return compile_(resolved)
+
+
 def eval_m(
     formula: Formula,
     assignment: Mapping[str, int],
     defs: Optional[Mapping[str, Formula]] = None,
 ) -> TruthValue4:
-    """Extend a 0/1 atom assignment over a formula; acts must resolve acyclically."""
+    """Extend a 0/1 atom assignment over a formula; acts must resolve acyclically.
+
+    The first leaf, left to right, that the assignment misses or gives a
+    value other than 0 or 1 raises MissingAtom or ValueError.
+    """
     resolved = inline_acts(formula, dict(defs or {}))
-    return _ev(resolved, assignment)
+    position: dict[str, int] = {}
 
+    def slot(name: str) -> int:
+        if name not in position:
+            if name not in assignment:
+                raise MissingAtom(name)
+            bit = assignment[name]
+            if bit not in (0, 1):
+                raise ValueError(f"atoms take 0 or 1, got {name}={bit!r}")
+            position[name] = len(position)
+        return position[name]
 
-def _ev(f: Formula, e: Mapping[str, int]) -> TruthValue4:
-    if isinstance(f, Atom):
-        if f.name not in e:
-            raise MissingAtom(f.name)
-        bit = e[f.name]
-        if bit not in (0, 1):
-            raise ValueError(f"atoms take 0 or 1, got {f.name}={bit!r}")
-        return TruthValue4.ONE if bit == 1 else TruthValue4.ZERO
-    if isinstance(f, Not):
-        return neg4(_ev(f.body, e))
-    if isinstance(f, Force):
-        return force4(_ev(f.content, e))
-    if isinstance(f, And):
-        return and4(_ev(f.left, e), _ev(f.right, e))
-    if isinstance(f, Or):
-        return or4(_ev(f.left, e), _ev(f.right, e))
-    if isinstance(f, Implies):
-        return imp4(_ev(f.left, e), _ev(f.right, e))
-    raise TypeError(f"cannot evaluate {f!r}")
+    run = _compile(resolved, slot)
+    return CARRIER[run(tuple(int(assignment[name] == 1) for name in position))]
 
 
 @dataclass(frozen=True)
@@ -170,26 +214,46 @@ class MTautologyResult:
         }
 
 
+class MScan:
+    """The atoms of one scan and the assignment it is visiting.
+
+    A verdict gets this object and the codes of the formulas on the current
+    assignment (`values`, one 0/1 bit per atom in atom order); `assignment`
+    builds the dict only when the verdict asks.
+    """
+
+    def __init__(self, atoms: Sequence[str]):
+        self.atoms = tuple(atoms)
+        self.values: tuple = ()
+
+    def assignment(self) -> dict[str, int]:
+        return dict(zip(self.atoms, self.values))
+
+
 def scan_m(
     formulas: Sequence[Formula],
-    verdict: Callable[[dict[str, int], list[TruthValue4]], Any],
+    verdict: Callable[[MScan, list[int]], Any],
     *,
     defs: Optional[Mapping[str, Formula]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[tuple[dict[str, int], Any]]:
-    """First 0/1 assignment on which verdict(assignment, values) is not None.
+    """First 0/1 assignment on which verdict(scan, codes) is not None.
 
-    Every formula is evaluated on each assignment of their sorted atoms, 0
-    before 1 and the first atom most significant. Returns (assignment,
-    payload), or None when the verdict never fires.
+    Every formula is compiled once and evaluated on each assignment of their
+    sorted atoms, 0 before 1 and the first atom most significant; codes holds
+    their values as codes (`CARRIER[code]` decodes one). Returns
+    (assignment, payload), or None when the verdict never fires.
     """
     defs = dict(defs or {})
     resolved = [inline_acts(f, defs) for f in formulas]
     atoms = sorted({name for r in resolved for name in atoms_of(r)})
+    position = {name: i for i, name in enumerate(atoms)}
+    runs = [_compile(r, position.__getitem__) for r in resolved]
+    scan = MScan(atoms)
 
     def predicate(values: tuple[int, ...]) -> Any:
-        assignment = dict(zip(atoms, values))
-        return verdict(assignment, [_ev(r, assignment) for r in resolved])
+        scan.values = values
+        return verdict(scan, [run(values) for run in runs])
 
     return first_hit([Slot(name, (0, 1)) for name in atoms], predicate, budget=budget)
 
@@ -202,13 +266,15 @@ def is_tautology_m(
 ) -> MTautologyResult:
     """Exhaust all 0/1 assignments; the first refuting one (0 before 1) is the witness."""
 
-    def refutes(_, values: list[TruthValue4]) -> Optional[TruthValue4]:
-        return None if values[0] in DESIGNATED else values[0]
+    def refutes(_, codes: list[int]) -> Optional[int]:
+        (code,) = codes
+        return None if code == ONE_CODE else code
 
     first = scan_m([formula], refutes, defs=defs, budget=budget)
     if first is None:
         return MTautologyResult("tautology", None, None)
-    return MTautologyResult("refuted", *first)
+    witness, code = first
+    return MTautologyResult("refuted", witness, CARRIER[code])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .hyper import (
     square_from_corners,
     square_relations,
 )
-from .matrix_m import DESIGNATED, TruthValue4, scan_m
+from .matrix_m import CARRIER, HALF_CODE, LEQ_TABLE, NEG_HALF_CODE, ONE_CODE, MScan, scan_m
 from .matrix_mb import MBMode, MBScan, StandardAssignment, scan_mb, valuation_to_json
 from .search import DEFAULT_BUDGET
 from .syntax import And, Atom, Force, Formula, Not, Or
@@ -76,14 +76,17 @@ def entails(
     space.jobs is accepted for compatibility and does not change the scan.
     """
     if space.matrix == "m":
-        first = scan_m(
-            [left, right], lambda _, values: None if values[0] <= values[1] else values,
-            defs=defs, budget=space.budget,
-        )
+
+        def violates_m(_, codes: list[int]) -> Optional[list[int]]:
+            lhs, rhs = codes
+            return None if LEQ_TABLE[lhs * 4 + rhs] else codes
+
+        first = scan_m([left, right], violates_m, defs=defs, budget=space.budget)
         if first is None:
             return EntailmentResult(True, None, None, None)
         assignment, (lhs, rhs) = first
-        return EntailmentResult(False, {"atom_values": assignment}, str(lhs), str(rhs))
+        return EntailmentResult(False, {"atom_values": assignment},
+                                str(CARRIER[lhs]), str(CARRIER[rhs]))
 
     leq = packed_ops(space.algebra.k).leq
 
@@ -214,12 +217,12 @@ def _laws_formulas(force: str, atom: str) -> tuple[Formula, Formula]:
 def _laws_report_m(force: str, atom: str, budget: int) -> LawsReport:
     rows = []
 
-    def row(assignment: dict, values: list) -> None:
-        v8, v9 = values
+    def row(scan: MScan, codes: list[int]) -> None:
+        em, lc = codes
         rows.append(
             LawRow(
-                f"{atom}={assignment[atom]}", str(v8), str(v9),
-                v8 in DESIGNATED, v9 in DESIGNATED,
+                f"{atom}={scan.assignment()[atom]}", str(CARRIER[em]), str(CARRIER[lc]),
+                em == ONE_CODE, lc == ONE_CODE,
             )
         )
 
@@ -268,10 +271,10 @@ def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
 
     def quantify(condition) -> RelationCheck:
         # condition(success, failure) gets one flag per corner, in corner order
-        def fails(assignment: dict, values: list) -> Optional[dict]:
-            success = [v == TruthValue4.HALF for v in values]
-            failure = [v == TruthValue4.NEG_HALF for v in values]
-            return None if condition(success, failure) else assignment
+        def fails(_, codes: list[int]) -> Optional[bool]:
+            success = [c == HALF_CODE for c in codes]
+            failure = [c == NEG_HALF_CODE for c in codes]
+            return None if condition(success, failure) else True
 
         first = scan_m(corners, fails, budget=space.budget)
         if first is None:

@@ -370,8 +370,10 @@ class TestBadInput:
             (["taut", "--matrix", "m", DEEP_NEGATIONS], 1, "refuted at p=0 with value 0"),
             (["taut", "--matrix", "mb", "--algebra", "a", DEEP_NEGATIONS], 1,
              "refuted with value *0"),
+            (["eval", "--matrix", "m", "--assign", "p=1", DEEP_NEGATIONS], 0, "1 true-sentence"),
+            (["table", "--matrix", "m", DEEP_NEGATIONS], 0, "p=0  0  false-sentence"),
         ],
-        ids=["fmt", "taut-m", "taut-mb"],
+        ids=["fmt", "taut-m", "taut-mb", "eval-m", "table-m"],
     )
     def test_deep_negation_is_answered(self, capsys, argv, exit_code, first_line):
         code, out, err = run(capsys, *argv)

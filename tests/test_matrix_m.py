@@ -3,10 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import m_oracle
 from conftest import random_force_free
 from illoc.matrix_m import (
+    AND_TABLE,
     CARRIER,
+    CODE,
+    FORCE_TABLE,
+    IMP_TABLE,
+    LEQ_TABLE,
+    NEG_TABLE,
+    OR_TABLE,
     MissingAtom,
     TruthValue4,
     and4,
@@ -20,7 +30,8 @@ from illoc.matrix_m import (
     neg4,
     or4,
 )
-from illoc.syntax import ActRef, parse, parse_formula
+from illoc.opposition import CheckSpace, entails
+from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula
 
 ONE, HALF, ZERO, NEG = (
     TruthValue4.ONE,
@@ -112,6 +123,22 @@ class TestEval:
     def test_bad_atom_value(self):
         with pytest.raises(ValueError):
             eval_m(parse_formula("p"), {"p": 2})
+
+    @pytest.mark.parametrize(
+        "text,assignment,error,args",
+        [
+            ("q & p", {"p": 2}, MissingAtom, ("q",)),
+            ("p & q", {"p": 2}, ValueError, ("atoms take 0 or 1, got p=2",)),
+            ("~[think](q) -> p", {"p": "1"}, MissingAtom, ("q",)),
+            ("[think](r | p) & q", {"p": 7, "r": 1}, ValueError, ("atoms take 0 or 1, got p=7",)),
+            ("p & q", {}, MissingAtom, ("p",)),
+            ("(p -> p) | q", {"p": 1, "q": -1}, ValueError, ("atoms take 0 or 1, got q=-1",)),
+        ],
+    )
+    def test_first_offending_leaf_decides_the_error(self, text, assignment, error, args):
+        with pytest.raises(ValueError) as raised:
+            eval_m(parse_formula(text), assignment)
+        assert (type(raised.value), raised.value.args) == (error, args)
 
     def test_acts_resolve_through_definitions(self):
         result = parse("act x = [think](p); x -> p")
@@ -241,3 +268,67 @@ class TestContradictionProfile:
     def test_minimum_is_reached_by_performed_contradiction(self):
         values = {row.performed_conjunction for row in contradiction_profile()}
         assert NEG in values
+
+
+class TestCodeTables:
+    """The code tables the compiled evaluator runs on, against the oracle's literals."""
+
+    @pytest.mark.parametrize("table,oracle", [(NEG_TABLE, m_oracle.T_NEG),
+                                              (FORCE_TABLE, m_oracle.T_FORCE)],
+                             ids=["neg", "force"])
+    def test_unary(self, table, oracle):
+        assert [str(v) for v in CARRIER] == list(m_oracle.CARRIER)
+        for x in CARRIER:
+            assert str(CARRIER[table[CODE[x]]]) == oracle[str(x)]
+
+    @pytest.mark.parametrize("table,oracle", [(AND_TABLE, m_oracle.T_AND),
+                                              (OR_TABLE, m_oracle.T_OR),
+                                              (IMP_TABLE, m_oracle.T_IMP)],
+                             ids=["and", "or", "imp"])
+    def test_binary(self, table, oracle):
+        for x, y in itertools.product(CARRIER, repeat=2):
+            assert str(CARRIER[table[CODE[x] * 4 + CODE[y]]]) == oracle[str(x), str(y)]
+
+    def test_order(self):
+        for x, y in itertools.product(CARRIER, repeat=2):
+            assert LEQ_TABLE[CODE[x] * 4 + CODE[y]] == m_oracle.t_leq(str(x), str(y))
+
+
+def _formulas(depth):
+    leaf = st.sampled_from([Atom("p"), Atom("q"), Atom("r")])
+    if depth == 0:
+        return leaf
+    sub = _formulas(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Force, st.sampled_from(["think", "promise"]), sub),
+    )
+
+
+class TestDifferentialAgainstOracle:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(formula=_formulas(5))
+    def test_eval_on_every_assignment(self, formula):
+        for bits in itertools.product((0, 1), repeat=3):
+            assignment = dict(zip(("p", "q", "r"), bits))
+            assert str(eval_m(formula, assignment)) == m_oracle.oracle_eval(formula, assignment)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(formula=_formulas(5))
+    def test_tautology_scan(self, formula):
+        result = is_tautology_m(formula)
+        status, witness, value = m_oracle.oracle_tautology(formula)
+        assert (result.status, result.witness) == (status, witness)
+        assert (None if value is None else str(result.witness_value)) == value
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(left=_formulas(5), right=_formulas(5))
+    def test_entailment_scan(self, left, right):
+        result = entails(left, right, CheckSpace("m"))
+        holds, witness, lhs, rhs = m_oracle.oracle_entails(left, right)
+        assert (result.holds, result.left_value, result.right_value) == (holds, lhs, rhs)
+        assert result.witness == (None if witness is None else {"atom_values": witness})

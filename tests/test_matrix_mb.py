@@ -50,6 +50,7 @@ from illoc.search import BudgetExceeded
 from illoc.syntax import (
     ActRef, And, Atom, Force, Implies, Not, Or, format_formula, parse, parse_formula,
 )
+import m_oracle
 import mb_oracle
 from mb_oracle import (
     oracle_eval,
@@ -553,17 +554,18 @@ class TestPackedConnectives:
 
 
 def test_oracle_imports_only_the_ast_from_illoc():
-    """The oracle never imports the code it checks, only the AST node classes."""
-    tree = ast.parse(Path(mb_oracle.__file__).read_text(encoding="utf-8"))
-    imported = []  # (module, names) for every import from the package
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [(alias.name, None) for alias in node.names
-                         if alias.name.split(".")[0] == "illoc"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "illoc":
-            imported.append((node.module, {alias.name for alias in node.names}))
-    assert [module for module, _ in imported] == ["illoc.syntax"]
-    assert imported[0][1] <= {"Atom", "ActRef", "Not", "And", "Or", "Implies", "Force"}
+    """The oracles never import the code they check, only the AST node classes."""
+    for oracle in (mb_oracle, m_oracle):
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = []  # (module, names) for every import from the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "illoc"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "illoc":
+                imported.append((node.module, {alias.name for alias in node.names}))
+        assert [module for module, _ in imported] == ["illoc.syntax"], oracle.__name__
+        assert imported[0][1] <= {"Atom", "ActRef", "Not", "And", "Or", "Implies", "Force"}
 
 
 def _formulas(depth):
