@@ -44,6 +44,7 @@ from .matrix_mb import (
 from .opposition import CheckSpace, entails, square_for_force
 from .search import DEFAULT_BUDGET, BudgetExceeded
 from .syntax import (
+    IDENT_RE,
     CyclicAct,
     ParseError,
     UnknownActRef,
@@ -67,6 +68,12 @@ def _int_at_least(low: int):
         return value
 
     return integer
+
+
+def _identifier(text: str) -> str:
+    if not IDENT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a name such as p or think, got {text!r}")
+    return text
 
 
 def _budget(args) -> int:
@@ -452,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("square", help="square of opposition report")
     _add_common(sub)
-    sub.add_argument("--force", default="think")
-    sub.add_argument("--atom", default="p")
+    sub.add_argument("--force", type=_identifier, default="think")
+    sub.add_argument("--atom", type=_identifier, default="p")
     sub.add_argument("--gen", help='generator, e.g. "on_true=a;on_false=" (mb)')
     sub.set_defaults(handler=_cmd_square)
 

@@ -144,6 +144,20 @@ AND_TABLE, OR_TABLE, IMP_TABLE = (
 )
 LEQ_TABLE = tuple(x <= y for x in CARRIER for y in CARRIER)
 
+# The square's five relations and its criterion on the codes of its corners
+# F(p), F(~p), ~F(~p), ~F(p), in that order: success is 1/2, failure -1/2.
+SQUARE_RELATIONS: dict[str, Callable[[int, int, int, int], bool]] = {
+    "contrary": lambda fp, fnp, nfnp, nfp: not (fp == HALF_CODE and fnp == HALF_CODE),
+    "contradictory": lambda fp, fnp, nfnp, nfp: (
+        (fp == HALF_CODE) == (nfp == NEG_HALF_CODE)
+        and (fnp == HALF_CODE) == (nfnp == NEG_HALF_CODE)
+    ),
+    "subcontrary": lambda fp, fnp, nfnp, nfp: not (nfp == NEG_HALF_CODE and nfnp == NEG_HALF_CODE),
+    "subaltern_left": lambda fp, fnp, nfnp, nfp: fp != HALF_CODE or nfnp == HALF_CODE,
+    "subaltern_right": lambda fp, fnp, nfnp, nfp: fnp != HALF_CODE or nfp == HALF_CODE,
+    "criterion": lambda fp, fnp, nfnp, nfp: LEQ_TABLE[4 * fnp + nfp],
+}
+
 
 def _compile(resolved: Formula, slot: Callable[[str], int]) -> Callable[[tuple], int]:
     """Compile an act-free formula once into closures over a tuple of 0/1 atom bits.
@@ -255,7 +269,8 @@ def scan_m(
         scan.values = values
         return verdict(scan, [run(values) for run in runs])
 
-    return first_hit([Slot(name, (0, 1)) for name in atoms], predicate, budget=budget)
+    hit = first_hit([Slot(name, (0, 1)) for name in atoms], predicate, budget=budget)
+    return None if hit is None else (scan.assignment(), hit[1])
 
 
 def is_tautology_m(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -65,7 +65,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    atoms_of,
     detect_cycles,
     format_formula,
     inline_acts,
@@ -88,8 +87,7 @@ __all__ = [
     "unfold_cyclic",
     "scan_mb",
     "MBScan",
-    "Requirements",
-    "requirements",
+    "slot_keys",
     "valuation_to_json",
     "valuation_from_json",
 ]
@@ -196,30 +194,25 @@ def _compile(
     resolved: Formula,
     mode: MBMode,
     k: int,
-    position: Mapping[tuple, int],
+    slot: Callable[[tuple, str], int],
     *,
     bound: frozenset[str] = frozenset(),
     nested_pointwise: bool = False,
 ) -> _Program:
-    """Compile an act-free formula once; position maps slot keys to tuple indices.
+    """Compile a formula once; slot(key, missing) gives a slot key's tuple index.
 
     Atoms read ("atom", name), free acts ("act", key), generators
     ("gen", force, atom), signatures ("sig", force) and the bound act
-    references of a cyclic unfolding ("ref", name). A key missing from
-    position raises MissingAssignment here, in evaluation order, so the
-    first missing value is the one an evaluation would have hit first.
-    Whether a force reads a signature, an act value or generators is decided
-    here, once per node.
+    references of a cyclic unfolding ("ref", name). slot is asked once per
+    leaf, in evaluation order, so it can refuse (with the missing message)
+    the first value an evaluation would have hit first. Whether a force reads
+    a signature, an act value or generators is decided here and nowhere else;
+    `slot_keys` reads the slots off this compiler.
     """
     ops = packed_ops(k)
     unit = (1 << k) + 1  # the standard copy of element e is e * unit
     acts: list[int] = []
     keys: list[str] = []
-
-    def slot(key: tuple, missing: str) -> int:
-        if key not in position:
-            raise MissingAssignment(missing)
-        return position[key]
 
     def binary(f, left, right):
         op = {And: ops.and_, Or: ops.or_, Implies: ops.imp}[type(f)]
@@ -281,15 +274,28 @@ def _compile(
     return _Program(compile_(resolved), acts, keys, ops)
 
 
-def _encoded(valuation: MBValuation) -> tuple[dict[tuple, int], list[int]]:
-    """Slot positions and packed values of everything a valuation assigns."""
+def _lookup(
+    valuation: MBValuation, extra: Optional[Mapping[tuple, int]] = None
+) -> tuple[Callable[[tuple, str], int], tuple]:
+    """A slot callback over what a valuation (and extra) assigns, and the packed values.
+
+    The callback refuses a key with no value by raising MissingAssignment.
+    """
     codes = {
         **{("atom", name): element_index(e) for name, e in valuation.atom_values.items()},
         **{("act", key): encode(h) for key, h in valuation.act_values.items()},
         **{("gen",) + pair: encode(h) for pair, h in valuation.generators.items()},
         **{("sig", name): encode(h) for name, h in valuation.signatures.items()},
+        **(extra or {}),
     }
-    return {key: i for i, key in enumerate(codes)}, list(codes.values())
+    position = {key: i for i, key in enumerate(codes)}
+
+    def slot(key: tuple, missing: str) -> int:
+        if key not in position:
+            raise MissingAssignment(missing)
+        return position[key]
+
+    return slot, tuple(codes.values())
 
 
 def eval_mb(
@@ -298,64 +304,34 @@ def eval_mb(
     defs: Optional[Mapping[str, Formula]] = None,
 ) -> EvalOutcome:
     resolved = inline_acts(formula, dict(defs or {}))
-    position, values = _encoded(valuation)
-    program = _compile(resolved, valuation.mode, valuation.algebra.k, position)
-    return program.outcome(valuation.algebra, tuple(values))
+    slot, values = _lookup(valuation)
+    program = _compile(resolved, valuation.mode, valuation.algebra.k, slot)
+    return program.outcome(valuation.algebra, values)
 
 
-# --- requirement analysis and exhaustive checks ---
+# --- exhaustive checks ---
 
-@dataclass(frozen=True)
-class Requirements:
-    """Which slots a formula consumes from a valuation, in evaluation order."""
-
-    atoms: tuple[str, ...]
-    acts: tuple[str, ...]
-    generators: tuple[tuple[str, str], ...]
-    signatures: tuple[str, ...]
-
-    def merge(self, other: "Requirements") -> "Requirements":
-        def fuse(a, b):
-            combined = dict.fromkeys(a)
-            combined.update(dict.fromkeys(b))
-            return tuple(combined)
-
-        return Requirements(
-            fuse(self.atoms, other.atoms),
-            fuse(self.acts, other.acts),
-            fuse(self.generators, other.generators),
-            fuse(self.signatures, other.signatures),
-        )
+_SCAN_ORDER = {"atom": 0, "act": 1, "gen": 2, "sig": 3}
 
 
-def requirements(resolved: Formula, mode: MBMode) -> Requirements:
-    atoms: dict[str, None] = {}
-    acts: dict[str, None] = {}
-    generators: dict[tuple[str, str], None] = {}
-    signatures: dict[str, None] = {}
+def slot_keys(resolved: Sequence[Formula], mode: MBMode) -> list[tuple]:
+    """The slot keys act-free formulas read, in scan order, from a compile that records them.
 
-    def collect(f: Formula) -> None:
-        if isinstance(f, Atom):
-            atoms.setdefault(f.name)
-        elif isinstance(f, Not):
-            collect(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            collect(f.left)
-            collect(f.right)
-        elif isinstance(f, Force):
-            if _contains_act(f.content, frozenset()):
-                signatures.setdefault(f.force)
-                collect(f.content)
-            elif mode is MBMode.FREE:
-                acts.setdefault(format_formula(f))
-            else:
-                for atom in atoms_of(f.content):
-                    generators.setdefault((f.force, atom))
-        elif isinstance(f, ActRef):
-            raise ValueError("requirements expects an act-free (resolved) formula")
+    Keys come first-seen across the formulas, then stably sorted by kind:
+    atoms, acts, generators, signatures. The recording compile's closures are
+    dropped; the keys do not depend on the algebra, so it compiles for K1.
+    """
+    keys: dict[tuple, None] = {}
 
-    collect(resolved)
-    return Requirements(tuple(atoms), tuple(acts), tuple(generators), tuple(signatures))
+    def record(key: tuple, missing: str) -> int:
+        if key[0] not in _SCAN_ORDER:
+            raise MissingAssignment(missing)  # an act reference left unresolved
+        keys.setdefault(key)
+        return 0
+
+    for r in resolved:
+        _compile(r, mode, 1, record)
+    return sorted(keys, key=lambda key: _SCAN_ORDER[key[0]])
 
 
 @lru_cache(maxsize=16)
@@ -365,13 +341,9 @@ def _nonstandard_codes(algebra: AlgebraSpec) -> tuple[int, ...]:
 
 
 def _slots(
-    reqs: Requirements, algebra: AlgebraSpec, slot_filter: Optional[Callable] = None
+    keys: Sequence[tuple], algebra: AlgebraSpec, slot_filter: Optional[Callable] = None
 ) -> list[Slot]:
-    """The slots in scan order; a nonstandard domain is built only for a slot that needs it."""
-    keys = [("atom", name) for name in reqs.atoms]
-    keys += [("act", key) for key in reqs.acts]
-    keys += [("gen",) + pair for pair in reqs.generators]
-    keys += [("sig", name) for name in reqs.signatures]
+    """The slots of keys, in order; a nonstandard domain is built only for a slot that needs it."""
     if slot_filter is not None:
         return [_filtered(key, slot_filter, algebra) for key in keys]
     elements = range(1 << algebra.k)  # binary-counting order, as `enumerate_elements`
@@ -447,10 +419,11 @@ def scan_mb(
 ) -> tuple[Optional[tuple[MBValuation, Any]], int]:
     """First valuation on which verdict(scan, codes) is not None.
 
-    The slots the formulas need are scanned atoms first, then acts,
-    generators and signatures, the first slot most significant. Each formula
-    is compiled once and evaluated on every valuation; codes holds their
-    packed values and scan (an MBScan) decodes the valuation on demand.
+    The slots the formulas need (`slot_keys`) are scanned atoms first, then
+    acts, generators and signatures, the first slot most significant. Each
+    formula is compiled once more against those slots and evaluated on every
+    valuation; codes holds their packed values and scan (an MBScan) decodes
+    the valuation on demand.
     Returns ((valuation, payload) or None, number of valuations in the
     space). slot_filter(key, domain) may shrink a slot's domain, an iterable
     of `Element`s or `HyperValue`s in scan order, listed lazily; returning
@@ -458,15 +431,15 @@ def scan_mb(
     """
     defs = dict(defs or {})
     resolved = [inline_acts(f, defs) for f in formulas]
-    reqs = reduce(Requirements.merge, [requirements(r, mode) for r in resolved])
+    keys = slot_keys(resolved, mode)
     if slot_filter is None:
         # refuse before any domain is built: 4^k - 2^k values per nonstandard slot
-        k = algebra.k
-        nonstandard_slots = len(reqs.acts) + len(reqs.generators) + len(reqs.signatures)
-        check_budget(2 ** (k * len(reqs.atoms)) * (4 ** k - 2 ** k) ** nonstandard_slots, budget)
-    slots = _slots(reqs, algebra, slot_filter)
+        k, atoms = algebra.k, sum(key[0] == "atom" for key in keys)
+        check_budget(2 ** (k * atoms) * (4 ** k - 2 ** k) ** (len(keys) - atoms), budget)
+    slots = _slots(keys, algebra, slot_filter)
     position = {slot.key: i for i, slot in enumerate(slots)}
-    scan = MBScan(algebra, mode, slots, [_compile(r, mode, algebra.k, position) for r in resolved])
+    programs = [_compile(r, mode, algebra.k, lambda key, _: position[key]) for r in resolved]
+    scan = MBScan(algebra, mode, slots, programs)
     runs = [program.run for program in scan.programs]
 
     def predicate(values: tuple) -> Optional[tuple[MBValuation, Any]]:
@@ -659,13 +632,11 @@ def unfold_cyclic(
     open_refs = {name for node in walk(formula) if isinstance(node, ActRef)
                  for name in [node.name] if name in cyclic}
     resolved = inline_acts(formula, defs, keep=frozenset(open_refs))
-    position, values = _encoded(valuation)
-    for name in open_refs:
-        position[("ref", name)] = len(values)
-        values.append(encode(seed))  # the seed's normal form
-    program = _compile(resolved, valuation.mode, valuation.algebra.k, position,
+    seeded = {("ref", name): encode(seed) for name in open_refs}  # the seed's normal form
+    slot, values = _lookup(valuation, seeded)
+    program = _compile(resolved, valuation.mode, valuation.algebra.k, slot,
                        bound=frozenset(open_refs), nested_pointwise=True)
-    return decode(valuation.algebra, program.run(tuple(values)))
+    return decode(valuation.algebra, program.run(values))
 
 
 # --- JSON for valuations ---

@@ -12,7 +12,7 @@ whole square.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .boolalg import AlgebraSpec
 from .hyper import (
@@ -25,7 +25,7 @@ from .hyper import (
     square_from_corners,
     square_relations,
 )
-from .matrix_m import CARRIER, HALF_CODE, LEQ_TABLE, NEG_HALF_CODE, ONE_CODE, MScan, scan_m
+from .matrix_m import CARRIER, LEQ_TABLE, ONE_CODE, SQUARE_RELATIONS, MScan, scan_m
 from .matrix_mb import MBMode, MBScan, StandardAssignment, scan_mb, valuation_to_json
 from .search import DEFAULT_BUDGET
 from .syntax import And, Atom, Force, Formula, Not, Or
@@ -200,34 +200,42 @@ class OppositionReport:
         return data
 
 
-def _corner_formulas(force: str, atom: str) -> tuple[Formula, Formula, Formula, Formula]:
+def _square_formulas(force: str, atom: str) -> tuple[Formula, ...]:
+    """The corners F(p), F(~p), ~F(~p), ~F(p), then ~F(~p) | ~F(p) and ~(F(~p) & F(p))."""
     p = Atom(atom)
     pos = Force(force, p)                 # F(p)
     neg_content = Force(force, Not(p))    # F(~p)
-    return pos, neg_content, Not(neg_content), Not(pos)
+    excluded_middle = Or(Not(neg_content), Not(pos))
+    contrariety = Not(And(neg_content, pos))
+    return pos, neg_content, Not(neg_content), Not(pos), excluded_middle, contrariety
 
 
-def _laws_formulas(force: str, atom: str) -> tuple[Formula, Formula]:
-    p = Atom(atom)
-    excluded_middle = Or(Not(Force(force, Not(p))), Not(Force(force, p)))
-    contrariety = Not(And(Force(force, Not(p)), Force(force, p)))
-    return excluded_middle, contrariety
+class _Square:
+    """Relation witnesses and law rows gathered over one scan of the square formulas.
 
+    add takes one valuation: its corner codes, a function giving its witness
+    and its law row. A relation's witness is taken at its first failure, so it
+    is the first failing valuation in scan order.
+    """
 
-def _laws_report_m(force: str, atom: str, budget: int) -> LawsReport:
-    rows = []
+    def __init__(self, relations: Mapping[str, Callable[[int, int, int, int], bool]]):
+        self.relations = relations
+        self.failed: dict[str, dict] = {}
+        self.rows: list[LawRow] = []
 
-    def row(scan: MScan, codes: list[int]) -> None:
-        em, lc = codes
-        rows.append(
-            LawRow(
-                f"{atom}={scan.assignment()[atom]}", str(CARRIER[em]), str(CARRIER[lc]),
-                em == ONE_CODE, lc == ONE_CODE,
-            )
-        )
+    def add(self, corners: list[int], witness: Callable[[], dict], row: LawRow) -> None:
+        for name, relation in self.relations.items():
+            if name not in self.failed and not relation(*corners):
+                self.failed[name] = witness()
+        self.rows.append(row)
 
-    scan_m(_laws_formulas(force, atom), row, budget=budget)
-    return LawsReport.of(rows)
+    def report(self, matrix: str, force: str, atom: str,
+               hyper: Optional[SquareReport] = None) -> OppositionReport:
+        checks = {name: RelationCheck(name not in self.failed, self.failed.get(name))
+                  for name in self.relations}
+        criterion = checks.pop("criterion").holds
+        return OppositionReport(matrix, force, atom, criterion, criterion, **checks,
+                                laws=LawsReport.of(self.rows), hyper=hyper)
 
 
 def criterion_holds(
@@ -243,12 +251,7 @@ def criterion_holds(
     this holds, the whole square of opposition does. With a fixed nonstandard
     generator it reduces to the generator's components being disjoint.
     """
-    if space.matrix == "m":
-        p = Atom(atom)
-        return entails(Force(force, Not(p)), Not(Force(force, p)), space).holds
-    if space.mode is MBMode.FREE:
-        raise ValueError("the square needs a content-linked mode, not FREE")
-    return _square_mb(force, atom, space, generator).criterion_holds
+    return square_for_force(force, atom, space, generator=generator).criterion_holds
 
 
 def square_for_force(
@@ -267,40 +270,17 @@ def square_for_force(
 
 
 def _square_m(force: str, atom: str, space: CheckSpace) -> OppositionReport:
-    corners = _corner_formulas(force, atom)
+    """The square, its criterion and one law row per assignment from one scan of the atom."""
+    square = _Square(SQUARE_RELATIONS)
 
-    def quantify(condition) -> RelationCheck:
-        # condition(success, failure) gets one flag per corner, in corner order
-        def fails(_, codes: list[int]) -> Optional[bool]:
-            success = [c == HALF_CODE for c in codes]
-            failure = [c == NEG_HALF_CODE for c in codes]
-            return None if condition(success, failure) else True
+    def visit(scan: MScan, codes: list[int]) -> None:
+        em, lc = codes[4:]
+        row = LawRow(f"{atom}={scan.assignment()[atom]}", str(CARRIER[em]), str(CARRIER[lc]),
+                     em == ONE_CODE, lc == ONE_CODE)
+        square.add(codes[:4], lambda: {"atom_values": scan.assignment()}, row)
 
-        first = scan_m(corners, fails, budget=space.budget)
-        if first is None:
-            return RelationCheck(True)
-        return RelationCheck(False, {"atom_values": first[0]})
-
-    # corners: F(p), F(~p), ~F(~p), ~F(p)
-    contrary = quantify(lambda s, u: not (s[0] and s[1]))
-    contradictory = quantify(lambda s, u: s[0] == u[3] and s[1] == u[2])
-    subcontrary = quantify(lambda s, u: not (u[3] and u[2]))
-    subaltern_left = quantify(lambda s, u: s[2] if s[0] else True)
-    subaltern_right = quantify(lambda s, u: s[3] if s[1] else True)
-    criterion = entails(corners[1], corners[3], space).holds
-    return OppositionReport(
-        matrix="m",
-        force=force,
-        atom=atom,
-        square_holds=criterion,
-        criterion_holds=criterion,
-        contrary=contrary,
-        contradictory=contradictory,
-        subcontrary=subcontrary,
-        subaltern_left=subaltern_left,
-        subaltern_right=subaltern_right,
-        laws=_laws_report_m(force, atom, space.budget),
-    )
+    scan_m(_square_formulas(force, atom), visit, budget=space.budget)
+    return square.report("m", force, atom)
 
 
 def _square_mb(
@@ -320,35 +300,24 @@ def _square_mb(
         # one valuation, like `eval`: no budget applies
         slot_filter, budget = (lambda key, domain: (generator,)), DEFAULT_BUDGET
     ops = packed_ops(space.algebra.k)
-    relations = square_relations(ops)
-    failed: dict[str, HyperValue] = {}
-    rows: list[LawRow] = []
+    square = _Square(square_relations(ops))
     text: dict[int, str] = {}  # printed values, by code
     squares: list[SquareReport] = []
 
     def visit(scan: MBScan, codes: list[int]) -> None:
         corners, (em, lc) = codes[:4], codes[4:]
-        for name, relation in relations.items():
-            if name not in failed and not relation(*corners):
-                failed[name] = scan.decode(corners[0])
         for code in (corners[0], em, lc):
             if code not in text:
                 text[code] = str(scan.decode(code))
-        rows.append(LawRow(f"generator={text[corners[0]]}", text[em], text[lc],
-                           em == ops.top, lc == ops.top))
+        row = LawRow(f"generator={text[corners[0]]}", text[em], text[lc],
+                     em == ops.top, lc == ops.top)
+        square.add(corners, lambda: {"generator": hyper_to_json(scan.decode(corners[0]))}, row)
         if generator is not None:
             squares.append(square_from_corners(space.algebra, *corners))
 
-    formulas = [*_corner_formulas(force, atom), *_laws_formulas(force, atom)]
-    scan_mb(formulas, space.algebra, space.mode, visit, budget=budget, slot_filter=slot_filter)
-    checks = {
-        name: RelationCheck(False, {"generator": hyper_to_json(failed[name])})
-        if name in failed else RelationCheck(True)
-        for name in relations
-    }
-    criterion = checks.pop("criterion").holds
-    return OppositionReport("mb", force, atom, criterion, criterion, **checks,
-                            laws=LawsReport.of(rows), hyper=squares[0] if squares else None)
+    scan_mb(_square_formulas(force, atom), space.algebra, space.mode, visit,
+            budget=budget, slot_filter=slot_filter)
+    return square.report("mb", force, atom, squares[0] if squares else None)
 
 
 def laws_report(
@@ -359,8 +328,6 @@ def laws_report(
     generator: Optional[HyperValue] = None,
 ) -> LawsReport:
     """Values and designation of the two square corollaries, never asserted."""
-    if space.matrix == "m":
-        return _laws_report_m(force, atom, space.budget)
-    if space.mode is MBMode.FREE:
+    if space.matrix == "mb" and space.mode is MBMode.FREE:
         raise ValueError("the laws need a content-linked mode, not FREE")
-    return _square_mb(force, atom, space, generator).laws
+    return square_for_force(force, atom, space, generator=generator).laws

@@ -41,16 +41,16 @@ def first_hit(
     predicate: Callable[[tuple], Any],
     *,
     budget: int = DEFAULT_BUDGET,
-) -> Optional[tuple[dict, Any]]:
-    """First (assignment, payload), in scan order, for which predicate hits.
+) -> Optional[tuple[tuple, Any]]:
+    """First (values, payload), in scan order, for which predicate hits.
 
     The predicate gets the tuple of slot values, in slot order, and returns
     None for a miss and any other value for a hit; that value rides along in
-    the result, with the hit's assignment as a dict from slot key to value.
+    the result, with the hit's values tuple.
     """
     check_budget(space_size(slots), budget)
     for values in itertools.product(*(slot.domain for slot in slots)):
         payload = predicate(values)
         if payload is not None:
-            return dict(zip((slot.key for slot in slots), values)), payload
+            return values, payload
     return None

@@ -94,7 +94,7 @@ class ForceDecl:
     point: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.fullmatch(self.name):
+        if not IDENT_RE.fullmatch(self.name):
             raise ValueError(f"bad force name: {self.name!r}")
         if self.point is not None and self.point not in ILLOCUTIONARY_POINTS:
             raise ValueError(
@@ -115,7 +115,7 @@ class ForceDecl:
 
 # --- tokenizer ---
 
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
+IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")  # the name of an atom, act or force
 _PUNCT = {"~", "&", "|", "(", ")", "[", "]", "=", ";"}
 
 
@@ -157,7 +157,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        m = _IDENT_RE.match(text, i)
+        m = IDENT_RE.match(text, i)
         if m:
             word = m.group()
             tokens.append(_Token("ident", word, line, col, i))

@@ -353,6 +353,20 @@ class TestBadInput:
         assert "must be at least" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "option,value",
+        [("--atom", ""), ("--atom", "P"), ("--atom", "p q"), ("--force", "F"),
+         ("--force", "think]"), ("--force", "")],
+    )
+    @pytest.mark.parametrize("matrix", ["m", "mb"])
+    def test_square_takes_only_names_of_the_language(self, capsys, option, value, matrix):
+        with pytest.raises(SystemExit) as exit_:
+            main(["square", "--matrix", matrix, f"{option}={value}"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: expected a name" in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [["fmt", DEEP_PARENTHESES], ["taut", "--matrix", "m", DEEP_FORCES]],
         ids=["fmt-parentheses", "taut-forces"],

@@ -41,7 +41,8 @@ from illoc.matrix_mb import (
     find_idempotence_counterexample,
     find_neg_swap_counterexample,
     is_tautology_mb,
-    requirements,
+    scan_mb,
+    slot_keys,
     unfold_cyclic,
     valuation_from_json,
     valuation_to_json,
@@ -299,19 +300,48 @@ def _classical_element(f, e):
     raise TypeError(f)
 
 
+def _scanned_keys(formulas, mode):
+    """The slot keys scan_mb hands its verdict, in scan order."""
+    seen = []
+
+    def stop(scan, codes):
+        seen.extend(scan.keys)
+        return True
+
+    scan_mb(formulas, K1, mode, stop)
+    return seen
+
+
 class TestRequirements:
+    """What a formula reads from a valuation: the slot keys scan_mb scans."""
+
     def test_atoms_only_where_evaluated(self):
         f = _schema_formulas()["and-split"]
-        free = requirements(f, MBMode.FREE)
-        assert free.atoms == () and len(free.acts) == 3
-        pw = requirements(f, MBMode.POINTWISE)
-        assert pw.atoms == () and pw.generators == (("f", "p"), ("f", "q"))
+        free = slot_keys([f], MBMode.FREE)
+        assert [key[0] for key in free] == ["act"] * 3
+        pw = slot_keys([f], MBMode.POINTWISE)
+        assert pw == [("gen", "f", "p"), ("gen", "f", "q")]
 
     def test_nested_forces_need_signatures(self):
         f = parse_formula("[a]([b](p))")
-        reqs = requirements(f, MBMode.POINTWISE)
-        assert reqs.signatures == ("a",)
-        assert reqs.generators == (("b", "p"),)
+        assert slot_keys([f], MBMode.POINTWISE) == [("gen", "b", "p"), ("sig", "a")]
+
+    @pytest.mark.parametrize("text,mode,expected", [
+        ("[f](p) & q", MBMode.POINTWISE, [("atom", "q"), ("gen", "f", "p")]),
+        ("[f](p) & q", MBMode.FREE, [("atom", "q"), ("act", "[f](p)")]),
+        ("[a]([b](p)) & [c](q)", MBMode.CONNECTIVE,
+         [("gen", "b", "p"), ("gen", "c", "q"), ("sig", "a")]),
+    ])
+    def test_scan_order_is_by_kind_not_first_seen(self, text, mode, expected):
+        f = parse_formula(text)
+        assert slot_keys([f], mode) == expected
+        assert _scanned_keys([f], mode) == expected
+
+    def test_keys_of_several_formulas_are_merged_first_seen(self):
+        formulas = [parse_formula("[g](q) & r"), parse_formula("[f](p) & q")]
+        expected = [("atom", "r"), ("atom", "q"), ("gen", "g", "q"), ("gen", "f", "p")]
+        assert slot_keys(formulas, MBMode.POINTWISE) == expected
+        assert _scanned_keys(formulas, MBMode.POINTWISE) == expected
 
 
 class TestTautologyStatuses:

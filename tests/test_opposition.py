@@ -5,6 +5,7 @@ import pytest
 import illoc.matrix_mb
 from illoc.boolalg import AlgebraSpec, meet
 from illoc.hyper import enumerate_nonstandard, hyper, hyper_to_json, square_report, standard
+from illoc.matrix_m import CARRIER, SQUARE_RELATIONS
 from illoc.matrix_mb import MBMode, StandardAssignment
 from illoc.search import BudgetExceeded
 from illoc.opposition import (
@@ -15,6 +16,7 @@ from illoc.opposition import (
     square_for_force,
 )
 from illoc.syntax import parse_formula
+import m_oracle
 import mb_oracle as O
 
 K2 = AlgebraSpec(("a", "b"))
@@ -102,6 +104,79 @@ class TestSquareMatrixM:
         assert report.values_coincide
         assert not report.excluded_middle_always_designated
         assert not report.contrariety_always_designated
+
+
+# The m square on the values of F(p), F(~p), ~F(~p), ~F(p), as m_oracle strings:
+# success is the value 1/2 and failure -1/2.
+M_RELATIONS = {
+    "contrary": lambda fp, fnp, nfnp, nfp: not (fp == m_oracle.HALF and fnp == m_oracle.HALF),
+    "contradictory": lambda fp, fnp, nfnp, nfp: (
+        (fp == m_oracle.HALF) == (nfp == m_oracle.NEG_HALF)
+        and (fnp == m_oracle.HALF) == (nfnp == m_oracle.NEG_HALF)
+    ),
+    "subcontrary": lambda fp, fnp, nfnp, nfp: not (
+        nfp == m_oracle.NEG_HALF and nfnp == m_oracle.NEG_HALF
+    ),
+    "subaltern_left": lambda fp, fnp, nfnp, nfp: nfnp == m_oracle.HALF or fp != m_oracle.HALF,
+    "subaltern_right": lambda fp, fnp, nfnp, nfp: nfp == m_oracle.HALF or fnp != m_oracle.HALF,
+}
+
+
+def m_oracle_square(force, atom):
+    """Relation witnesses, criterion and law rows of the m square, from m_oracle.
+
+    A relation's witness is its first failing assignment in the oracle's scan
+    order; the criterion is the oracle's entailment F(~p) <= ~F(p).
+    """
+    corners = [parse_formula(text.format(f=force, p=atom))
+               for text in ("[{f}]({p})", "[{f}](~{p})", "~[{f}](~{p})", "~[{f}]({p})")]
+    em = parse_formula(f"~[{force}](~{atom}) | ~[{force}]({atom})")
+    lc = parse_formula(f"~([{force}](~{atom}) & [{force}]({atom}))")
+    witnesses, rows = {name: None for name in M_RELATIONS}, []
+    for assignment in m_oracle.oracle_assignments(*corners):
+        values = [m_oracle.oracle_eval(f, assignment) for f in corners]
+        for name, relation in M_RELATIONS.items():
+            if witnesses[name] is None and not relation(*values):
+                witnesses[name] = {"atom_values": assignment}
+        em_value, lc_value = m_oracle.oracle_eval(em, assignment), m_oracle.oracle_eval(lc, assignment)
+        rows.append((f"{atom}={assignment[atom]}", em_value, lc_value,
+                     em_value == m_oracle.ONE, lc_value == m_oracle.ONE))
+    criterion = m_oracle.oracle_entails(corners[1], corners[3])[0]
+    return witnesses, criterion, rows
+
+
+class TestSquareMatrixMAgainstOracle:
+    @pytest.mark.parametrize("force", ["think", "f"])
+    @pytest.mark.parametrize("atom", ["p", "q"])
+    def test_relations_criterion_and_law_rows(self, force, atom):
+        witnesses, criterion, rows = m_oracle_square(force, atom)
+        report = square_for_force(force, atom, M_SPACE)
+        for name, witness in witnesses.items():
+            assert getattr(report, name).holds == (witness is None), name
+            assert getattr(report, name).witness == witness, name
+        assert report.criterion_holds == report.square_holds == criterion
+        assert criterion_holds(force, M_SPACE, atom=atom) == criterion
+        laws = laws_report(force, M_SPACE, atom=atom)
+        assert laws == report.laws
+        assert [(row.label, row.excluded_middle, row.contrariety,
+                 row.excluded_middle_designated, row.contrariety_designated)
+                for row in laws.rows] == rows
+
+    def test_relations_on_every_corner_tuple(self):
+        # a square scan reaches only two corner tuples; the definitions must agree on all 256
+        for codes in itertools.product(range(4), repeat=4):
+            values = [str(CARRIER[c]) for c in codes]
+            expected = {name: relation(*values) for name, relation in M_RELATIONS.items()}
+            expected["criterion"] = m_oracle.t_leq(values[1], values[3])
+            assert {name: relation(*codes) for name, relation in SQUARE_RELATIONS.items()} == expected
+
+    def test_budget_of_one_is_refused(self):
+        space = CheckSpace("m", budget=1)
+        with pytest.raises(BudgetExceeded):
+            square_for_force("think", "p", space)
+        for check in (criterion_holds, laws_report):
+            with pytest.raises(BudgetExceeded):
+                check("think", space)
 
 
 class TestSquareMatrixMB:
