@@ -37,11 +37,12 @@ def _used_names(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    unused = {name: line for name, line in _imported_names(tree).items()
-              if name not in _used_names(tree)}
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
 def test_the_lint_sees_an_unused_import():
-    tree = ast.parse("from functools import reduce, wraps\nimport os.path\n@wraps(len)\ndef f(): pass\n")
+    source = "from functools import reduce, wraps\nimport os.path\n@wraps(len)\ndef f(): pass\n"
+    tree = ast.parse(source)
     assert set(_imported_names(tree)) - _used_names(tree) == {"reduce", "os"}

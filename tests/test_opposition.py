@@ -138,7 +138,8 @@ def m_oracle_square(force, atom):
         for name, relation in M_RELATIONS.items():
             if witnesses[name] is None and not relation(*values):
                 witnesses[name] = {"atom_values": assignment}
-        em_value, lc_value = m_oracle.oracle_eval(em, assignment), m_oracle.oracle_eval(lc, assignment)
+        em_value = m_oracle.oracle_eval(em, assignment)
+        lc_value = m_oracle.oracle_eval(lc, assignment)
         rows.append((f"{atom}={assignment[atom]}", em_value, lc_value,
                      em_value == m_oracle.ONE, lc_value == m_oracle.ONE))
     criterion = m_oracle.oracle_entails(corners[1], corners[3])[0]
@@ -168,7 +169,8 @@ class TestSquareMatrixMAgainstOracle:
             values = [str(CARRIER[c]) for c in codes]
             expected = {name: relation(*values) for name, relation in M_RELATIONS.items()}
             expected["criterion"] = m_oracle.t_leq(values[1], values[3])
-            assert {name: relation(*codes) for name, relation in SQUARE_RELATIONS.items()} == expected
+            actual = {name: relation(*codes) for name, relation in SQUARE_RELATIONS.items()}
+            assert actual == expected, codes
 
     def test_budget_of_one_is_refused(self):
         space = CheckSpace("m", budget=1)
