@@ -25,7 +25,7 @@ def main():
     try:
         eval_mb(parsed.formula, MBValuation(spec), parsed.definitions)
     except CyclicAct as err:
-        print(f"direct evaluation: CyclicAct({err})")
+        print(f"direct evaluation: CyclicAct({err.args[0]})")
 
     seeds = {"*0": standard(spec.bottom()), "*1": standard(spec.top())}
     print("\nfinite unfoldings (value after k unfolding rounds):")

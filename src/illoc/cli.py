@@ -122,12 +122,23 @@ def _load_program(args, formula_text: Optional[str]):
         defs = result.definitions
         file_formula = result.formula
     if formula_text is not None:
-        formula = parse(formula_text).formula
+        formula = _parse_argument(formula_text, defs)
         if formula is None:
             raise ValueError("empty formula")
     else:
         formula = file_formula
     return defs, formula
+
+
+def _parse_argument(text: str, defs: dict):
+    """The formula of an argument that may reference the acts of defs.
+
+    The argument's own definitions join defs; defining an act that defs
+    already holds is a parse error, as within one program.
+    """
+    result = parse(text, defs)
+    defs.update(result.definitions)
+    return result.formula
 
 
 def _space(args, algebra: Optional[AlgebraSpec]) -> CheckSpace:
@@ -364,8 +375,8 @@ def _cmd_square(args) -> int:
 
 def _cmd_entail(args) -> int:
     defs, _ = _load_program(args, None)
-    lhs = parse(args.lhs).formula
-    rhs = parse(args.rhs).formula
+    lhs = _parse_argument(args.lhs, defs)
+    rhs = _parse_argument(args.rhs, defs)
     if lhs is None or rhs is None:
         raise ValueError("both sides must be formulas")
     algebra = _algebra_of(args) if args.matrix == "mb" else None

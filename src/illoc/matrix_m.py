@@ -27,6 +27,9 @@ from .syntax import And, Atom, Force, Formula, Implies, Not, Or, atoms_of, inlin
 class MissingAtom(ValueError):
     """The assignment does not cover an atom of the formula."""
 
+    def __str__(self) -> str:
+        return f"no value for atom {self.args[0]!r}"
+
 
 class TruthValue4(Enum):
     ONE = Fraction(1)

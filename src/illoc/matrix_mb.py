@@ -65,6 +65,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    UnknownActRef,
     detect_cycles,
     format_formula,
     inline_acts,
@@ -103,6 +104,9 @@ class StandardAssignment(ValueError):
 
 class NotCyclic(ValueError):
     """The named act is not part of any definition cycle."""
+
+    def __str__(self) -> str:
+        return f"act {self.args[0]!r} is in no cycle of definitions"
 
 
 class MBMode(Enum):
@@ -615,6 +619,8 @@ def unfold_cyclic(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     defs = dict(defs)
+    if act_name not in defs:
+        raise UnknownActRef(act_name)
     cyclic = {name for cycle in detect_cycles(defs) for name in cycle}
     if act_name not in cyclic:
         raise NotCyclic(act_name)

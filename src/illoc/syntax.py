@@ -10,15 +10,17 @@ Grammar (precedence ~ > & > | > ->, with -> right-associative):
 
 Identifiers are [a-z][a-z0-9_]*; "#" starts a line comment. An identifier
 parses as a reference to an act when the program defines an act of that name
-(definitions may be mutually recursive), otherwise as an atom. "act" is only
-a keyword where a definition can start.
+(definitions may be mutually recursive) or the caller names it as defined
+elsewhere, otherwise as an atom. "act" is only a keyword where a definition
+can start.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from itertools import islice
+from typing import Callable, Collection, Iterator, Mapping, Optional, Union
 
 
 class ParseError(Exception):
@@ -36,46 +38,52 @@ class ParseError(Exception):
 class UnknownActRef(ValueError):
     """A reference names an act with no definition."""
 
+    def __str__(self) -> str:
+        return f"no definition for act {self.args[0]!r}"
+
 
 class CyclicAct(ValueError):
     """A referenced act unfolds forever and has no finite inlining."""
 
+    def __str__(self) -> str:
+        return f"act {self.args[0]!r} is cyclic: its definition refers back to it"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Force:
     force: str
     content: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActRef:
     name: str
 
@@ -116,58 +124,50 @@ class ForceDecl:
 # --- tokenizer ---
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")  # the name of an atom, act or force
-_PUNCT = {"~", "&", "|", "(", ")", "[", "]", "=", ";"}
+
+# One match per token, past the whitespace and comments before it: an arrow,
+# a punctuation mark, an identifier, any other character (an error), or the
+# empty string at the end of the text.
+_TOKEN_RE = re.compile(r"\s*(?:#[^\n]*\s*)*(->|[~&|()\[\]=;]|[a-z][a-z0-9_]*|.|)", re.S)
+_SYNTAX = frozenset({"->", "~", "&", "|", "(", ")", "[", "]", "=", ";", ""})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # "ident", "punct", "arrow", "eof"
-    text: str
-    line: int
-    col: int
-    offset: int
+def _tokenize(text: str) -> tuple[list[str], set[str]]:
+    """The tokens of text, up to "" for the end of input, and its identifiers.
+
+    No positions are kept: only an error needs one, and `_error` finds it.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    idents = set(tokens).difference(_SYNTAX)
+    bad = [token for token in idents if not IDENT_RE.match(token)]
+    if bad:
+        index = min(map(tokens.index, bad))
+        raise _error(text, index, f"unexpected character {tokens[index]!r}")
+    return tokens, idents
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("arrow", "->", line, col, i))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col, i))
-            i += 1
-            col += 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(_Token("ident", word, line, col, i))
-            i = m.end()
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, i)
-    tokens.append(_Token("eof", "", line, col, n))
-    return tokens
+def _error(text: str, index: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """A ParseError at the index-th token of text, located only now."""
+    match = next(islice(_TOKEN_RE.finditer(text), index, None))
+    offset = at = match.start(1)
+    if not match.group(1):
+        # the end of input: its column is that of a trailing comment's "#"
+        comment = text.find("#", text.rfind("\n") + 1)
+        if comment >= 0:
+            at = comment
+    line_start = text.rfind("\n", 0, at) + 1
+    return ParseError(message, text.count("\n", 0, at) + 1, at - line_start + 1, offset,
+                      expected)
 
+
+def _unexpected(text: str, tokens: list[str], index: int,
+                expected: tuple[str, ...]) -> ParseError:
+    token = tokens[index]
+    shown = repr(token) if token else "end of input"
+    return _error(text, index, f"unexpected {shown}", expected)
+
+
+# --- parser ---
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -175,129 +175,108 @@ class ParseResult:
     formula: Optional[Formula]
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str, expected: tuple[str, ...] = ()) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(expected or (f"'{text}'",))
-        return self.take()
-
-    def fail(self, expected: tuple[str, ...]) -> None:
-        tok = self.peek()
-        shown = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise ParseError(f"unexpected {shown}", tok.line, tok.col, tok.offset, expected)
-
-    def at_definition(self) -> bool:
-        return (
-            self.peek().kind == "ident"
-            and self.peek().text == "act"
-            and self.peek(1).kind == "ident"
-            and self.peek(2).text == "="
-        )
-
-    def program(self) -> ParseResult:
-        defs: ActDefs = {}
-        while self.at_definition():
-            self.take()  # "act"
-            name_tok = self.take()
-            if name_tok.text in defs:
-                raise ParseError(
-                    f"duplicate act definition {name_tok.text!r}",
-                    name_tok.line, name_tok.col, name_tok.offset,
-                )
-            self.expect("=")
-            body = self.formula()
-            self.expect(";", ("';'",))
-            defs[name_tok.text] = body
-        main = None
-        if self.peek().kind != "eof":
-            main = self.formula()
-        if self.peek().kind != "eof":
-            self.fail(("end of input", "'->'", "'&'", "'|'"))
-        names = frozenset(defs)
-        defs = {name: _bind_refs(body, names) for name, body in defs.items()}
-        main = _bind_refs(main, names) if main is not None else None
-        return ParseResult(defs, main)
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().text == "->":
-            self.take()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().text == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek().text == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "~":
-            self.take()
-            return Not(self.unary())
-        if tok.text == "[":
-            self.take()
-            name_tok = self.peek()
-            if name_tok.kind != "ident":
-                self.fail(("force name",))
-            self.take()
-            self.expect("]")
-            self.expect("(", ("'(' around the force's content",))
-            content = self.formula()
-            self.expect(")")
-            return Force(name_tok.text, content)
-        if tok.text == "(":
-            self.take()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            self.take()
-            return Atom(tok.text)
-        self.fail(("'~'", "'['", "'('", "identifier"))
-        raise AssertionError("unreachable")
+_BINARY = {"&": And, "|": Or, "->": Implies}
+# the operators a binary operator reduces before it is pushed: "&" binds
+# tightest, "&" and "|" group to the left and "->" to the right
+_REDUCES = {"&": ("&",), "|": ("&", "|"), "->": ("&", "|")}
+_OPERAND = ("'~'", "'['", "'('", "identifier")
 
 
-def _bind_refs(f: Formula, names: frozenset[str]) -> Formula:
-    return substitute(f, lambda leaf: ActRef(leaf.name) if leaf.name in names else leaf)
+def _formula(text: str, tokens: list[str], pos: int,
+             leaves: Mapping[str, Formula]) -> tuple[Formula, int]:
+    """The formula that starts at tokens[pos], and the position after it.
+
+    Operator precedence over an explicit stack, so nesting costs list entries
+    rather than Python frames. `stack` holds the open "~", "(", "[" (a
+    force's "[f](") and binary operators above a None; `pending` holds each
+    binary operator's left operand and each open force's name.
+    """
+    stack: list = [None]
+    pending: list = []
+    while True:
+        token = tokens[pos]
+        node = leaves.get(token)
+        if node is None:
+            if token == "~" or token == "(":
+                stack.append(token)
+                pos += 1
+            elif token == "[":
+                if tokens[pos + 1] not in leaves:
+                    raise _unexpected(text, tokens, pos + 1, ("force name",))
+                if tokens[pos + 2] != "]":
+                    raise _unexpected(text, tokens, pos + 2, ("']'",))
+                if tokens[pos + 3] != "(":
+                    raise _unexpected(text, tokens, pos + 3, ("'(' around the force's content",))
+                stack.append("[")
+                pending.append(tokens[pos + 1])
+                pos += 4
+            else:
+                raise _unexpected(text, tokens, pos, _OPERAND)
+            continue
+        pos += 1
+        while True:  # an operand is complete: close what it completes
+            while stack[-1] == "~":
+                stack.pop()
+                node = Not(node)
+            token = tokens[pos]
+            if token in _BINARY:
+                reduces = _REDUCES[token]
+                while stack[-1] in reduces:
+                    node = _BINARY[stack.pop()](pending.pop(), node)
+                stack.append(token)
+                pending.append(node)
+                pos += 1
+                break
+            while stack[-1] in _BINARY:
+                node = _BINARY[stack.pop()](pending.pop(), node)
+            opener = stack.pop()
+            if opener is None:
+                return node, pos
+            if token != ")":
+                raise _unexpected(text, tokens, pos, ("')'",))
+            pos += 1
+            if opener == "[":
+                node = Force(pending.pop(), node)
 
 
-def parse(text: str) -> ParseResult:
-    """Parse a program: act definitions followed by an optional formula."""
-    return _Parser(_tokenize(text)).program()
+def parse(text: str, acts: Collection[str] = frozenset()) -> ParseResult:
+    """Parse a program: act definitions followed by an optional formula.
+
+    `acts` names acts defined elsewhere, such as in a definitions file: they
+    are referenced like the program's own, and defining one again is a
+    duplicate definition.
+    """
+    tokens, idents = _tokenize(text)
+    # in a program that parses, "=" follows exactly the names it defines
+    names = {tokens[i - 1] for i, token in enumerate(tokens) if token == "="}.union(acts)
+    # one leaf per name, shared by all its occurrences (nodes are immutable)
+    leaves = {name: ActRef(name) if name in names else Atom(name) for name in idents}
+    definitions: ActDefs = {}
+    pos = 0
+    while tokens[pos] == "act" and tokens[pos + 1] in leaves and tokens[pos + 2] == "=":
+        name = tokens[pos + 1]
+        if name in definitions or name in acts:
+            raise _error(text, pos + 1, f"duplicate act definition {name!r}")
+        body, pos = _formula(text, tokens, pos + 3, leaves)
+        if tokens[pos] != ";":
+            raise _unexpected(text, tokens, pos, ("';'",))
+        definitions[name] = body
+        pos += 1
+    main = None
+    if tokens[pos]:
+        main, pos = _formula(text, tokens, pos, leaves)
+        if tokens[pos]:
+            raise _unexpected(text, tokens, pos, ("end of input", "'->'", "'&'", "'|'"))
+    return ParseResult(definitions, main)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a single formula (no definitions allowed)."""
     result = parse(text)
     if result.formula is None:
-        tok = _tokenize(text)[-1]
-        raise ParseError("empty formula", tok.line, tok.col, tok.offset, ("a formula",))
+        tokens, _ = _tokenize(text)
+        raise _error(text, tokens.index(""), "empty formula", ("a formula",))
     return result.formula
-
 
 # --- printer ---
 
@@ -456,8 +435,8 @@ def detect_cycles(defs: Mapping[str, Formula]) -> list[list[str]]:
 def substitute(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
     """f rebuilt with every `Atom`/`ActRef` leaf replaced by leaf(node).
 
-    One Python frame per tree level, so the nesting it handles is what the
-    parser's own recursion handles.
+    One Python frame per tree level, so a tree nested deeper than the
+    recursion limit allows raises RecursionError here, not in the parser.
     """
     if isinstance(f, (Atom, ActRef)):
         return leaf(f)

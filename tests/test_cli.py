@@ -14,12 +14,23 @@ CYCLIC = "act x = [promise](~x);\n"
 DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
 DEEP_FORCES = "[f](" * 300 + "p" + ")" * 300
 DEEP_NEGATIONS = "~" * 300 + "p"
+# deeper than the recursion limit lets the printer or the compiler go
+TOO_DEEP_FORCES = "[f](" * 3000 + "p" + ")" * 3000
+TOO_DEEP_NEGATIONS = "~" * 3000 + "p"
+THINK_P = "act x = [think](p);\n"
 
 
 @pytest.fixture
 def cyclic_defs(tmp_path):
     path = tmp_path / "cyclic.illoc"
     path.write_text(CYCLIC, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def think_defs(tmp_path):
+    path = tmp_path / "think.illoc"
+    path.write_text(THINK_P, encoding="utf-8")
     return str(path)
 
 
@@ -78,11 +89,63 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--matrix", "m", "[think](p)")
         assert code == 3  # missing atom assignment
 
+    def test_missing_atom_is_named_as_an_atom(self, capsys):
+        code, out, err = run(capsys, "eval", "--matrix", "m", "--assign", "p=1", "p & q")
+        assert (code, out, err) == (3, "", "error: no value for atom 'q'\n")
+
     def test_cyclic_act_is_semantic_error(self, capsys, cyclic_defs):
         code, _, err = run(
             capsys, "eval", "--matrix", "mb", "--defs", cyclic_defs, "x"
         )
         assert code == 3
+        assert err == "error: act 'x' is cyclic: its definition refers back to it\n"
+
+
+class TestDefinitionBinding:
+    """A formula argument reads the --defs file's acts and may define its own."""
+
+    def test_defs_file_act_is_not_an_atom(self, capsys, think_defs):
+        code, out, err = run(capsys, "taut", "--matrix", "m", "--defs", think_defs, "x -> p")
+        assert (code, out, err) == (0, "tautology\n", "")
+
+    def test_inline_definitions_are_kept(self, capsys):
+        code, out, err = run(capsys, "taut", "--matrix", "m", "act x = [think](p); x -> p")
+        assert (code, out, err) == (0, "tautology\n", "")
+
+    def test_inline_definitions_join_the_file(self, capsys, think_defs):
+        code, out, _ = run(
+            capsys, "taut", "--matrix", "m", "--defs", think_defs, "act y = ~x; y -> ~p",
+        )
+        assert (code, out) == (0, "tautology\n")
+
+    def test_eval_reads_the_defs_file(self, capsys, think_defs):
+        code, out, err = run(
+            capsys, "eval", "--matrix", "m", "--defs", think_defs, "--assign", "p=1", "x"
+        )
+        assert (code, out, err) == (0, "1/2 successful-performance\n", "")
+
+    def test_table_reads_the_defs_file(self, capsys, think_defs):
+        code, out, _ = run(capsys, "table", "--matrix", "m", "--defs", think_defs, "x")
+        assert code == 0
+        assert out.splitlines() == [
+            "p=0  -1/2  unsuccessful-performance",
+            "p=1  1/2  successful-performance",
+        ]
+
+    def test_entail_sides_read_the_defs_file(self, capsys, think_defs):
+        code, out, _ = run(capsys, "entail", "--matrix", "m", "--defs", think_defs, "x", "p")
+        assert (code, out) == (0, "entails\n")
+
+    def test_entail_side_may_define_an_act(self, capsys):
+        code, out, _ = run(capsys, "entail", "--matrix", "m", "act y = [think](p); y", "p")
+        assert (code, out) == (0, "entails\n")
+
+    def test_redefining_a_file_act_is_a_duplicate(self, capsys, think_defs):
+        code, out, err = run(
+            capsys, "taut", "--matrix", "m", "--defs", think_defs, "act x = p; x",
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: duplicate act definition 'x' at 1:5\n"
 
 
 class TestTaut:
@@ -276,6 +339,14 @@ class TestUnfold:
             "--steps", "2", "--seed", "standard:0",
         )
         assert code == 3
+        assert err == "error: act 'x' is in no cycle of definitions\n"
+
+    def test_undefined_act_is_named(self, capsys, cyclic_defs):
+        code, out, err = run(
+            capsys, "unfold", "--defs", cyclic_defs, "--act", "nosuch",
+            "--steps", "2", "--seed", "standard:0",
+        )
+        assert (code, out, err) == (3, "", "error: no definition for act 'nosuch'\n")
 
     def test_json_output(self, capsys, cyclic_defs):
         code, out, _ = run(
@@ -368,8 +439,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [["fmt", DEEP_PARENTHESES], ["taut", "--matrix", "m", DEEP_FORCES]],
-        ids=["fmt-parentheses", "taut-forces"],
+        [["fmt", TOO_DEEP_NEGATIONS], ["taut", "--matrix", "m", TOO_DEEP_FORCES]],
+        ids=["fmt-negations", "taut-forces"],
     )
     def test_deep_nesting_is_refused_without_a_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -386,8 +457,11 @@ class TestBadInput:
              "refuted with value *0"),
             (["eval", "--matrix", "m", "--assign", "p=1", DEEP_NEGATIONS], 0, "1 true-sentence"),
             (["table", "--matrix", "m", DEEP_NEGATIONS], 0, "p=0  0  false-sentence"),
+            (["fmt", DEEP_PARENTHESES], 0, "p"),
+            (["taut", "--matrix", "m", DEEP_FORCES], 1, "refuted at p=0 with value -1/2"),
         ],
-        ids=["fmt", "taut-m", "taut-mb", "eval-m", "table-m"],
+        ids=["fmt", "taut-m", "taut-mb", "eval-m", "table-m", "fmt-parentheses",
+             "taut-forces"],
     )
     def test_deep_negation_is_answered(self, capsys, argv, exit_code, first_line):
         code, out, err = run(capsys, *argv)
@@ -449,7 +523,7 @@ class TestModuleEntryPoint:
         [
             ("p -> [think](p)", 1, "refuted at p=0 with value 1/2\n"),
             ("[think](p) -> p", 0, "tautology\n"),
-            (DEEP_FORCES, 3, ""),
+            (TOO_DEEP_FORCES, 3, ""),
         ],
         ids=["refuted", "tautology", "deep-forces"],
     )

@@ -115,6 +115,149 @@ class TestParseErrors:
         assert err.value.col == 1
 
 
+# (function, text, (message, line, col, offset, expected)) for every place
+# the parser reports an error, recorded from the recursive-descent parser
+# that the explicit-stack one replaced. Columns count characters, tabs and
+# "\r" included; at the end of input after a trailing comment the column is
+# that of its "#".
+PARSE_ERRORS = [
+    ('parse', 'p -> $',
+     ("unexpected character '$'", 1, 6, 5, ())),
+    ('parse', 'p é q',
+     ("unexpected character 'é'", 1, 3, 2, ())),
+    ('parse', 'P',
+     ("unexpected character 'P'", 1, 1, 0, ())),
+    ('parse', 'a-b',
+     ("unexpected character '-'", 1, 2, 1, ())),
+    ('parse', 'p\r\n& $',
+     ("unexpected character '$'", 2, 3, 5, ())),
+    ('parse', '(p &\n q) $ # $ in a comment is fine',
+     ("unexpected character '$'", 2, 5, 9, ())),
+    ('parse', '[f p](q)',
+     ("unexpected 'p'", 1, 4, 3, ("']'",))),
+    ('parse', '[f] p',
+     ("unexpected 'p'", 1, 5, 4, ("'(' around the force's content",))),
+    ('parse', '[f]',
+     ('unexpected end of input', 1, 4, 3, ("'(' around the force's content",))),
+    ('parse', '[](p)',
+     ("unexpected ']'", 1, 2, 1, ('force name',))),
+    ('parse', '[~](p)',
+     ("unexpected '~'", 1, 2, 1, ('force name',))),
+    ('parse', '(p -> q',
+     ('unexpected end of input', 1, 8, 7, ("')'",))),
+    ('parse', '[f](p',
+     ('unexpected end of input', 1, 6, 5, ("')'",))),
+    ('parse', '[f](p q)',
+     ("unexpected 'q'", 1, 7, 6, ("')'",))),
+    ('parse', '((p)',
+     ('unexpected end of input', 1, 5, 4, ("')'",))),
+    ('parse', 'act x = p',
+     ('unexpected end of input', 1, 10, 9, ("';'",))),
+    ('parse', 'act x = p q;',
+     ("unexpected 'q'", 1, 11, 10, ("';'",))),
+    ('parse', 'act x = p;\nact y = q)',
+     ("unexpected ')'", 2, 10, 20, ("';'",))),
+    ('parse', 'act x = p; act x = q; x',
+     ("duplicate act definition 'x'", 1, 16, 15, ())),
+    ('parse', 'act x = p;\nact y = q;\n  act x = r;',
+     ("duplicate act definition 'x'", 3, 7, 28, ())),
+    ('parse', 'p q',
+     ("unexpected 'q'", 1, 3, 2, ('end of input', "'->'", "'&'", "'|'"))),
+    ('parse', 'p )',
+     ("unexpected ')'", 1, 3, 2, ('end of input', "'->'", "'&'", "'|'"))),
+    ('parse', '[f](p))',
+     ("unexpected ')'", 1, 7, 6, ('end of input', "'->'", "'&'", "'|'"))),
+    ('parse', 'act x = p; act y q',
+     ("unexpected 'y'", 1, 16, 15, ('end of input', "'->'", "'&'", "'|'"))),
+    ('parse', 'p &',
+     ('unexpected end of input', 1, 4, 3, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', '~',
+     ('unexpected end of input', 1, 2, 1, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', '()',
+     ("unexpected ')'", 1, 2, 1, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', 'p -> ;',
+     ("unexpected ';'", 1, 6, 5, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', '= p',
+     ("unexpected '='", 1, 1, 0, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', 'p & |',
+     ("unexpected '|'", 1, 5, 4, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', 'act x = ;',
+     ("unexpected ';'", 1, 9, 8, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', 'p &  # trailing comment',
+     ('unexpected end of input', 1, 6, 23, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', 'p &\r\n& q',
+     ("unexpected '&'", 2, 1, 5, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', '\tp\t&\t',
+     ('unexpected end of input', 1, 6, 5, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', '\t\t~\t)',
+     ("unexpected ')'", 1, 5, 4, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse', 'act & act act',
+     ("unexpected 'act'", 1, 11, 10, ('end of input', "'->'", "'&'", "'|'"))),
+    ('parse', 'act x = act act;',
+     ("unexpected 'act'", 1, 13, 12, ("';'",))),
+    ('parse', 'act act = p; act =',
+     ("unexpected '='", 1, 18, 17, ('end of input', "'->'", "'&'", "'|'"))),
+    ('parse', 'p &\n# last line',
+     ('unexpected end of input', 2, 1, 15, ("'~'", "'['", "'('", 'identifier'))),
+    ('parse_formula', '',
+     ('empty formula', 1, 1, 0, ('a formula',))),
+    ('parse_formula', '# nothing here',
+     ('empty formula', 1, 1, 14, ('a formula',))),
+    ('parse_formula', 'act x = p;',
+     ('empty formula', 1, 11, 10, ('a formula',))),
+    ('parse_formula', 'act x = p;\r\n\t# only a definition',
+     ('empty formula', 2, 2, 32, ('a formula',))),
+    ('parse_formula', '  \n\n   ',
+     ('empty formula', 3, 4, 7, ('a formula',))),
+]
+
+
+@pytest.mark.parametrize("function,text,error", PARSE_ERRORS)
+def test_parse_error_table(function, text, error):
+    with pytest.raises(ParseError) as raised:
+        {"parse": parse, "parse_formula": parse_formula}[function](text)
+    e = raised.value
+    assert (e.message, e.line, e.col, e.offset, e.expected) == error
+
+
+class TestActsDefinedElsewhere:
+    def test_names_bind_as_references(self):
+        result = parse("x -> p", acts={"x"})
+        assert result.formula == Implies(ActRef("x"), Atom("p"))
+        assert result.definitions == {}
+
+    def test_own_definitions_reference_them(self):
+        result = parse("act y = ~x; y", acts={"x"})
+        assert result.definitions == {"y": Not(ActRef("x"))}
+        assert result.formula == ActRef("y")
+
+    def test_redefinition_is_a_duplicate(self):
+        with pytest.raises(ParseError) as raised:
+            parse("act y = p;\nact x = q; x", acts={"x"})
+        e = raised.value
+        assert (e.message, e.line, e.col, e.offset) == ("duplicate act definition 'x'", 2, 5, 15)
+
+
+class TestDeepNesting:
+    def test_parentheses(self):
+        depth = 100_000
+        assert parse_formula("(" * depth + "p" + ")" * depth) == Atom("p")
+
+    def test_negations_and_forces(self):
+        depth = 100_000
+        f = parse_formula("~[f](" * depth + "p" + ")" * depth)
+        for _ in range(depth):
+            assert isinstance(f, Not) and isinstance(f.body, Force)
+            f = f.body.content
+        assert f == Atom("p")
+
+    def test_unclosed_parentheses_report_the_end(self):
+        depth = 100_000
+        with pytest.raises(ParseError) as raised:
+            parse("(" * depth + "p" + ")" * (depth - 1))
+        assert (raised.value.col, raised.value.expected) == (2 * depth + 1, ("')'",))
+
+
 class TestPrinter:
     def test_parenthesizes_lower_precedence(self):
         assert format_formula(And(Atom("p"), Or(Atom("q"), Atom("r")))) == "p & (q | r)"
@@ -171,6 +314,69 @@ def formulas(draw, depth=5):
 @settings(max_examples=200)
 def test_round_trip_property(f):
     assert parse_formula(format_formula(f)) == f
+
+
+# whitespace, line breaks and comments between tokens
+_GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r\n", " # note ~ ( $\n", "\n\t# act x =\n"])
+_SPACE = st.sampled_from([" ", "\t", "\n", "\r\n", " # act\n"])  # at least one break
+
+
+@st.composite
+def _noisy_text(draw, f, context=0):
+    """f printed with random gaps and redundant parentheses; context as in `_fmt`."""
+    gap = lambda: draw(_GAPS)  # noqa: E731
+    if isinstance(f, (Atom, ActRef)):
+        text, prec = f.name, 5
+    elif isinstance(f, Force):
+        content = draw(_noisy_text(f.content))
+        text, prec = f"[{gap()}{f.force}{gap()}]{gap()}({gap()}{content}{gap()})", 5
+    elif isinstance(f, Not):
+        text, prec = "~" + gap() + draw(_noisy_text(f.body, 4)), 4
+    else:
+        op, prec, left_ctx, right_ctx = {
+            And: ("&", 3, 3, 4), Or: ("|", 2, 2, 3), Implies: ("->", 1, 2, 1),
+        }[type(f)]
+        left = draw(_noisy_text(f.left, left_ctx))
+        right = draw(_noisy_text(f.right, right_ctx))
+        text = f"{left}{gap()}{op}{gap()}{right}"
+    if prec < context or draw(st.integers(0, 5)) == 0:
+        text = f"({gap()}{text}{gap()})"
+    return text
+
+
+@st.composite
+def noisy_programs(draw):
+    names = ("x", "y", "z")[: draw(st.integers(0, 3))]
+    leaves = [Atom("p"), Atom("q"), Atom("act")] + [ActRef(n) for n in names]
+
+    def bodies(depth):
+        leaf = st.sampled_from(leaves)
+        if depth <= 0:
+            return leaf
+        sub = bodies(depth - 1)
+        return st.one_of(
+            leaf, st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+            st.builds(Implies, sub, sub), st.builds(Force, st.sampled_from(("f", "act")), sub),
+        )
+
+    defs = {name: draw(bodies(3)) for name in names}
+    main = draw(st.none() | bodies(3))
+    parts = [draw(_GAPS)]
+    for name, body in defs.items():
+        parts += ["act", draw(_SPACE), name, draw(_GAPS), "=", draw(_GAPS),
+                  draw(_noisy_text(body)), draw(_GAPS), ";", draw(_GAPS)]
+    if main is not None:
+        parts += [draw(_noisy_text(main)), draw(_GAPS)]
+    return defs, main, "".join(parts)
+
+
+@given(noisy_programs())
+@settings(max_examples=150, derandomize=True)
+def test_noisy_program_parses_back(program):
+    defs, main, text = program
+    result = parse(text)
+    assert list(result.definitions.items()) == list(defs.items())
+    assert result.formula == main
 
 
 @given(formulas())
