@@ -421,23 +421,17 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    if args.formula is not None:
-        text = args.formula
-    elif args.defs:
-        with open(args.defs, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
+    if args.formula is None and not args.defs:
         raise ValueError("nothing to format")
-    result = parse(text)
-    rendered = format_program(result.definitions, result.formula)
+    defs, formula = _load_program(args, None)
+    if args.formula is not None:
+        formula = _parse_argument(args.formula, defs)
     payload = {
-        "definitions": {
-            name: format_formula(body) for name, body in result.definitions.items()
-        },
-        "formula": None if result.formula is None else format_formula(result.formula),
-        "ast": None if result.formula is None else formula_to_json(result.formula),
+        "definitions": {name: format_formula(body) for name, body in defs.items()},
+        "formula": None if formula is None else format_formula(formula),
+        "ast": None if formula is None else formula_to_json(formula),
     }
-    _emit(args, payload, rendered)
+    _emit(args, payload, format_program(defs, formula))
     return 0
 
 

@@ -121,7 +121,10 @@ def is_standard(h: HyperValue) -> bool:
 
 
 class PackedOps(NamedTuple):
-    """Every operation on the packed values of a k-atom algebra."""
+    """Every operation on the packed values of a k-atom algebra.
+
+    neg and content_neg ignore a second operand, as a register program passes one.
+    """
 
     top: int  # the standard top
     is_standard: Callable[[int], bool]
@@ -146,10 +149,10 @@ def packed_ops(k: int) -> PackedOps:
     def is_standard(h):
         return h & low == h >> k
 
-    def neg(h):  # pointwise complement
+    def neg(h, _=None):  # pointwise complement
         return h ^ full
 
-    def content_neg(h):  # precompose with complement: swap the halves
+    def content_neg(h, _=None):  # precompose with complement: swap the halves
         return h >> k | (h & low) << k
 
     def osup(a, b):

@@ -7,9 +7,9 @@ inference as soon as a force is applied. Every force symbol in a formula is
 read as the one "think" operator here.
 
 The connectives below are the one definition of the matrix. Evaluation runs
-on codes derived from them: `eval_m` and `scan_m` compile each formula once
-into closures over small integers and decode a value to `TruthValue4` only
-for a result a caller keeps.
+on codes derived from them: `eval_m` and `scan_m` lower their formulas once
+into one register program (`illoc.program`) whose instructions are the code
+tables, and decode a value to `TruthValue4` only for a result a caller keeps.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional, Sequence
 
+from .program import Program, run
 from .search import DEFAULT_BUDGET, Slot, first_hit
-from .syntax import And, Atom, Force, Formula, Implies, Not, Or, atoms_of, inline_acts
+from .syntax import And, Atom, Force, Formula, Implies, Not, Or, inline_acts
 
 
 class MissingAtom(ValueError):
@@ -132,7 +133,7 @@ def classify(v: TruthValue4) -> str:
     return CLASSIFICATION[v]
 
 
-# --- codes: the compiled evaluator's values ---
+# --- codes: the values of the register program ---
 
 # A value's code is its index in CARRIER; ONE_CODE is the one designated
 # value. The tables are derived from the connectives above, which stay the one
@@ -162,59 +163,49 @@ SQUARE_RELATIONS: dict[str, Callable[[int, int, int, int], bool]] = {
 }
 
 
-def _compile(resolved: Formula, slot: Callable[[str], int]) -> Callable[[tuple], int]:
-    """Compile an act-free formula once into closures over a tuple of 0/1 atom bits.
-
-    run(bits) returns the formula's code. slot(name) gives an atom's position
-    in the tuple; it is asked once per leaf, left to right, so it can refuse
-    the first leaf an evaluation would have hit first.
-    """
-    bit_code = (ZERO_CODE, ONE_CODE)
-    binary = {And: AND_TABLE, Or: OR_TABLE, Implies: IMP_TABLE}
-
-    def compile_(f: Formula) -> Callable[[tuple], int]:
-        if isinstance(f, Atom):
-            i = slot(f.name)
-            return lambda v: bit_code[v[i]]
-        if isinstance(f, Not):
-            body, table = compile_(f.body), NEG_TABLE
-            return lambda v: table[body(v)]
-        if isinstance(f, Force):
-            body, table = compile_(f.content), FORCE_TABLE
-            return lambda v: table[body(v)]
-        if isinstance(f, (And, Or, Implies)):
-            left, right, table = compile_(f.left), compile_(f.right), binary[type(f)]
-            return lambda v: table[left(v) * 4 + right(v)]
-        raise TypeError(f"cannot evaluate {f!r}")
-
-    return compile_(resolved)
+# the instruction of each node kind; a unary one ignores its second operand
+_OPS = {Not: lambda x, _: NEG_TABLE[x], Force: lambda x, _: FORCE_TABLE[x],
+        And: lambda x, y: AND_TABLE[4 * x + y], Or: lambda x, y: OR_TABLE[4 * x + y],
+        Implies: lambda x, y: IMP_TABLE[4 * x + y]}
+BIT_CODE = (ZERO_CODE, ONE_CODE)  # an atom's slot values: the codes of 0 and 1
 
 
-def eval_m(
-    formula: Formula,
-    assignment: Mapping[str, int],
-    defs: Optional[Mapping[str, Formula]] = None,
-) -> TruthValue4:
+def _lower(f: Formula, program: Program) -> int:
+    """The register of an act-free formula in program; an atom is the leaf of its name."""
+    if isinstance(f, Atom):
+        return program.leaf(f.name)
+    if isinstance(f, (Not, Force)):
+        a = _lower(f.body if isinstance(f, Not) else f.content, program)
+        return program.emit(_OPS[type(f)], a, a)
+    if isinstance(f, (And, Or, Implies)):
+        return program.emit(_OPS[type(f)], _lower(f.left, program), _lower(f.right, program))
+    raise TypeError(f"cannot evaluate {f!r}")
+
+
+def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
+    """One program for act-free formulas, and the register of each."""
+    program = Program()
+    return program, [_lower(f, program) for f in resolved]
+
+
+def eval_m(formula: Formula, assignment: Mapping[str, int],
+           defs: Optional[Mapping[str, Formula]] = None) -> TruthValue4:
     """Extend a 0/1 atom assignment over a formula; acts must resolve acyclically.
 
     The first leaf, left to right, that the assignment misses or gives a
     value other than 0 or 1 raises MissingAtom or ValueError.
     """
-    resolved = inline_acts(formula, dict(defs or {}))
-    position: dict[str, int] = {}
-
-    def slot(name: str) -> int:
-        if name not in position:
-            if name not in assignment:
-                raise MissingAtom(name)
-            bit = assignment[name]
-            if bit not in (0, 1):
-                raise ValueError(f"atoms take 0 or 1, got {name}={bit!r}")
-            position[name] = len(position)
-        return position[name]
-
-    run = _compile(resolved, slot)
-    return CARRIER[run(tuple(int(assignment[name] == 1) for name in position))]
+    program, (root,) = lower([inline_acts(formula, dict(defs or {}))])
+    values = []
+    for name in program.leaves:
+        if name not in assignment:
+            raise MissingAtom(name)
+        bit = assignment[name]
+        if bit not in (0, 1):
+            raise ValueError(f"atoms take 0 or 1, got {name}={bit!r}")
+        values.append(BIT_CODE[bit == 1])
+    code, register = program.link(program.leaves)
+    return CARRIER[run(code, values)[register(root)]]
 
 
 @dataclass(frozen=True)
@@ -235,8 +226,8 @@ class MScan:
     """The atoms of one scan and the assignment it is visiting.
 
     A verdict gets this object and the codes of the formulas on the current
-    assignment (`values`, one 0/1 bit per atom in atom order); `assignment`
-    builds the dict only when the verdict asks.
+    assignment (`values`, one code from BIT_CODE per atom in atom order);
+    `assignment` builds the 0/1 dict only when the verdict asks.
     """
 
     def __init__(self, atoms: Sequence[str]):
@@ -244,7 +235,7 @@ class MScan:
         self.values: tuple = ()
 
     def assignment(self) -> dict[str, int]:
-        return dict(zip(self.atoms, self.values))
+        return {atom: BIT_CODE.index(code) for atom, code in zip(self.atoms, self.values)}
 
 
 def scan_m(
@@ -256,23 +247,24 @@ def scan_m(
 ) -> Optional[tuple[dict[str, int], Any]]:
     """First 0/1 assignment on which verdict(scan, codes) is not None.
 
-    Every formula is compiled once and evaluated on each assignment of their
-    sorted atoms, 0 before 1 and the first atom most significant; codes holds
-    their values as codes (`CARRIER[code]` decodes one). Returns
-    (assignment, payload), or None when the verdict never fires.
+    The formulas are lowered once into one program, which runs on each
+    assignment of their sorted atoms, 0 before 1 and the first atom most
+    significant; codes holds their values as codes (`CARRIER[code]` decodes
+    one). Returns (assignment, payload), or None when the verdict never fires.
     """
     defs = dict(defs or {})
-    resolved = [inline_acts(f, defs) for f in formulas]
-    atoms = sorted({name for r in resolved for name in atoms_of(r)})
-    position = {name: i for i, name in enumerate(atoms)}
-    runs = [_compile(r, position.__getitem__) for r in resolved]
+    program, roots = lower([inline_acts(f, defs) for f in formulas])
+    atoms = sorted(program.leaves)
+    code, register = program.link(atoms)
+    roots = [register(x) for x in roots]
     scan = MScan(atoms)
 
     def predicate(values: tuple[int, ...]) -> Any:
         scan.values = values
-        return verdict(scan, [run(values) for run in runs])
+        r = run(code, values)
+        return verdict(scan, [r[i] for i in roots])
 
-    hit = first_hit([Slot(name, (0, 1)) for name in atoms], predicate, budget=budget)
+    hit = first_hit([Slot(name, BIT_CODE) for name in atoms], predicate, budget=budget)
     return None if hit is None else (scan.assignment(), hit[1])
 
 

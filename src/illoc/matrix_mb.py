@@ -25,10 +25,10 @@ signature value through the matrix implication, in every mode.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import (
@@ -44,7 +44,6 @@ from .boolalg import (
 )
 from .hyper import (
     HyperValue,
-    PackedOps,
     decode,
     decode_element,
     encode,
@@ -55,6 +54,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
+from .program import Program, run
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit, space_size
 from .syntax import (
     ActRef,
@@ -66,6 +66,7 @@ from .syntax import (
     Not,
     Or,
     UnknownActRef,
+    children,
     detect_cycles,
     format_formula,
     inline_acts,
@@ -161,130 +162,143 @@ class EvalOutcome:
         }
 
 
-# --- the compiled evaluator ---
+# --- the register program ---
 
-def _contains_act(f: Formula, bound: frozenset[str]) -> bool:
-    for node in walk(f):
-        if isinstance(node, Force):
-            return True
-        if isinstance(node, ActRef) and node.name in bound:
-            return True
-    return False
+# what a valuation that lacks a leaf's value is told, by the kind of the leaf's key
+_MISSING = {"atom": "no value for atom {!r}", "act": "no act value for {!r}",
+            "gen": "no generator for force {!r} on atom {!r}",
+            "sig": "no signature for force {!r}", "ref": "no value for act {!r}"}
 
 
-class _Program:
-    """One resolved formula compiled to closures over a tuple of slot values.
-
-    run(values) returns the formula's packed value. Each force node also
-    stores its value in acts, at a position fixed at compile time: keys[j]
-    names acts[j], in evaluation order, so admissibility and the subvalues of
-    the last run are read off without another walk.
-    """
-
-    def __init__(self, run: Callable[[tuple], int], acts: list[int], keys: list[str],
-                 ops: PackedOps):
-        self.run, self.acts, self.keys, self.ops = run, acts, tuple(keys), ops
-
-    def admissible(self) -> bool:
-        return not any(map(self.ops.is_standard, self.acts))
-
-    def outcome(self, algebra: AlgebraSpec, values: tuple) -> EvalOutcome:
-        value = self.run(values)
-        subvalues = {key: decode(algebra, a) for key, a in zip(self.keys, self.acts)}
-        return EvalOutcome(decode(algebra, value), self.admissible(), subvalues)
+# a program, the register of each formula and each one's force nodes with theirs
+Lowered = tuple[Program, list[int], list[list[tuple[Force, int]]]]
 
 
-def _compile(
-    resolved: Formula,
-    mode: MBMode,
-    k: int,
-    slot: Callable[[tuple, str], int],
-    *,
-    bound: frozenset[str] = frozenset(),
-    nested_pointwise: bool = False,
-) -> _Program:
-    """Compile a formula once; slot(key, missing) gives a slot key's tuple index.
+def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
+          bound: frozenset[str] = frozenset(), nested_pointwise: bool = False) -> Lowered:
+    """One program for act-free formulas.
 
-    Atoms read ("atom", name), free acts ("act", key), generators
-    ("gen", force, atom), signatures ("sig", force) and the bound act
-    references of a cyclic unfolding ("ref", name). slot is asked once per
-    leaf, in evaluation order, so it can refuse (with the missing message)
-    the first value an evaluation would have hit first. Whether a force reads
-    a signature, an act value or generators is decided here and nowhere else;
-    `slot_keys` reads the slots off this compiler.
+    Its leaves are slot keys: ("atom", name), ("act", key), ("gen", force,
+    atom), ("sig", force) and, for a cyclic unfolding, ("ref", name). They
+    come in evaluation order, a force's signature before its content. Whether
+    a force reads a signature, an act value or generators is decided here.
     """
     ops = packed_ops(k)
     unit = (1 << k) + 1  # the standard copy of element e is e * unit
-    acts: list[int] = []
-    keys: list[str] = []
+    standard = lambda e, _: e * unit
+    matrix = {And: ops.and_, Or: ops.or_, Implies: ops.imp}
+    # how a force extends its generators through its content's connectives
+    content = matrix if mode is MBMode.CONNECTIVE else {
+        And: operator.and_, Or: operator.or_, Implies: lambda a, b: ops.content_neg(a) | b}
+    force_imp = ops.pointwise_imp if nested_pointwise else ops.imp
+    program = Program()
+    acts: dict[int, bool] = {}  # id(node) -> whether it contains an act
+    forces: list[list[tuple[Force, int]]] = []  # per formula
 
-    def binary(f, left, right):
-        op = {And: ops.and_, Or: ops.or_, Implies: ops.imp}[type(f)]
-        return lambda v: op(left(v), right(v))
+    def has_act(f: Formula) -> bool:  # decided once per node, not once per force
+        if id(f) not in acts:
+            acts[id(f)] = (isinstance(f, Force) or isinstance(f, ActRef) and f.name in bound
+                           or any(map(has_act, children(f))))
+        return acts[id(f)]
 
-    def extend(force: str, f: Formula):
+    def extend(force: str, f: Formula) -> int:
         # the value of a force over force-free content, from per-atom generators
         if isinstance(f, Atom):
-            return itemgetter(slot(("gen", force, f.name),
-                                   f"no generator for force {force!r} on atom {f.name!r}"))
+            return program.leaf(("gen", force, f.name))
         if isinstance(f, Not):
-            body, swap = extend(force, f.body), ops.content_neg
-            return lambda v: swap(body(v))
+            a = extend(force, f.body)
+            return program.emit(ops.content_neg, a, a)
         if isinstance(f, (And, Or, Implies)):
-            left, right = extend(force, f.left), extend(force, f.right)
-            if mode is MBMode.CONNECTIVE:
-                return binary(f, left, right)
-            if isinstance(f, And):
-                return lambda v: left(v) & right(v)
-            if isinstance(f, Or):
-                return lambda v: left(v) | right(v)
-            swap = ops.content_neg
-            return lambda v: swap(left(v)) | right(v)
+            return program.emit(content[type(f)], extend(force, f.left), extend(force, f.right))
         raise TypeError(f"force-free content cannot contain {f!r}")
 
-    def compile_(f: Formula):
+    def lower_(f: Formula) -> int:
         if isinstance(f, Atom):
-            i = slot(("atom", f.name), f"no value for atom {f.name!r}")
-            return lambda v: v[i] * unit
+            a = program.leaf(("atom", f.name))
+            return program.emit(standard, a, a)
         if isinstance(f, ActRef):
-            return itemgetter(slot(("ref", f.name), f"no value for act {f.name!r}"))
+            return program.leaf(("ref", f.name))
         if isinstance(f, Not):
-            body, neg = compile_(f.body), ops.neg
-            return lambda v: neg(body(v))
+            a = lower_(f.body)
+            return program.emit(ops.neg, a, a)
         if isinstance(f, (And, Or, Implies)):
-            return binary(f, compile_(f.left), compile_(f.right))
+            return program.emit(matrix[type(f)], lower_(f.left), lower_(f.right))
         if isinstance(f, Force):
-            key = format_formula(f)
-            if _contains_act(f.content, bound):
-                i = slot(("sig", f.force), f"no signature for force {f.force!r}")
-                content = compile_(f.content)
-                imp = ops.pointwise_imp if nested_pointwise else ops.imp
-                value = lambda v: imp(v[i], content(v))
+            if has_act(f.content):
+                sig = program.leaf(("sig", f.force))
+                x = program.emit(force_imp, sig, lower_(f.content))
             elif mode is MBMode.FREE:
-                value = itemgetter(slot(("act", key), f"no act value for {key!r}"))
+                x = program.leaf(("act", format_formula(f)))
             else:
-                value = extend(f.force, f.content)
-            j = len(acts)
-            acts.append(0)
-            keys.append(key)
-
-            def act(v):
-                acts[j] = x = value(v)
-                return x
-
-            return act
+                x = extend(f.force, f.content)
+            forces[-1].append((f, x))
+            return x
         raise TypeError(f"cannot evaluate {f!r}")
 
-    return _Program(compile_(resolved), acts, keys, ops)
+    roots = []
+    for f in resolved:
+        forces.append([])
+        roots.append(lower_(f))
+    return program, roots, forces
 
 
-def _lookup(
-    valuation: MBValuation, extra: Optional[Mapping[tuple, int]] = None
-) -> tuple[Callable[[tuple, str], int], tuple]:
-    """A slot callback over what a valuation (and extra) assigns, and the packed values.
+class MBScan:
+    """The program of one scan and the valuation it is visiting.
 
-    The callback refuses a key with no value by raising MissingAssignment.
+    `visit` runs the program on one valuation (`values`, one code per slot)
+    and keeps its `registers`; `admissible`, `decode`, `outcome` and
+    `valuation` read them off as objects only when a verdict asks.
     """
+
+    def __init__(self, algebra: AlgebraSpec, mode: MBMode, keys: Iterable[tuple],
+                 lowered: Lowered):
+        program, roots, forces = lowered
+        self.algebra, self.mode, self.keys = algebra, mode, tuple(keys)
+        self.code, register = program.link(self.keys)
+        self.roots = [register(x) for x in roots]
+        self.forces = [[(node, register(x)) for node, x in found] for found in forces]
+        self.values: tuple = ()
+        self.registers: list = []
+        self._is_standard = packed_ops(algebra.k).is_standard
+        self._subvalue_keys: dict[int, dict[str, int]] = {}
+
+    def visit(self, values: tuple) -> list[int]:
+        """The packed values of the formulas on one valuation."""
+        self.values = values
+        self.registers = r = run(self.code, values)
+        return [r[x] for x in self.roots]
+
+    def admissible(self, i: int) -> bool:
+        """No act subvalue of formula i is standard on the current valuation."""
+        r, is_standard = self.registers, self._is_standard
+        return not any(is_standard(r[x]) for _, x in self.forces[i])
+
+    def decode(self, code: int) -> HyperValue:
+        return decode(self.algebra, code)
+
+    def outcome(self, i: int) -> EvalOutcome:
+        keys = self._subvalue_keys.get(i)
+        if keys is None:  # printed once per scan, only for a verdict that asks
+            keys = self._subvalue_keys[i] = {format_formula(f): x for f, x in self.forces[i]}
+        r = self.registers
+        subvalues = {key: self.decode(r[x]) for key, x in keys.items()}
+        return EvalOutcome(self.decode(r[self.roots[i]]), self.admissible(i), subvalues)
+
+    def valuation(self) -> MBValuation:
+        parts: dict[str, dict] = {"atom": {}, "act": {}, "gen": {}, "sig": {}}
+        for key, code in zip(self.keys, self.values):
+            value = decode_element(self.algebra, code) if key[0] == "atom" else self.decode(code)
+            parts[key[0]][key[1:] if key[0] == "gen" else key[1]] = value
+        return MBValuation(self.algebra, self.mode, *parts.values())
+
+
+def _visit(resolved: Formula, valuation: MBValuation,
+           extra: Optional[Mapping[tuple, int]] = None, **lowering) -> MBScan:
+    """A one-valuation scan of a formula over what valuation (and extra) assigns.
+
+    The first leaf with no value raises MissingAssignment.
+    """
+    lowered = lower([resolved], valuation.mode, valuation.algebra.k, **lowering)
     codes = {
         **{("atom", name): element_index(e) for name, e in valuation.atom_values.items()},
         **{("act", key): encode(h) for key, h in valuation.act_values.items()},
@@ -292,14 +306,13 @@ def _lookup(
         **{("sig", name): encode(h) for name, h in valuation.signatures.items()},
         **(extra or {}),
     }
-    position = {key: i for i, key in enumerate(codes)}
-
-    def slot(key: tuple, missing: str) -> int:
-        if key not in position:
-            raise MissingAssignment(missing)
-        return position[key]
-
-    return slot, tuple(codes.values())
+    keys = lowered[0].leaves
+    for key in keys:
+        if key not in codes:
+            raise MissingAssignment(_MISSING[key[0]].format(*key[1:]))
+    scan = MBScan(valuation.algebra, valuation.mode, keys, lowered)
+    scan.visit(tuple(codes[key] for key in keys))
+    return scan
 
 
 def eval_mb(
@@ -307,10 +320,7 @@ def eval_mb(
     valuation: MBValuation,
     defs: Optional[Mapping[str, Formula]] = None,
 ) -> EvalOutcome:
-    resolved = inline_acts(formula, dict(defs or {}))
-    slot, values = _lookup(valuation)
-    program = _compile(resolved, valuation.mode, valuation.algebra.k, slot)
-    return program.outcome(valuation.algebra, values)
+    return _visit(inline_acts(formula, dict(defs or {})), valuation).outcome(0)
 
 
 # --- exhaustive checks ---
@@ -318,24 +328,17 @@ def eval_mb(
 _SCAN_ORDER = {"atom": 0, "act": 1, "gen": 2, "sig": 3}
 
 
+def _scan_order(leaves: Iterable[tuple]) -> list[tuple]:
+    """Slot keys first seen first, stably sorted by kind: atoms, acts, generators, signatures."""
+    for key in leaves:
+        if key[0] not in _SCAN_ORDER:  # an act reference left unresolved
+            raise MissingAssignment(_MISSING[key[0]].format(*key[1:]))
+    return sorted(leaves, key=lambda key: _SCAN_ORDER[key[0]])
+
+
 def slot_keys(resolved: Sequence[Formula], mode: MBMode) -> list[tuple]:
-    """The slot keys act-free formulas read, in scan order, from a compile that records them.
-
-    Keys come first-seen across the formulas, then stably sorted by kind:
-    atoms, acts, generators, signatures. The recording compile's closures are
-    dropped; the keys do not depend on the algebra, so it compiles for K1.
-    """
-    keys: dict[tuple, None] = {}
-
-    def record(key: tuple, missing: str) -> int:
-        if key[0] not in _SCAN_ORDER:
-            raise MissingAssignment(missing)  # an act reference left unresolved
-        keys.setdefault(key)
-        return 0
-
-    for r in resolved:
-        _compile(r, mode, 1, record)
-    return sorted(keys, key=lambda key: _SCAN_ORDER[key[0]])
+    """The leaves of the formulas' program in the order `scan_mb` scans them (any k: K1)."""
+    return _scan_order(lower(resolved, mode, 1)[0].leaves)
 
 
 @lru_cache(maxsize=16)
@@ -371,46 +374,6 @@ def _filtered(key: tuple, slot_filter: Callable, algebra: AlgebraSpec) -> Slot:
     return Slot(key, tuple(codes))
 
 
-class MBScan:
-    """The compiled formulas of one scan and the valuation it is visiting.
-
-    A verdict gets this object and the packed values of the formulas on the
-    current valuation (`values`, one code per slot in slot order);
-    `admissible`, `decode`, `outcome` and `valuation` turn that valuation into
-    objects only when the verdict asks.
-    """
-
-    def __init__(self, algebra: AlgebraSpec, mode: MBMode, slots: Sequence[Slot],
-                 programs: Sequence[_Program]):
-        self.algebra, self.mode, self.programs = algebra, mode, tuple(programs)
-        self.keys = tuple(slot.key for slot in slots)
-        self.values: tuple = ()
-
-    def admissible(self, i: int) -> bool:
-        """No act subvalue of formula i is standard on the current valuation."""
-        return self.programs[i].admissible()
-
-    def decode(self, code: int) -> HyperValue:
-        return decode(self.algebra, code)
-
-    def outcome(self, i: int) -> EvalOutcome:
-        return self.programs[i].outcome(self.algebra, self.values)
-
-    def valuation(self) -> MBValuation:
-        atom_values, act_values, generators, signatures = {}, {}, {}, {}
-        for key, code in zip(self.keys, self.values):
-            if key[0] == "atom":
-                atom_values[key[1]] = decode_element(self.algebra, code)
-            elif key[0] == "act":
-                act_values[key[1]] = self.decode(code)
-            elif key[0] == "gen":
-                generators[key[1:]] = self.decode(code)
-            else:
-                signatures[key[1]] = self.decode(code)
-        return MBValuation(self.algebra, self.mode, atom_values, act_values, generators,
-                           signatures)
-
-
 def scan_mb(
     formulas: Sequence[Formula],
     algebra: AlgebraSpec,
@@ -423,32 +386,28 @@ def scan_mb(
 ) -> tuple[Optional[tuple[MBValuation, Any]], int]:
     """First valuation on which verdict(scan, codes) is not None.
 
-    The slots the formulas need (`slot_keys`) are scanned atoms first, then
-    acts, generators and signatures, the first slot most significant. Each
-    formula is compiled once more against those slots and evaluated on every
-    valuation; codes holds their packed values and scan (an MBScan) decodes
-    the valuation on demand.
+    The formulas are lowered once into one program, whose leaves are the
+    slots (`slot_keys`), scanned atoms first, then acts, generators and
+    signatures, the first slot most significant. The program runs on every
+    valuation; codes holds the formulas' packed values and scan (an MBScan)
+    decodes the valuation on demand.
     Returns ((valuation, payload) or None, number of valuations in the
     space). slot_filter(key, domain) may shrink a slot's domain, an iterable
     of `Element`s or `HyperValue`s in scan order, listed lazily; returning
     the domain unchanged keeps the full scan.
     """
     defs = dict(defs or {})
-    resolved = [inline_acts(f, defs) for f in formulas]
-    keys = slot_keys(resolved, mode)
+    lowered = lower([inline_acts(f, defs) for f in formulas], mode, algebra.k)
+    keys = _scan_order(lowered[0].leaves)
     if slot_filter is None:
         # refuse before any domain is built: 4^k - 2^k values per nonstandard slot
         k, atoms = algebra.k, sum(key[0] == "atom" for key in keys)
         check_budget(2 ** (k * atoms) * (4 ** k - 2 ** k) ** (len(keys) - atoms), budget)
     slots = _slots(keys, algebra, slot_filter)
-    position = {slot.key: i for i, slot in enumerate(slots)}
-    programs = [_compile(r, mode, algebra.k, lambda key, _: position[key]) for r in resolved]
-    scan = MBScan(algebra, mode, slots, programs)
-    runs = [program.run for program in scan.programs]
+    scan = MBScan(algebra, mode, keys, lowered)
 
     def predicate(values: tuple) -> Optional[tuple[MBValuation, Any]]:
-        scan.values = values
-        payload = verdict(scan, [run(values) for run in runs])
+        payload = verdict(scan, scan.visit(values))
         return None if payload is None else (scan.valuation(), payload)
 
     hit = first_hit(slots, predicate, budget=budget)
@@ -639,10 +598,8 @@ def unfold_cyclic(
                  for name in [node.name] if name in cyclic}
     resolved = inline_acts(formula, defs, keep=frozenset(open_refs))
     seeded = {("ref", name): encode(seed) for name in open_refs}  # the seed's normal form
-    slot, values = _lookup(valuation, seeded)
-    program = _compile(resolved, valuation.mode, valuation.algebra.k, slot,
-                       bound=frozenset(open_refs), nested_pointwise=True)
-    return decode(valuation.algebra, program.run(values))
+    scan = _visit(resolved, valuation, seeded, bound=frozenset(open_refs), nested_pointwise=True)
+    return scan.decode(scan.registers[scan.roots[0]])
 
 
 # --- JSON for valuations ---

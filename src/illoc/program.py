@@ -1,0 +1,49 @@
+"""Formulas lowered to one flat register program, and the one loop that runs it.
+
+A matrix lowers the formulas of a scan, or of one evaluation, into one
+`Program`: postorder instructions (op, a, b) over a register file r whose
+first registers hold the slot values; each instruction appends op(r[a], r[b])
+to r, and a unary op ignores its second operand. The program is hash-consed
+on (op, a, b), never on the subtree, so a subterm that repeats within or
+across the formulas is one instruction, evaluated once per valuation.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Hashable, Iterable, Sequence
+
+Code = tuple[tuple[Callable, int, int], ...]
+
+
+class Program:
+    """While lowering, a register is an instruction's index i >= 0 or a leaf's
+    ~j, j being the leaf's position in `leaves` (first seen first)."""
+
+    def __init__(self) -> None:
+        self.leaves: dict[Hashable, int] = {}  # slot key -> position
+        self._code: dict[tuple, int] = {}  # instruction -> index
+
+    def leaf(self, key: Hashable) -> int:
+        return ~self.leaves.setdefault(key, len(self.leaves))
+
+    def emit(self, op: Callable, a: int, b: int) -> int:
+        return self._code.setdefault((op, a, b), len(self._code))
+
+    def link(self, order: Iterable[Hashable]) -> tuple[Code, Callable[[int], int]]:
+        """The instructions with slot key order[i] in register i, and the map
+        from a lowering's registers to the linked ones."""
+        at = {key: i for i, key in enumerate(order)}
+        leaf, n = [at[key] for key in self.leaves], len(at)
+
+        def register(x: int) -> int:
+            return x + n if x >= 0 else leaf[~x]
+
+        return tuple((op, register(a), register(b)) for op, a, b in self._code), register
+
+
+def run(code: Code, values: Sequence) -> list:
+    """The register file of code on one valuation's slot values."""
+    r = [*values]
+    for op, a, b in code:
+        r.append(op(r[a], r[b]))
+    return r

@@ -276,6 +276,8 @@ def parse_formula(text: str) -> Formula:
     if result.formula is None:
         tokens, _ = _tokenize(text)
         raise _error(text, tokens.index(""), "empty formula", ("a formula",))
+    if result.definitions:  # definitions come first: the text starts with one
+        raise _error(text, 0, "unexpected act definition", ("a formula",))
     return result.formula
 
 # --- printer ---
@@ -318,7 +320,7 @@ def format_program(defs: ActDefs, formula: Optional[Formula] = None) -> str:
 
 # --- structural queries ---
 
-def _children(f: Formula) -> Iterator[Formula]:
+def children(f: Formula) -> Iterator[Formula]:
     if isinstance(f, Not):
         yield f.body
     elif isinstance(f, (And, Or, Implies)):
@@ -330,7 +332,7 @@ def _children(f: Formula) -> Iterator[Formula]:
 
 def walk(f: Formula) -> Iterator[Formula]:
     yield f
-    for child in _children(f):
+    for child in children(f):
         yield from walk(child)
 
 

@@ -14,7 +14,7 @@ CYCLIC = "act x = [promise](~x);\n"
 DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
 DEEP_FORCES = "[f](" * 300 + "p" + ")" * 300
 DEEP_NEGATIONS = "~" * 300 + "p"
-# deeper than the recursion limit lets the printer or the compiler go
+# deeper than the recursion limit lets the printer or the lowering go
 TOO_DEEP_FORCES = "[f](" * 3000 + "p" + ")" * 3000
 TOO_DEEP_NEGATIONS = "~" * 3000 + "p"
 THINK_P = "act x = [think](p);\n"
@@ -139,6 +139,14 @@ class TestDefinitionBinding:
     def test_entail_side_may_define_an_act(self, capsys):
         code, out, _ = run(capsys, "entail", "--matrix", "m", "act y = [think](p); y", "p")
         assert (code, out) == (0, "entails\n")
+
+    def test_fmt_reads_the_defs_file(self, capsys, think_defs):
+        code, out, err = run(capsys, "fmt", "--output", "json", "--defs", think_defs, "x")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"definitions": {"x": "[think](p)"}, "formula": "x",
+                                   "ast": {"kind": "actref", "name": "x"}}
+        code, out, _ = run(capsys, "fmt", "--defs", think_defs, "x & q")
+        assert (code, out) == (0, "act x = [think](p);\nx & q\n")
 
     def test_redefining_a_file_act_is_a_duplicate(self, capsys, think_defs):
         code, out, err = run(
@@ -459,9 +467,11 @@ class TestBadInput:
             (["table", "--matrix", "m", DEEP_NEGATIONS], 0, "p=0  0  false-sentence"),
             (["fmt", DEEP_PARENTHESES], 0, "p"),
             (["taut", "--matrix", "m", DEEP_FORCES], 1, "refuted at p=0 with value -1/2"),
+            (["taut", "--matrix", "mb", "--algebra", "a", DEEP_FORCES], 1,
+             "refuted with value <{},{a}>"),
         ],
         ids=["fmt", "taut-m", "taut-mb", "eval-m", "table-m", "fmt-parentheses",
-             "taut-forces"],
+             "taut-forces", "taut-mb-forces"],
     )
     def test_deep_negation_is_answered(self, capsys, argv, exit_code, first_line):
         code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used: a stdlib-`ast` lint."""
+"""Lints over the package sources with stdlib `ast`: every module-level import is used, and
+no module imports a `_`-prefixed name from another module of the package."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,26 @@ def test_the_lint_sees_an_unused_import():
     source = "from functools import reduce, wraps\nimport os.path\n@wraps(len)\ndef f(): pass\n"
     tree = ast.parse(source)
     assert set(_imported_names(tree)) - _used_names(tree) == {"reduce", "os"}
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """`_`-prefixed names imported from a module of the package, anywhere in a module."""
+    return [
+        f"{'.' * node.level}{node.module or ''}:{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "illoc")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES[0].parent.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_another_modules_private_names(path):
+    private = _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not private, f"{path.name}: imports private names {private}"
+
+
+def test_the_lint_sees_a_private_import():
+    source = ("from .search import Slot, _slots\nfrom illoc.syntax import _fmt\n"
+              "from os import _exit\ndef f():\n    from . import _x\n")
+    assert _private_imports(ast.parse(source)) == [".search:_slots", "illoc.syntax:_fmt", ".:_x"]

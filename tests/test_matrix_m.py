@@ -27,10 +27,12 @@ from illoc.matrix_m import (
     force4,
     imp4,
     is_tautology_m,
+    lower,
     neg4,
     or4,
 )
-from illoc.opposition import CheckSpace, entails
+import illoc.matrix_m
+from illoc.opposition import CheckSpace, _square_formulas, entails
 from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula
 
 ONE, HALF, ZERO, NEG = (
@@ -268,6 +270,42 @@ class TestContradictionProfile:
     def test_minimum_is_reached_by_performed_contradiction(self):
         values = {row.performed_conjunction for row in contradiction_profile()}
         assert NEG in values
+
+
+def _size(program):
+    """The number of instructions of a lowered program."""
+    code, _ = program.link(program.leaves)
+    return len(code)
+
+
+class TestProgram:
+    """All formulas of a scan lower into one hash-consed program."""
+
+    A = parse_formula("[think](p & ~q) -> (r | [think](p & ~q)) & ~s")
+
+    def test_a_repeated_subterm_is_one_instruction(self):
+        program, _ = lower([self.A])
+        # ~q, p & ~q, [think](..), r | .., ~s, .. & ~s, -> : the second force is shared
+        assert _size(program) == 7
+        assert list(program.leaves) == ["p", "q", "r", "s"]
+
+    def test_reflexive_implication_adds_one_instruction(self):
+        alone, _ = lower([self.A])
+        program, (root,) = lower([Implies(self.A, self.A)])
+        assert _size(program) == _size(alone) + 1
+
+    def test_entailment_of_a_formula_by_itself_lowers_it_once(self):
+        alone, _ = lower([self.A])
+        program, (left, right) = lower([self.A, self.A])
+        assert _size(program) == _size(alone)
+        assert left == right
+
+    def test_the_square_lowers_each_force_once(self):
+        program, _ = lower(_square_formulas("think", "p"))
+        code, _ = program.link(program.leaves)
+        forces = [op for op, _, _ in code if op is illoc.matrix_m._OPS[Force]]
+        # F(p), ~p, F(~p), ~F(~p), ~F(p), their |, F(~p) & F(p) and its ~
+        assert (len(forces), len(code)) == (2, 8)
 
 
 class TestCodeTables:

@@ -41,12 +41,14 @@ from illoc.matrix_mb import (
     find_idempotence_counterexample,
     find_neg_swap_counterexample,
     is_tautology_mb,
+    lower,
     scan_mb,
     slot_keys,
     unfold_cyclic,
     valuation_from_json,
     valuation_to_json,
 )
+from illoc.opposition import _square_formulas
 from illoc.search import BudgetExceeded
 from illoc.syntax import (
     ActRef, And, Atom, Force, Implies, Not, Or, format_formula, parse, parse_formula,
@@ -310,6 +312,58 @@ def _scanned_keys(formulas, mode):
 
     scan_mb(formulas, K1, mode, stop)
     return seen
+
+
+def _size(program):
+    """The number of instructions of a lowered program."""
+    code, _ = program.link(program.leaves)
+    return len(code)
+
+
+class TestProgram:
+    """All formulas of a scan lower into one hash-consed program."""
+
+    A = parse_formula("[f](p & ~q) -> ([f]([g](p)) | ~[f](p & ~q)) & r")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reflexive_implication_adds_one_instruction(self, mode):
+        alone = lower([self.A], mode, 2)[0]
+        assert _size(lower([Implies(self.A, self.A)], mode, 2)[0]) == _size(alone) + 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_entailment_of_a_formula_by_itself_lowers_it_once(self, mode):
+        alone = lower([self.A], mode, 2)[0]
+        program, (left, right), (forces, again) = lower([self.A, self.A], mode, 2)
+        assert _size(program) == _size(alone)
+        assert left == right and forces == again
+
+    @pytest.mark.parametrize("mode", [MBMode.POINTWISE, MBMode.CONNECTIVE])
+    def test_the_square_lowers_each_force_once(self, mode):
+        program, _, forces = lower(_square_formulas("f", "p"), mode, 2)
+        # F(p) is its generator and F(~p) one content negation of it
+        registers = {x for found in forces for _, x in found}
+        assert len(registers) == 2
+        # F(~p), ~F(~p), ~F(p), their |, F(~p) & F(p) and its ~
+        assert _size(program) == 6
+
+    def test_forces_are_listed_in_postorder(self):
+        _, _, (forces,) = lower([parse_formula("[a]([b](p)) & [c](q)")], MBMode.POINTWISE, 1)
+        assert [format_formula(f) for f, _ in forces] == ["[b](p)", "[a]([b](p))", "[c](q)"]
+
+    @pytest.mark.parametrize("mode,key", [(MBMode.POINTWISE, ("gen", "b", "p")),
+                                          (MBMode.CONNECTIVE, ("gen", "b", "p")),
+                                          (MBMode.FREE, ("act", "[b](p)"))])
+    def test_nested_forces_keep_slot_order_and_first_witness(self, mode, key):
+        f = parse_formula("[a]([b](p))")
+        assert slot_keys([f], mode) == [key, ("sig", "a")]
+        result = is_tautology_mb(f, K2, mode)
+        # recorded before the program form: the inner value scans before the signature
+        inner = {"on_true": [], "on_false": ["a"]}
+        witness = valuation_to_json(result.witness)
+        assert (witness["act_values"] or witness["generators"]["b"]) == {key[-1]: inner}
+        assert witness["signatures"] == {"a": {"on_true": [], "on_false": ["b"]}}
+        assert (result.status, result.checked) == ("refuted", 144)
+        assert str(result.witness_value) == "<{a,b},{a}>"
 
 
 class TestRequirements:

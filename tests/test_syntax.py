@@ -220,6 +220,18 @@ def test_parse_error_table(function, text, error):
     assert (e.message, e.line, e.col, e.offset, e.expected) == error
 
 
+def test_parse_formula_refuses_a_definition():
+    # parse keeps the definitions; parse_formula would drop them and keep the reference
+    with pytest.raises(ParseError) as raised:
+        parse_formula("act x = [think](p); x")
+    e = raised.value
+    assert (e.message, e.line, e.col, e.offset, e.expected) == (
+        "unexpected act definition", 1, 1, 0, ("a formula",))
+    with pytest.raises(ParseError) as raised:
+        parse_formula("# header\n  act x = p; act y = q; x & y")
+    assert (raised.value.line, raised.value.col, raised.value.offset) == (2, 3, 11)
+
+
 class TestActsDefinedElsewhere:
     def test_names_bind_as_references(self):
         result = parse("x -> p", acts={"x"})
