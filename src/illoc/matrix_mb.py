@@ -20,7 +20,8 @@ disambiguations are provided:
               to this matrix's own connectives.
 
 A force over content that already contains forces applies the force's
-signature value through the matrix implication, in every mode.
+signature value through the matrix implication, in every mode. `lower` makes
+that choice while it lowers a scan's formulas into one register program.
 """
 
 from __future__ import annotations

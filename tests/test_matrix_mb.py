@@ -357,7 +357,7 @@ class TestProgram:
         f = parse_formula("[a]([b](p))")
         assert slot_keys([f], mode) == [key, ("sig", "a")]
         result = is_tautology_mb(f, K2, mode)
-        # recorded before the program form: the inner value scans before the signature
+        # the inner force's slot is scanned before, so more significant than, the signature
         inner = {"on_true": [], "on_false": ["a"]}
         witness = valuation_to_json(result.witness)
         assert (witness["act_values"] or witness["generators"]["b"]) == {key[-1]: inner}
