@@ -7,8 +7,9 @@ exhaustive scans stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+from .record import Record, setfield
 
 DEFAULT_MAX_ATOMS = 16
 
@@ -17,23 +18,25 @@ class AlgebraMismatch(ValueError):
     """Operands belong to different algebras."""
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Atom names in declaration order; the algebra is their powerset."""
+class AlgebraSpec(Record):
+    """Atom names in declaration order; the algebra is their powerset.
 
-    atoms: tuple[str, ...]
-    max_atoms: int = field(default=DEFAULT_MAX_ATOMS, compare=False, repr=False)
+    `max_atoms` only bounds the size: it is not compared, hashed or shown.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if len(self.atoms) < 1:
+    __slots__ = ("atoms", "max_atoms")
+    _compared = _shown = ("atoms",)
+
+    def __init__(self, atoms: Iterable[str], max_atoms: int = DEFAULT_MAX_ATOMS) -> None:
+        atoms = tuple(atoms)
+        setfield(self, "atoms", atoms)
+        setfield(self, "max_atoms", max_atoms)
+        if len(atoms) < 1:
             raise ValueError("an algebra needs at least one atom")
-        if len(self.atoms) > self.max_atoms:
-            raise ValueError(
-                f"{len(self.atoms)} atoms exceed the configured maximum {self.max_atoms}"
-            )
+        if len(atoms) > max_atoms:
+            raise ValueError(f"{len(atoms)} atoms exceed the configured maximum {max_atoms}")
         seen: set[str] = set()
-        for name in self.atoms:
+        for name in atoms:
             if not isinstance(name, str) or not name.isidentifier():
                 raise ValueError(f"bad atom name: {name!r}")
             if name in seen:
@@ -54,16 +57,16 @@ class AlgebraSpec:
         return self.element(self.atoms)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A subset of its algebra's atoms; equal iff the atom sets are equal."""
 
-    algebra: AlgebraSpec
-    atoms: frozenset[str]
+    __slots__ = ("algebra", "atoms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        stray = self.atoms - set(self.algebra.atoms)
+    def __init__(self, algebra: AlgebraSpec, atoms: Iterable[str]) -> None:
+        atoms = frozenset(atoms)
+        setfield(self, "algebra", algebra)
+        setfield(self, "atoms", atoms)
+        stray = atoms - set(algebra.atoms)
         if stray:
             raise ValueError(f"atoms not declared in the algebra: {sorted(stray)}")
 

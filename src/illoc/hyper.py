@@ -28,7 +28,6 @@ caller keeps them: a witness, a table row, the outcome of `eval_mb`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -43,24 +42,25 @@ from .boolalg import (
     enumerate_elements,
     same_algebra,
 )
+from .record import Record, setfield
 
 
 class StandardInput(ValueError):
     """A standard value was given where only nonstandard values make sense."""
 
 
-@dataclass(frozen=True)
-class HyperValue:
+class HyperValue(Record):
     """Term function (on_true, on_false) = (f(1), f(0)) plus finite exceptions."""
 
-    on_true: Element
-    on_false: Element
-    exceptions: tuple[tuple[Element, Element], ...] = ()
+    __slots__ = ("on_true", "on_false", "exceptions")
 
-    def __post_init__(self) -> None:
-        pairs = tuple(self.exceptions)
-        alg = self.on_true.algebra
-        if self.on_false.algebra != alg:
+    def __init__(self, on_true: Element, on_false: Element,
+                 exceptions: Iterable[tuple[Element, Element]] = ()) -> None:
+        setfield(self, "on_true", on_true)
+        setfield(self, "on_false", on_false)
+        pairs = tuple(exceptions)
+        alg = on_true.algebra
+        if on_false.algebra != alg:
             raise ValueError("on_true and on_false belong to different algebras")
         keys = set()
         for at, value in pairs:
@@ -69,9 +69,7 @@ class HyperValue:
             if at in keys:
                 raise ValueError(f"duplicate exception point {at}")
             keys.add(at)
-        object.__setattr__(
-            self, "exceptions", tuple(sorted(pairs, key=lambda kv: element_index(kv[0])))
-        )
+        setfield(self, "exceptions", tuple(sorted(pairs, key=lambda kv: element_index(kv[0]))))
 
     @property
     def algebra(self) -> AlgebraSpec:
@@ -313,11 +311,14 @@ class OppositionCase(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class OppositionClassification:
-    cases: frozenset[OppositionCase]
-    inf_with_content_neg: HyperValue
-    sup_with_content_neg: HyperValue
+class OppositionClassification(Record):
+    __slots__ = ("cases", "inf_with_content_neg", "sup_with_content_neg")
+
+    def __init__(self, cases: frozenset[OppositionCase], inf_with_content_neg: HyperValue,
+                 sup_with_content_neg: HyperValue) -> None:
+        setfield(self, "cases", cases)
+        setfield(self, "inf_with_content_neg", inf_with_content_neg)
+        setfield(self, "sup_with_content_neg", sup_with_content_neg)
 
     def to_json(self) -> dict:
         order = (OppositionCase.DISJOINT, OppositionCase.EXHAUSTIVE, OppositionCase.INCOMPARABLE)
@@ -353,22 +354,40 @@ def classify_opposition(h: HyperValue) -> OppositionClassification:
     )
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(Record):
     """The four opposition relations for h, its content negation and their complements."""
 
-    value: HyperValue          # the act value
-    content_negated: HyperValue
-    holds: bool                # content_neg(h) <= hneg(h) in the stipulated order
-    contrary: bool             # pinf(h, content_neg(h)) is the standard bottom
-    contradictory: bool        # complement pair meets at *0 and joins at *1
-    subcontrary: bool          # psup of the two complements is the standard top
-    subaltern_left: bool       # h <= hneg(content_neg(h))
-    subaltern_right: bool      # content_neg(h) <= hneg(h)
-    contrary_inf: HyperValue
-    contradictory_inf: HyperValue
-    contradictory_sup: HyperValue
-    subcontrary_sup: HyperValue
+    __slots__ = ("value", "content_negated", "holds", "contrary", "contradictory",
+                 "subcontrary", "subaltern_left", "subaltern_right", "contrary_inf",
+                 "contradictory_inf", "contradictory_sup", "subcontrary_sup")
+
+    def __init__(
+        self,
+        value: HyperValue,              # the act value
+        content_negated: HyperValue,
+        holds: bool,                    # content_neg(h) <= hneg(h) in the stipulated order
+        contrary: bool,                 # pinf(h, content_neg(h)) is the standard bottom
+        contradictory: bool,            # complement pair meets at *0 and joins at *1
+        subcontrary: bool,              # psup of the two complements is the standard top
+        subaltern_left: bool,           # h <= hneg(content_neg(h))
+        subaltern_right: bool,          # content_neg(h) <= hneg(h)
+        contrary_inf: HyperValue,
+        contradictory_inf: HyperValue,
+        contradictory_sup: HyperValue,
+        subcontrary_sup: HyperValue,
+    ) -> None:
+        setfield(self, "value", value)
+        setfield(self, "content_negated", content_negated)
+        setfield(self, "holds", holds)
+        setfield(self, "contrary", contrary)
+        setfield(self, "contradictory", contradictory)
+        setfield(self, "subcontrary", subcontrary)
+        setfield(self, "subaltern_left", subaltern_left)
+        setfield(self, "subaltern_right", subaltern_right)
+        setfield(self, "contrary_inf", contrary_inf)
+        setfield(self, "contradictory_inf", contradictory_inf)
+        setfield(self, "contradictory_sup", contradictory_sup)
+        setfield(self, "subcontrary_sup", subcontrary_sup)
 
     def to_json(self) -> dict:
         return {

@@ -15,12 +15,12 @@ tables, and decode a value to `TruthValue4` only for a result a caller keeps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .program import Program, run
+from .record import Record, setfield
 from .search import DEFAULT_BUDGET, Slot, first_hit
 from .syntax import And, Atom, Force, Formula, Implies, Not, Or, inline_acts
 
@@ -208,11 +208,14 @@ def eval_m(formula: Formula, assignment: Mapping[str, int],
     return CARRIER[run(code, values)[register(root)]]
 
 
-@dataclass(frozen=True)
-class MTautologyResult:
-    status: str  # "tautology" | "refuted"
-    witness: Optional[dict[str, int]]
-    witness_value: Optional[TruthValue4]
+class MTautologyResult(Record):
+    __slots__ = ("status", "witness", "witness_value")
+
+    def __init__(self, status: str, witness: Optional[dict[str, int]],
+                 witness_value: Optional[TruthValue4]) -> None:
+        setfield(self, "status", status)  # "tautology" | "refuted"
+        setfield(self, "witness", witness)
+        setfield(self, "witness_value", witness_value)
 
     def to_json(self) -> dict:
         return {
@@ -287,14 +290,17 @@ def is_tautology_m(
     return MTautologyResult("refuted", witness, CARRIER[code])
 
 
-@dataclass(frozen=True)
-class MatrixProperty:
-    prop_id: str
-    statement: str
-    arity: int
-    holds: bool
-    checked: int
-    violations: tuple[tuple[TruthValue4, ...], ...]
+class MatrixProperty(Record):
+    __slots__ = ("prop_id", "statement", "arity", "holds", "checked", "violations")
+
+    def __init__(self, prop_id: str, statement: str, arity: int, holds: bool, checked: int,
+                 violations: tuple[tuple[TruthValue4, ...], ...]) -> None:
+        setfield(self, "prop_id", prop_id)
+        setfield(self, "statement", statement)
+        setfield(self, "arity", arity)
+        setfield(self, "holds", holds)
+        setfield(self, "checked", checked)
+        setfield(self, "violations", violations)
 
 
 _PROPERTIES = (
@@ -327,12 +333,15 @@ def check_matrix_properties() -> list[MatrixProperty]:
     return report
 
 
-@dataclass(frozen=True)
-class ContradictionRow:
-    a: TruthValue4
-    conjunction: TruthValue4          # a & ~a
-    performed_conjunction: TruthValue4  # F(a & ~a)
-    split_performance: TruthValue4      # F(a) & ~F(a)
+class ContradictionRow(Record):
+    __slots__ = ("a", "conjunction", "performed_conjunction", "split_performance")
+
+    def __init__(self, a: TruthValue4, conjunction: TruthValue4,
+                 performed_conjunction: TruthValue4, split_performance: TruthValue4) -> None:
+        setfield(self, "a", a)
+        setfield(self, "conjunction", conjunction)                      # a & ~a
+        setfield(self, "performed_conjunction", performed_conjunction)  # F(a & ~a)
+        setfield(self, "split_performance", split_performance)          # F(a) & ~F(a)
 
 
 def contradiction_profile() -> list[ContradictionRow]:

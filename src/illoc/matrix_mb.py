@@ -27,7 +27,6 @@ that choice while it lowers a scan's formulas into one register program.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -56,6 +55,7 @@ from .hyper import (
     packed_ops,
 )
 from .program import Program, run
+from .record import Record, setfield
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit, space_size
 from .syntax import (
     ActRef,
@@ -117,43 +117,53 @@ class MBMode(Enum):
     CONNECTIVE = "connective"
 
 
-@dataclass(frozen=True)
-class MBValuation:
-    algebra: AlgebraSpec
-    mode: MBMode = MBMode.POINTWISE
-    atom_values: Mapping[str, Element] = field(default_factory=dict)
-    act_values: Mapping[str, HyperValue] = field(default_factory=dict)
-    generators: Mapping[tuple[str, str], HyperValue] = field(default_factory=dict)
-    signatures: Mapping[str, HyperValue] = field(default_factory=dict)
+class MBValuation(Record):
+    """Values for the slots of a formula; a map left out is a fresh empty dict."""
 
-    def __post_init__(self) -> None:
-        for name, value in self.atom_values.items():
-            if value.algebra != self.algebra:
+    __slots__ = ("algebra", "mode", "atom_values", "act_values", "generators", "signatures")
+
+    def __init__(
+        self,
+        algebra: AlgebraSpec,
+        mode: MBMode = MBMode.POINTWISE,
+        atom_values: Optional[Mapping[str, Element]] = None,
+        act_values: Optional[Mapping[str, HyperValue]] = None,
+        generators: Optional[Mapping[tuple[str, str], HyperValue]] = None,
+        signatures: Optional[Mapping[str, HyperValue]] = None,
+    ) -> None:
+        atom_values = {} if atom_values is None else atom_values
+        for name, value in atom_values.items():
+            if value.algebra != algebra:
                 raise ValueError(f"atom {name!r} is valued outside the algebra")
-        for label, mapping in (
-            ("act", self.act_values),
-            ("generator", self.generators),
-            ("signature", self.signatures),
-        ):
-            normalized = {}
-            for key, value in mapping.items():
-                if value.algebra != self.algebra:
-                    raise ValueError(f"{label} {key!r} is valued outside the algebra")
-                value = normalize(value)
-                if is_standard(value):
-                    raise StandardAssignment(f"{label} {key!r} must be nonstandard")
-                normalized[key] = value
-            object.__setattr__(self, _FIELD_BY_LABEL[label], normalized)
+        setfield(self, "algebra", algebra)
+        setfield(self, "mode", mode)
+        setfield(self, "atom_values", atom_values)
+        setfield(self, "act_values", _nonstandard("act", act_values, algebra))
+        setfield(self, "generators", _nonstandard("generator", generators, algebra))
+        setfield(self, "signatures", _nonstandard("signature", signatures, algebra))
 
 
-_FIELD_BY_LABEL = {"act": "act_values", "generator": "generators", "signature": "signatures"}
+def _nonstandard(label: str, mapping: Optional[Mapping], algebra: AlgebraSpec) -> dict:
+    """A new dict of mapping's values, normalized; each must be a nonstandard value."""
+    normalized = {}
+    for key, value in (mapping or {}).items():
+        if value.algebra != algebra:
+            raise ValueError(f"{label} {key!r} is valued outside the algebra")
+        value = normalize(value)
+        if is_standard(value):
+            raise StandardAssignment(f"{label} {key!r} must be nonstandard")
+        normalized[key] = value
+    return normalized
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    value: HyperValue
-    admissible: bool
-    subvalues: dict[str, HyperValue]
+class EvalOutcome(Record):
+    __slots__ = ("value", "admissible", "subvalues")
+
+    def __init__(self, value: HyperValue, admissible: bool,
+                 subvalues: dict[str, HyperValue]) -> None:
+        setfield(self, "value", value)
+        setfield(self, "admissible", admissible)
+        setfield(self, "subvalues", subvalues)
 
     def to_json(self) -> dict:
         return {
@@ -415,12 +425,15 @@ def scan_mb(
     return (None if hit is None else hit[1]), space_size(slots)
 
 
-@dataclass(frozen=True)
-class MBTautologyResult:
-    status: str  # "tautology" | "refuted"
-    witness: Optional[MBValuation]
-    witness_value: Optional[HyperValue]
-    checked: int
+class MBTautologyResult(Record):
+    __slots__ = ("status", "witness", "witness_value", "checked")
+
+    def __init__(self, status: str, witness: Optional[MBValuation],
+                 witness_value: Optional[HyperValue], checked: int) -> None:
+        setfield(self, "status", status)  # "tautology" | "refuted"
+        setfield(self, "witness", witness)
+        setfield(self, "witness_value", witness_value)
+        setfield(self, "checked", checked)
 
     def to_json(self) -> dict:
         return {
@@ -459,13 +472,17 @@ def is_tautology_mb(
     return MBTautologyResult("refuted", *first, checked)
 
 
-@dataclass(frozen=True)
-class DifferenceResult:
-    found: bool
-    witness: Optional[MBValuation]
-    left_value: Optional[HyperValue]
-    right_value: Optional[HyperValue]
-    checked: int
+class DifferenceResult(Record):
+    __slots__ = ("found", "witness", "left_value", "right_value", "checked")
+
+    def __init__(self, found: bool, witness: Optional[MBValuation],
+                 left_value: Optional[HyperValue], right_value: Optional[HyperValue],
+                 checked: int) -> None:
+        setfield(self, "found", found)
+        setfield(self, "witness", witness)
+        setfield(self, "left_value", left_value)
+        setfield(self, "right_value", right_value)
+        setfield(self, "checked", checked)
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,6 @@ whole square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from .boolalg import AlgebraSpec
@@ -27,34 +26,46 @@ from .hyper import (
 )
 from .matrix_m import CARRIER, LEQ_TABLE, ONE_CODE, SQUARE_RELATIONS, MScan, scan_m
 from .matrix_mb import MBMode, MBScan, StandardAssignment, scan_mb, valuation_to_json
+from .record import Record, setfield
 from .search import DEFAULT_BUDGET
 from .syntax import And, Atom, Force, Formula, Not, Or
 
 
-@dataclass(frozen=True)
-class CheckSpace:
+class CheckSpace(Record):
     """Where a quantified check runs: which matrix, algebra, mode, filters."""
 
-    matrix: str  # "m" | "mb"
-    algebra: Optional[AlgebraSpec] = None
-    mode: MBMode = MBMode.POINTWISE
-    admissible_only: bool = True
-    budget: int = DEFAULT_BUDGET
-    jobs: int = 1
+    __slots__ = ("matrix", "algebra", "mode", "admissible_only", "budget", "jobs")
 
-    def __post_init__(self) -> None:
-        if self.matrix not in ("m", "mb"):
-            raise ValueError(f"unknown matrix {self.matrix!r}")
-        if self.matrix == "mb" and self.algebra is None:
+    def __init__(
+        self,
+        matrix: str,  # "m" | "mb"
+        algebra: Optional[AlgebraSpec] = None,
+        mode: MBMode = MBMode.POINTWISE,
+        admissible_only: bool = True,
+        budget: int = DEFAULT_BUDGET,
+        jobs: int = 1,
+    ) -> None:
+        setfield(self, "matrix", matrix)
+        setfield(self, "algebra", algebra)
+        setfield(self, "mode", mode)
+        setfield(self, "admissible_only", admissible_only)
+        setfield(self, "budget", budget)
+        setfield(self, "jobs", jobs)
+        if matrix not in ("m", "mb"):
+            raise ValueError(f"unknown matrix {matrix!r}")
+        if matrix == "mb" and algebra is None:
             raise ValueError("the nonstandard matrix needs an algebra")
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
-    holds: bool
-    witness: Optional[dict]  # JSON-shaped valuation
-    left_value: Optional[str]
-    right_value: Optional[str]
+class EntailmentResult(Record):
+    __slots__ = ("holds", "witness", "left_value", "right_value")
+
+    def __init__(self, holds: bool, witness: Optional[dict], left_value: Optional[str],
+                 right_value: Optional[str]) -> None:
+        setfield(self, "holds", holds)
+        setfield(self, "witness", witness)  # JSON-shaped valuation
+        setfield(self, "left_value", left_value)
+        setfield(self, "right_value", right_value)
 
     def to_json(self) -> dict:
         return {
@@ -107,22 +118,28 @@ def entails(
     return EntailmentResult(False, valuation_to_json(valuation), str(lhs), str(rhs))
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    holds: bool
-    witness: Optional[dict] = None
+class RelationCheck(Record):
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: Optional[dict] = None) -> None:
+        setfield(self, "holds", holds)
+        setfield(self, "witness", witness)
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class LawRow:
-    label: str
-    excluded_middle: str      # value of ~F(~p) | ~F(p)
-    contrariety: str          # value of ~(F(~p) & F(p))
-    excluded_middle_designated: bool
-    contrariety_designated: bool
+class LawRow(Record):
+    __slots__ = ("label", "excluded_middle", "contrariety", "excluded_middle_designated",
+                 "contrariety_designated")
+
+    def __init__(self, label: str, excluded_middle: str, contrariety: str,
+                 excluded_middle_designated: bool, contrariety_designated: bool) -> None:
+        setfield(self, "label", label)
+        setfield(self, "excluded_middle", excluded_middle)  # value of ~F(~p) | ~F(p)
+        setfield(self, "contrariety", contrariety)          # value of ~(F(~p) & F(p))
+        setfield(self, "excluded_middle_designated", excluded_middle_designated)
+        setfield(self, "contrariety_designated", contrariety_designated)
 
     def to_json(self) -> dict:
         return {
@@ -138,12 +155,16 @@ class LawRow:
         }
 
 
-@dataclass(frozen=True)
-class LawsReport:
-    rows: tuple[LawRow, ...]
-    excluded_middle_always_designated: bool
-    contrariety_always_designated: bool
-    values_coincide: bool
+class LawsReport(Record):
+    __slots__ = ("rows", "excluded_middle_always_designated", "contrariety_always_designated",
+                 "values_coincide")
+
+    def __init__(self, rows: tuple[LawRow, ...], excluded_middle_always_designated: bool,
+                 contrariety_always_designated: bool, values_coincide: bool) -> None:
+        setfield(self, "rows", rows)
+        setfield(self, "excluded_middle_always_designated", excluded_middle_always_designated)
+        setfield(self, "contrariety_always_designated", contrariety_always_designated)
+        setfield(self, "values_coincide", values_coincide)
 
     @classmethod
     def of(cls, rows: Iterable[LawRow]) -> "LawsReport":
@@ -164,20 +185,41 @@ class LawsReport:
         }
 
 
-@dataclass(frozen=True)
-class OppositionReport:
-    matrix: str
-    force: str
-    atom: str
-    square_holds: bool
-    criterion_holds: bool
-    contrary: RelationCheck
-    contradictory: RelationCheck
-    subcontrary: RelationCheck
-    subaltern_left: RelationCheck
-    subaltern_right: RelationCheck
-    laws: LawsReport
-    hyper: Optional[SquareReport] = field(default=None, repr=False)
+class OppositionReport(Record):
+    """The square for one force and atom; repr leaves out the `mb` report in `hyper`."""
+
+    __slots__ = ("matrix", "force", "atom", "square_holds", "criterion_holds", "contrary",
+                 "contradictory", "subcontrary", "subaltern_left", "subaltern_right", "laws",
+                 "hyper")
+    _shown = __slots__[:-1]
+
+    def __init__(
+        self,
+        matrix: str,
+        force: str,
+        atom: str,
+        square_holds: bool,
+        criterion_holds: bool,
+        contrary: RelationCheck,
+        contradictory: RelationCheck,
+        subcontrary: RelationCheck,
+        subaltern_left: RelationCheck,
+        subaltern_right: RelationCheck,
+        laws: LawsReport,
+        hyper: Optional[SquareReport] = None,
+    ) -> None:
+        setfield(self, "matrix", matrix)
+        setfield(self, "force", force)
+        setfield(self, "atom", atom)
+        setfield(self, "square_holds", square_holds)
+        setfield(self, "criterion_holds", criterion_holds)
+        setfield(self, "contrary", contrary)
+        setfield(self, "contradictory", contradictory)
+        setfield(self, "subcontrary", subcontrary)
+        setfield(self, "subaltern_left", subaltern_left)
+        setfield(self, "subaltern_right", subaltern_right)
+        setfield(self, "laws", laws)
+        setfield(self, "hyper", hyper)
 
     def to_json(self) -> dict:
         data = {

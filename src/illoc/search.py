@@ -8,8 +8,9 @@ same for every caller.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
+
+from .record import Record, setfield
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -18,10 +19,12 @@ class BudgetExceeded(RuntimeError):
     """The assignment space is larger than the configured evaluation budget."""
 
 
-@dataclass(frozen=True)
-class Slot:
-    key: Any
-    domain: tuple
+class Slot(Record):
+    __slots__ = ("key", "domain")
+
+    def __init__(self, key: Any, domain: tuple) -> None:
+        setfield(self, "key", key)
+        setfield(self, "domain", domain)
 
 
 def space_size(slots: Sequence[Slot]) -> int:

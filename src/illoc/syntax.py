@@ -18,9 +18,10 @@ can start.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Collection, Iterator, Mapping, Optional, Union
+
+from .record import Record, setfield
 
 
 class ParseError(Exception):
@@ -49,43 +50,57 @@ class CyclicAct(ValueError):
         return f"act {self.args[0]!r} is cyclic: its definition refers back to it"
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    name: str
+class Atom(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    body: "Formula"
+class Not(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Force:
-    force: str
-    content: "Formula"
+class Force(Record):
+    __slots__ = ("force", "content")
+
+    def __init__(self, force: str, content: Formula) -> None:
+        setfield(self, "force", force)
+        setfield(self, "content", content)
 
 
-@dataclass(frozen=True, slots=True)
-class ActRef:
-    name: str
+class ActRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Force, ActRef]
@@ -94,20 +109,19 @@ ActDefs = dict[str, Formula]
 ILLOCUTIONARY_POINTS = ("assertive", "commissive", "directive", "declarative", "expressive")
 
 
-@dataclass(frozen=True)
-class ForceDecl:
+class ForceDecl(Record):
     """A named force with an optional point tag; metadata only, no semantics."""
 
-    name: str
-    point: Optional[str] = None
+    __slots__ = ("name", "point")
 
-    def __post_init__(self) -> None:
-        if not IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"bad force name: {self.name!r}")
-        if self.point is not None and self.point not in ILLOCUTIONARY_POINTS:
+    def __init__(self, name: str, point: Optional[str] = None) -> None:
+        setfield(self, "name", name)
+        setfield(self, "point", point)
+        if not IDENT_RE.fullmatch(name):
+            raise ValueError(f"bad force name: {name!r}")
+        if point is not None and point not in ILLOCUTIONARY_POINTS:
             raise ValueError(
-                f"unknown point {self.point!r}; expected one of: "
-                + ", ".join(ILLOCUTIONARY_POINTS)
+                f"unknown point {point!r}; expected one of: " + ", ".join(ILLOCUTIONARY_POINTS)
             )
 
     def to_json(self) -> dict:
@@ -169,10 +183,12 @@ def _unexpected(text: str, tokens: list[str], index: int,
 
 # --- parser ---
 
-@dataclass(frozen=True)
-class ParseResult:
-    definitions: ActDefs
-    formula: Optional[Formula]
+class ParseResult(Record):
+    __slots__ = ("definitions", "formula")
+
+    def __init__(self, definitions: ActDefs, formula: Optional[Formula]) -> None:
+        setfield(self, "definitions", definitions)
+        setfield(self, "formula", formula)
 
 
 _BINARY = {"&": And, "|": Or, "->": Implies}

@@ -1,15 +1,17 @@
 """Lints over the package sources with stdlib `ast`: every module-level import is used, and
-no module imports a `_`-prefixed name from another module of the package."""
+no module imports a `_`-prefixed name from another module of the package. A guard on what a
+command imports before it runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parent.parent / "src" / "illoc").glob("*.py")
-    if path.name != "__init__.py"
-)
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted(path for path in (SRC / "illoc").glob("*.py") if path.name != "__init__.py")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -70,3 +72,18 @@ def test_the_lint_sees_a_private_import():
     source = ("from .search import Slot, _slots\nfrom illoc.syntax import _fmt\n"
               "from os import _exit\ndef f():\n    from . import _x\n")
     assert _private_imports(ast.parse(source)) == [".search:_slots", "illoc.syntax:_fmt", ".:_x"]
+
+
+# Each costs milliseconds of start-up in every command: `dataclasses` imports `inspect`, which
+# imports `ast`, `dis` and `tokenize`.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def test_a_command_starts_without_the_slow_imports():
+    code = ("import sys, illoc, illoc.cli\nilloc.cli.build_parser()\n"
+            f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-s", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

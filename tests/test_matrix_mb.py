@@ -182,6 +182,13 @@ class TestValuation:
                 generators={("f", "p"): hyper(el(K2, "a"), el(K2, "a"))},
             )
 
+    def test_default_maps_are_fresh_per_instance(self):
+        first, second = MBValuation(K2), MBValuation(K2)
+        for name in ("atom_values", "act_values", "generators", "signatures"):
+            assert getattr(first, name) == {}
+            assert getattr(first, name) is not getattr(second, name)
+        assert first.mode is MBMode.POINTWISE
+
     def test_exceptional_assignments_normalize(self):
         patched = hyper(el(K2, "a"), el(K2, "b"), {K2.bottom(): K2.top()})
         v = MBValuation(K2, MBMode.FREE, act_values={"[f](p)": patched})
