@@ -14,11 +14,10 @@ import os
 import sys
 from typing import Optional
 
-from .boolalg import AlgebraMismatch, AlgebraSpec, Element
-from .hyper import HyperValue, StandardInput, hyper_to_json, normalize, standard
+from .boolalg import AlgebraSpec, Element
+from .hyper import HyperValue, hyper_to_json, standard
 from .matrix_m import (
     CARRIER,
-    MissingAtom,
     MScan,
     check_matrix_properties,
     classify,
@@ -30,9 +29,6 @@ from .matrix_mb import (
     MBMode,
     MBScan,
     MBValuation,
-    MissingAssignment,
-    NotCyclic,
-    StandardAssignment,
     default_signatures,
     eval_mb,
     is_tautology_mb,
@@ -45,9 +41,7 @@ from .opposition import CheckSpace, entails, square_for_force
 from .search import DEFAULT_BUDGET, BudgetExceeded
 from .syntax import (
     IDENT_RE,
-    CyclicAct,
     ParseError,
-    UnknownActRef,
     format_formula,
     format_program,
     formula_to_json,
@@ -209,10 +203,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _render_hyper(h: HyperValue) -> str:
-    return str(normalize(h))
-
-
 # --- commands ---
 
 def _cmd_eval(args) -> int:
@@ -239,7 +229,7 @@ def _cmd_eval(args) -> int:
     }
     payload.update(outcome.to_json())
     flag = "admissible" if outcome.admissible else "inadmissible"
-    _emit(args, payload, f"{_render_hyper(outcome.value)} {flag}")
+    _emit(args, payload, f"{outcome.value} {flag}")
     return 0
 
 
@@ -266,7 +256,7 @@ def _cmd_table(args) -> int:
                 return
             valuation, outcome = scan.valuation(), scan.outcome(0)
             rows.append({"valuation": valuation_to_json(valuation), **outcome.to_json()})
-            lines.append(f"{_describe(valuation)}  {_render_hyper(outcome.value)}")
+            lines.append(f"{_describe(valuation)}  {outcome.value}")
 
         scan_mb([formula], _algebra_of(args), MBMode(args.mode), mb_row,
                 defs=defs, budget=_budget(args))
@@ -315,7 +305,7 @@ def _cmd_taut(args) -> int:
         return 0
     _emit(
         args, payload,
-        f"refuted with value {_render_hyper(result.witness_value)}\n"
+        f"refuted with value {result.witness_value}\n"
         f"witness: {json.dumps(valuation_to_json(result.witness))}",
     )
     return 1
@@ -416,7 +406,7 @@ def _cmd_unfold(args) -> int:
         "seed": hyper_to_json(seed),
         "value": hyper_to_json(value),
     }
-    _emit(args, payload, _render_hyper(value))
+    _emit(args, payload, str(value))
     return 0
 
 
@@ -494,19 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 _SIGPIPE_EXIT = 141  # 128 + SIGPIPE, what a shell reports for a producer killed by it
 _INTERNAL_ERROR_EXIT = 70  # EX_SOFTWARE in sysexits.h
 
-_SEMANTIC_ERRORS = (
-    MissingAtom,
-    MissingAssignment,
-    StandardAssignment,
-    CyclicAct,
-    UnknownActRef,
-    AlgebraMismatch,
-    StandardInput,
-    NotCyclic,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# the package's semantic errors (MissingAssignment, CyclicAct, ...) all subclass ValueError
+_SEMANTIC_ERRORS = (OSError, ValueError)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .program import Program, run
 from .record import Record, setfield
-from .search import DEFAULT_BUDGET, Slot, first_hit
+from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
 from .syntax import And, Atom, Force, Formula, Implies, Not, Or, inline_acts
 
 
@@ -267,8 +267,9 @@ def scan_m(
         r = run(code, values)
         return verdict(scan, [r[i] for i in roots])
 
-    hit = first_hit([Slot(name, BIT_CODE) for name in atoms], predicate, budget=budget)
-    return None if hit is None else (scan.assignment(), hit[1])
+    check_budget(2 ** len(atoms), budget)
+    payload = first_hit([Slot(name, BIT_CODE) for name in atoms], predicate)
+    return None if payload is None else (scan.assignment(), payload)
 
 
 def is_tautology_m(

@@ -26,6 +26,7 @@ that choice while it lowers a scan's formulas into one register program.
 
 from __future__ import annotations
 
+import math
 import operator
 from enum import Enum
 from functools import lru_cache
@@ -36,18 +37,15 @@ from .boolalg import (
     Element,
     algebra_from_json,
     algebra_to_json,
-    complement,
     element_from_json,
     element_index,
     element_to_json,
-    enumerate_elements,
 )
 from .hyper import (
     HyperValue,
     decode,
     decode_element,
     encode,
-    enumerate_nonstandard,
     hyper_from_json,
     hyper_to_json,
     is_standard,
@@ -56,7 +54,7 @@ from .hyper import (
 )
 from .program import Program, run
 from .record import Record, setfield
-from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit, space_size
+from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
 from .syntax import (
     ActRef,
     And,
@@ -131,7 +129,7 @@ class MBValuation(Record):
         generators: Optional[Mapping[tuple[str, str], HyperValue]] = None,
         signatures: Optional[Mapping[str, HyperValue]] = None,
     ) -> None:
-        atom_values = {} if atom_values is None else atom_values
+        atom_values = dict(atom_values or {})
         for name, value in atom_values.items():
             if value.algebra != algebra:
                 raise ValueError(f"atom {name!r} is valued outside the algebra")
@@ -355,34 +353,33 @@ def slot_keys(resolved: Sequence[Formula], mode: MBMode) -> list[tuple]:
 @lru_cache(maxsize=16)
 def _nonstandard_codes(algebra: AlgebraSpec) -> tuple[int, ...]:
     """The nonstandard values packed, in `enumerate_nonstandard`'s order."""
-    return tuple(encode(h) for h in enumerate_nonstandard(algebra))
+    k = algebra.k
+    return tuple(u | v << k for u in range(1 << k) for v in range(1 << k) if u != v)
 
 
-def _slots(
-    keys: Sequence[tuple], algebra: AlgebraSpec, slot_filter: Optional[Callable] = None
-) -> list[Slot]:
-    """The slots of keys, in order; a nonstandard domain is built only for a slot that needs it."""
-    if slot_filter is not None:
-        return [_filtered(key, slot_filter, algebra) for key in keys]
-    elements = range(1 << algebra.k)  # binary-counting order, as `enumerate_elements`
-    return [Slot(key, elements if key[0] == "atom" else _nonstandard_codes(algebra))
-            for key in keys]
+def _check_domains(keys: Sequence[tuple], domains: Mapping[str, Sequence[int]], k: int) -> None:
+    """Raise ValueError for an unknown kind, or a code its slot cannot take."""
+    for kind in domains:
+        if kind not in _SCAN_ORDER:
+            raise ValueError(f"unknown slot kind {kind!r}")
+    low = (1 << k) - 1
+    for key in keys:
+        atom = key[0] == "atom"
+        for code in domains.get(key[0], ()):
+            if not 0 <= code < 1 << (k if atom else 2 * k) or not atom and code & low == code >> k:
+                raise ValueError(f"{code} is outside the domain of slot {key!r}")
 
 
-def _filtered(key: tuple, slot_filter: Callable, algebra: AlgebraSpec) -> Slot:
-    """The values slot_filter keeps from the slot's decoded domain, packed again.
+def _slots(keys: Sequence[tuple], algebra: AlgebraSpec,
+           domains: Mapping[str, Sequence[int]]) -> list[Slot]:
+    """The slots of keys, in order, each over its kind's given domain or every value.
 
-    The domain is listed lazily, so a filter that picks its values without
-    reading it costs nothing however large the algebra.
+    A nonstandard domain is built only for a slot that needs it.
     """
-    atom = key[0] == "atom"
-    domain = enumerate_elements(algebra) if atom else enumerate_nonstandard(algebra)
-    codes = []
-    for x in slot_filter(key, domain):
-        if x.algebra != algebra or not atom and is_standard(x):
-            raise ValueError(f"{x} is outside the domain of slot {key!r}")
-        codes.append(element_index(x) if atom else encode(x))
-    return Slot(key, tuple(codes))
+    elements = range(1 << algebra.k)  # binary-counting order, as `enumerate_elements`
+    return [Slot(key, domains[key[0]] if key[0] in domains
+                 else elements if key[0] == "atom" else _nonstandard_codes(algebra))
+            for key in keys]
 
 
 def scan_mb(
@@ -393,7 +390,7 @@ def scan_mb(
     *,
     defs: Optional[Mapping[str, Formula]] = None,
     budget: int = DEFAULT_BUDGET,
-    slot_filter: Optional[Callable[[tuple, tuple], Iterable]] = None,
+    domains: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> tuple[Optional[tuple[MBValuation, Any]], int]:
     """First valuation on which verdict(scan, codes) is not None.
 
@@ -403,26 +400,26 @@ def scan_mb(
     valuation; codes holds the formulas' packed values and scan (an MBScan)
     decodes the valuation on demand.
     Returns ((valuation, payload) or None, number of valuations in the
-    space). slot_filter(key, domain) may shrink a slot's domain, an iterable
-    of `Element`s or `HyperValue`s in scan order, listed lazily; returning
-    the domain unchanged keeps the full scan.
+    space). domains maps a slot kind ("atom", "act", "gen" or "sig") to the
+    codes, in scan order, that its slots take in place of every value of the
+    kind. The space is sized from the domains' lengths and refused over the
+    budget before any slot is built.
     """
-    defs = dict(defs or {})
-    lowered = lower([inline_acts(f, defs) for f in formulas], mode, algebra.k)
+    defs, domains, k = dict(defs or {}), domains or {}, algebra.k
+    lowered = lower([inline_acts(f, defs) for f in formulas], mode, k)
     keys = _scan_order(lowered[0].leaves)
-    if slot_filter is None:
-        # refuse before any domain is built: 4^k - 2^k values per nonstandard slot
-        k, atoms = algebra.k, sum(key[0] == "atom" for key in keys)
-        check_budget(2 ** (k * atoms) * (4 ** k - 2 ** k) ** (len(keys) - atoms), budget)
-    slots = _slots(keys, algebra, slot_filter)
+    _check_domains(keys, domains, k)
+    size = math.prod(len(domains[key[0]]) if key[0] in domains
+                     else 2 ** k if key[0] == "atom" else 4 ** k - 2 ** k for key in keys)
+    check_budget(size, budget)
+    slots = _slots(keys, algebra, domains)
     scan = MBScan(algebra, mode, keys, lowered)
 
     def predicate(values: tuple) -> Optional[tuple[MBValuation, Any]]:
         payload = verdict(scan, scan.visit(values))
         return None if payload is None else (scan.valuation(), payload)
 
-    hit = first_hit(slots, predicate, budget=budget)
-    return (None if hit is None else hit[1]), space_size(slots)
+    return first_hit(slots, predicate), size
 
 
 class MBTautologyResult(Record):
@@ -502,11 +499,11 @@ def find_difference(
     *,
     defs: Optional[Mapping[str, Formula]] = None,
     budget: int = DEFAULT_BUDGET,
-    slot_filter=None,
+    domains: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> DifferenceResult:
     """First joint valuation on which the two formulas take different values.
 
-    slot_filter is passed to scan_mb (e.g. to restrict a generator search).
+    domains is passed to scan_mb (e.g. to restrict a generator search).
     """
 
     def differs(scan: MBScan, codes: list[int]):
@@ -515,7 +512,7 @@ def find_difference(
 
     first, checked = scan_mb(
         [left, right], algebra, mode, differs,
-        defs=defs, budget=budget, slot_filter=slot_filter,
+        defs=defs, budget=budget, domains=domains,
     )
     if first is None:
         return DifferenceResult(False, None, None, None, checked)
@@ -551,16 +548,15 @@ def find_neg_swap_counterexample(
     components are complements; the swap then equals the pointwise complement
     and the search must come back empty.
     """
-    p = Atom("p")
-
-    def complementary(key, domain):
-        if key[0] in ("gen", "act"):
-            return tuple(h for h in domain if h.on_false == complement(h.on_true))
-        return domain
-
+    p, domains = Atom("p"), None
+    if complementary_only:
+        k = algebra.k
+        low = (1 << k) - 1
+        complementary = tuple(u | (u ^ low) << k for u in range(1 << k))
+        domains = {"gen": complementary, "act": complementary}
     return find_difference(
         Not(Force(force, p)), Force(force, Not(p)), algebra, mode,
-        budget=budget, slot_filter=complementary if complementary_only else None,
+        budget=budget, domains=domains,
     )
 
 

@@ -17,6 +17,7 @@ from .boolalg import AlgebraSpec
 from .hyper import (
     HyperValue,
     SquareReport,
+    encode,
     hyper_to_json,
     is_standard,
     normalize,
@@ -334,13 +335,15 @@ def _square_mb(
     any is built when over budget, or holds only the given generator. A
     relation's witness is its first failing generator in scan order.
     """
-    slot_filter, budget = None, space.budget
+    domains, budget = None, space.budget
     if generator is not None:
         generator = normalize(generator)
         if is_standard(generator):
             raise StandardAssignment("the generator must be nonstandard")
+        if generator.algebra != space.algebra:
+            raise ValueError(f"{generator} is outside the domain of slot {('gen', force, atom)!r}")
         # one valuation, like `eval`: no budget applies
-        slot_filter, budget = (lambda key, domain: (generator,)), DEFAULT_BUDGET
+        domains, budget = {"gen": (encode(generator),)}, DEFAULT_BUDGET
     ops = packed_ops(space.algebra.k)
     square = _Square(square_relations(ops))
     text: dict[int, str] = {}  # printed values, by code
@@ -358,7 +361,7 @@ def _square_mb(
             squares.append(square_from_corners(space.algebra, *corners))
 
     scan_mb(_square_formulas(force, atom), space.algebra, space.mode, visit,
-            budget=budget, slot_filter=slot_filter)
+            budget=budget, domains=domains)
     return square.report("mb", force, atom, squares[0] if squares else None)
 
 

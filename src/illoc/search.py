@@ -8,7 +8,7 @@ same for every caller.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from .record import Record, setfield
 
@@ -27,33 +27,20 @@ class Slot(Record):
         setfield(self, "domain", domain)
 
 
-def space_size(slots: Sequence[Slot]) -> int:
-    size = 1
-    for slot in slots:
-        size *= len(slot.domain)
-    return size
-
-
 def check_budget(size: int, budget: int) -> None:
     if size > budget:
         raise BudgetExceeded(f"{size} assignments exceed the budget of {budget}")
 
 
-def first_hit(
-    slots: Sequence[Slot],
-    predicate: Callable[[tuple], Any],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[tuple[tuple, Any]]:
-    """First (values, payload), in scan order, for which predicate hits.
+def first_hit(slots: Sequence[Slot], predicate: Callable[[tuple], Any]) -> Any:
+    """The first payload, in scan order, for which predicate hits, or None.
 
     The predicate gets the tuple of slot values, in slot order, and returns
-    None for a miss and any other value for a hit; that value rides along in
-    the result, with the hit's values tuple.
+    None for a miss and any other value, the payload, for a hit. The caller
+    sizes the space and checks its budget before it builds the slots.
     """
-    check_budget(space_size(slots), budget)
     for values in itertools.product(*(slot.domain for slot in slots)):
         payload = predicate(values)
         if payload is not None:
-            return values, payload
+            return payload
     return None

@@ -8,7 +8,12 @@ import pytest
 import illoc
 import illoc.cli
 import illoc.matrix_mb
+from illoc.boolalg import AlgebraMismatch
 from illoc.cli import main
+from illoc.hyper import StandardInput
+from illoc.matrix_m import MissingAtom
+from illoc.matrix_mb import MissingAssignment, NotCyclic, StandardAssignment
+from illoc.syntax import CyclicAct, UnknownActRef
 
 CYCLIC = "act x = [promise](~x);\n"
 DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
@@ -220,7 +225,7 @@ class TestTaut:
         def unreachable(spec):
             raise AssertionError("a nonstandard domain was built before the budget check")
 
-        monkeypatch.setattr(illoc.matrix_mb, "enumerate_nonstandard", unreachable)
+        monkeypatch.setattr(illoc.matrix_mb, "_nonstandard_codes", unreachable)
         algebra = ",".join(f"a{i}" for i in range(12))
         code, _, err = run(
             capsys, "taut", "--matrix", "mb", "--algebra", algebra, "--budget", "10",
@@ -493,6 +498,20 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", [
+        MissingAtom("p"), MissingAssignment("no value for atom 'p'"),
+        StandardAssignment("act '[f](p)' must be nonstandard"), CyclicAct("x"),
+        UnknownActRef("y"), AlgebraMismatch("algebra mismatch"), StandardInput("standard"),
+        NotCyclic("x"),
+    ], ids=lambda error: type(error).__name__)
+    def test_package_errors_are_semantic_errors(self, capsys, monkeypatch, error):
+        def raises(args):
+            raise error
+
+        monkeypatch.setattr(illoc.cli, "_cmd_fmt", raises)
+        code, out, err = run(capsys, "fmt", "p")
+        assert (code, out, err) == (3, "", f"error: {error}\n")
 
     def test_uncaught_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(args):

@@ -11,7 +11,9 @@ import illoc.matrix_mb
 from conftest import random_force_free
 from illoc.boolalg import AlgebraSpec, complement, enumerate_elements, join, meet
 from illoc.hyper import (
+    HyperValue,
     content_neg,
+    encode,
     enumerate_nonstandard,
     equivalent,
     hleq,
@@ -76,6 +78,7 @@ from mb_oracle import (
 K1 = AlgebraSpec(("a",))
 K2 = AlgebraSpec(("a", "b"))
 K3 = AlgebraSpec(("a", "b", "c"))
+K4 = AlgebraSpec(("a", "b", "c", "d"))
 MODES = (MBMode.FREE, MBMode.POINTWISE, MBMode.CONNECTIVE)
 
 
@@ -188,6 +191,18 @@ class TestValuation:
             assert getattr(first, name) == {}
             assert getattr(first, name) is not getattr(second, name)
         assert first.mode is MBMode.POINTWISE
+
+    def test_maps_are_copied_from_the_caller(self):
+        def maps():
+            return ({"p": el(K2, "a")}, {"[f](p)": hyper(el(K2, "a"), K2.bottom())},
+                    {("f", "p"): hyper(K2.top(), el(K2, "b"))},
+                    {"f": hyper(el(K2, "b"), K2.bottom())})
+
+        given_maps = maps()
+        v = MBValuation(K2, MBMode.POINTWISE, *given_maps)
+        for given in given_maps:
+            given.clear()
+        assert v == MBValuation(K2, MBMode.POINTWISE, *maps())
 
     def test_exceptional_assignments_normalize(self):
         patched = hyper(el(K2, "a"), el(K2, "b"), {K2.bottom(): K2.top()})
@@ -522,11 +537,59 @@ class TestLawFailures:
         )
         assert not result.found
 
+    def test_over_budget_complementary_search_builds_no_value(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a value was built before the budget check")
+
+        monkeypatch.setattr(HyperValue, "__init__", unreachable)
+        k9 = AlgebraSpec(tuple(f"a{i}" for i in range(9)))
+        with pytest.raises(BudgetExceeded, match="512 assignments"):
+            find_neg_swap_counterexample(k9, MBMode.POINTWISE, complementary_only=True, budget=10)
+
     def test_difference_search_is_symmetric_on_identical_formulas(self):
         result = find_difference(
             parse_formula("[f](p)"), parse_formula("[f](p)"), K2, MBMode.POINTWISE
         )
         assert not result.found
+
+
+class TestScanDomains:
+    """The code domains of a scan against the object enumeration they stand for."""
+
+    @pytest.mark.parametrize("spec", [K1, K2, K3, K4], ids=["K1", "K2", "K3", "K4"])
+    def test_nonstandard_codes_follow_the_object_enumeration(self, spec):
+        codes = illoc.matrix_mb._nonstandard_codes(spec)
+        assert list(codes) == [encode(h) for h in enumerate_nonstandard(spec)]
+
+    @pytest.mark.parametrize("spec", [K1, K2, K3, K4], ids=["K1", "K2", "K3", "K4"])
+    def test_complementary_domain_lists_the_complementary_values(self, spec, monkeypatch):
+        passed = []
+        monkeypatch.setattr(illoc.matrix_mb, "find_difference",
+                            lambda *args, domains, **kwargs: passed.append(domains))
+        find_neg_swap_counterexample(spec, MBMode.POINTWISE, complementary_only=True)
+        expected = tuple(encode(h) for h in enumerate_nonstandard(spec)
+                         if h.on_false == complement(h.on_true))
+        assert passed == [{"gen": expected, "act": expected}]
+
+    @pytest.mark.parametrize("domains,message", [
+        ({"gen": (0,)}, r"0 is outside the domain of slot \('gen', 'f', 'p'\)"),  # standard
+        ({"gen": (16,)}, r"16 is outside the domain of slot \('gen', 'f', 'p'\)"),  # past K2
+        ({"atom": (4,)}, r"4 is outside the domain of slot \('atom', 'p'\)"),
+        ({"atom": (-1,)}, r"-1 is outside the domain of slot \('atom', 'p'\)"),
+        ({"gens": (1,)}, "unknown slot kind 'gens'"),
+    ])
+    def test_a_domain_outside_its_kind_is_refused(self, domains, message):
+        with pytest.raises(ValueError, match=message):
+            find_difference(parse_formula("[f](p)"), parse_formula("p"), K2, MBMode.POINTWISE,
+                            domains=domains)
+
+    def test_a_domain_restricts_the_scan_in_scan_order(self):
+        g = encode(hyper(el(K2, "a"), K2.bottom()))
+        result = find_difference(parse_formula("[f](p)"), parse_formula("p"), K2,
+                                 MBMode.POINTWISE, domains={"gen": (g,), "atom": (3,)})
+        assert result.checked == 1
+        assert result.witness.generators == {("f", "p"): hyper(el(K2, "a"), K2.bottom())}
+        assert result.witness.atom_values == {"p": K2.top()}
 
 
 class TestUnfold:

@@ -372,6 +372,12 @@ class TestBudget:
         assert report.square_holds and len(report.laws.rows) == 1
         assert criterion_holds("f", space, generator=g)
 
+    def test_generator_from_another_algebra_is_refused(self):
+        g = hyper(K2.element(["a"]), K2.bottom())
+        space = CheckSpace("mb", self.K5, MBMode.POINTWISE)
+        with pytest.raises(ValueError, match=r"outside the domain of slot \('gen', 'f', 'p'\)"):
+            square_for_force("f", "p", space, generator=g)
+
     def test_laws_scans_take_the_space_budget(self):
         with pytest.raises(BudgetExceeded):
             laws_report("f", CheckSpace("m", budget=1))
