@@ -425,59 +425,89 @@ def _cmd_fmt(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="illoc",
-        description="Matrix semantics for illocutionary acts",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("eval", help="evaluate a formula under one valuation")
-    _add_common(sub)
-    sub.add_argument("--assign", action="append", help="atom value, e.g. p=1 (matrix m)")
-    sub.add_argument("formula", nargs="?")
-    sub.set_defaults(handler=_cmd_eval)
-
-    sub = subs.add_parser("table", help="print the value of a formula on every valuation")
-    _add_common(sub)
-    sub.add_argument("formula", nargs="?")
-    sub.set_defaults(handler=_cmd_table)
-
-    sub = subs.add_parser("taut", help="exhaustive tautology check")
-    _add_common(sub)
-    sub.add_argument("formula", nargs="?")
-    sub.set_defaults(handler=_cmd_taut)
-
-    sub = subs.add_parser("check-matrix", help="check the seven four-valued operator laws")
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("text", "json"), default="text")
-    sub.set_defaults(handler=_cmd_check_matrix)
 
-    sub = subs.add_parser("square", help="square of opposition report")
+
+def _add_formula(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("formula", nargs="?")
+
+
+def _add_eval(sub: argparse.ArgumentParser) -> None:
+    _add_formula(sub)  # a positional is listed apart from the options, so it may come first
+    sub.add_argument("--assign", action="append", help="atom value, e.g. p=1 (matrix m)")
+
+
+def _add_square(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("--force", type=_identifier, default="think")
     sub.add_argument("--atom", type=_identifier, default="p")
     sub.add_argument("--gen", help='generator, e.g. "on_true=a;on_false=" (mb)')
-    sub.set_defaults(handler=_cmd_square)
 
-    sub = subs.add_parser("entail", help="does the first act entail the second?")
+
+def _add_entail(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("lhs")
     sub.add_argument("rhs")
-    sub.set_defaults(handler=_cmd_entail)
 
-    sub = subs.add_parser("unfold", help="finitely unfold a cyclic act from a seed")
+
+def _add_unfold(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("--act", required=True)
     sub.add_argument("--steps", type=int, required=True)
     sub.add_argument("--seed", required=True, help='e.g. "standard:0" or "standard:1"')
-    sub.set_defaults(handler=_cmd_unfold)
 
-    sub = subs.add_parser("fmt", help="reprint a program in canonical form")
-    sub.add_argument("--output", choices=("text", "json"), default="text")
+
+def _add_fmt(sub: argparse.ArgumentParser) -> None:
+    _add_output(sub)
     sub.add_argument("--defs", help="path to an .illoc file")
     sub.add_argument("formula", nargs="?")
-    sub.set_defaults(handler=_cmd_fmt)
 
+
+# command name -> (help, what adds its arguments); `main` runs `_cmd_<name>`
+_COMMANDS = {
+    "eval": ("evaluate a formula under one valuation", _add_eval),
+    "table": ("print the value of a formula on every valuation", _add_formula),
+    "taut": ("exhaustive tautology check", _add_formula),
+    "check-matrix": ("check the seven four-valued operator laws", _add_output),
+    "square": ("square of opposition report", _add_square),
+    "entail": ("does the first act entail the second?", _add_entail),
+    "unfold": ("finitely unfold a cyclic act from a seed", _add_unfold),
+    "fmt": ("reprint a program in canonical form", _add_fmt),
+}
+
+
+class _Command(argparse.ArgumentParser):
+    """A command's parser that adds its arguments when first used: a call uses one of eight."""
+
+    def __init__(self, *, add_arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._add_arguments = add_arguments
+
+    def _ready(self) -> None:
+        add, self._add_arguments = self._add_arguments, lambda sub: None
+        add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._ready()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._ready()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._ready()
+        return super().format_help()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="illoc",
+                                     description="Matrix semantics for illocutionary acts")
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, (help_, add_arguments) in _COMMANDS.items():
+        subs.add_parser(name, help=help_, add_arguments=add_arguments)
     return parser
 
 
@@ -489,10 +519,9 @@ _SEMANTIC_ERRORS = (OSError, ValueError)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2

@@ -13,7 +13,9 @@ from illoc.cli import main
 from illoc.hyper import StandardInput
 from illoc.matrix_m import MissingAtom
 from illoc.matrix_mb import MissingAssignment, NotCyclic, StandardAssignment
+from illoc.search import DEFAULT_BUDGET
 from illoc.syntax import CyclicAct, UnknownActRef
+from test_cli_surface import ARGS
 
 CYCLIC = "act x = [promise](~x);\n"
 DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
@@ -522,6 +524,48 @@ class TestBadInput:
         assert code == 70
         assert out == ""
         assert err == "internal error: KeyError: 'slot'\n"
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("command", ARGS)
+    def test_the_handler_is_looked_up_when_called(self, capsys, monkeypatch, command):
+        seen = []
+
+        def handler(args):
+            seen.append(args.command)
+            return 42
+
+        monkeypatch.setattr(illoc.cli, "_cmd_" + command.replace("-", "_"), handler)
+        assert run(capsys, command, *ARGS[command]) == (42, "", "")
+        assert seen == [command]
+
+    def test_every_command_has_a_handler(self):
+        handlers = {name for name in vars(illoc.cli) if name.startswith("_cmd_")}
+        assert set(ARGS) == set(illoc.cli._COMMANDS)
+        assert handlers == {"_cmd_" + name.replace("-", "_") for name in illoc.cli._COMMANDS}
+        assert all(callable(getattr(illoc.cli, name)) for name in handlers)
+
+    def test_calls_share_no_parsed_state(self, monkeypatch):
+        budgets = []
+
+        def handler(args):
+            budgets.append(illoc.cli._budget(args))
+            return 0
+
+        monkeypatch.setattr(illoc.cli, "_cmd_taut", handler)
+        monkeypatch.delenv("ILLOC_BUDGET", raising=False)
+        main(["taut", "--budget", "5", "p"])
+        main(["taut", "p"])
+        monkeypatch.setenv("ILLOC_BUDGET", "7")
+        main(["taut", "p"])
+        assert budgets == [5, DEFAULT_BUDGET, 7]
+
+    def test_a_call_adds_only_its_own_commands_arguments(self, capsys, monkeypatch):
+        def unreachable(sub):
+            raise AssertionError("fmt takes none of the common options")
+
+        monkeypatch.setattr(illoc.cli, "_add_common", unreachable)
+        assert run(capsys, "fmt", "p & q") == (0, "p & q\n", "")
 
 
 class TestConsoleScript:
