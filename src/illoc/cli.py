@@ -9,7 +9,6 @@ exceeded, 70 internal error, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -188,6 +187,8 @@ def _parse_seed(algebra: AlgebraSpec, text: str) -> HyperValue:
 def _load_valuation(args, algebra: AlgebraSpec) -> MBValuation:
     if not args.valuation:
         return MBValuation(algebra, MBMode(args.mode))
+    import json  # here and below, not at the top: `json` is for JSON input and output only
+
     with open(args.valuation, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -198,6 +199,8 @@ def _load_valuation(args, algebra: AlgebraSpec) -> MBValuation:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.output == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -303,6 +306,8 @@ def _cmd_taut(args) -> int:
     if result.status == "tautology":
         _emit(args, payload, "tautology")
         return 0
+    import json
+
     _emit(
         args, payload,
         f"refuted with value {result.witness_value}\n"
@@ -380,6 +385,8 @@ def _cmd_entail(args) -> int:
     if result.holds:
         _emit(args, payload, "entails")
         return 0
+    import json
+
     _emit(
         args, payload,
         f"does not entail ({result.left_value} > {result.right_value})\n"
@@ -455,7 +462,7 @@ def _add_entail(sub: argparse.ArgumentParser) -> None:
 def _add_unfold(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("--act", required=True)
-    sub.add_argument("--steps", type=int, required=True)
+    sub.add_argument("--steps", type=_int_at_least(0), required=True)
     sub.add_argument("--seed", required=True, help='e.g. "standard:0" or "standard:1"')
 
 

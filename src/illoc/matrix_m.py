@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .program import Program, run
 from .record import Record, setfield
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
 from .syntax import And, Atom, Force, Formula, Implies, Not, Or, inline_acts
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class MissingAtom(ValueError):
@@ -33,14 +35,17 @@ class MissingAtom(ValueError):
 
 
 class TruthValue4(Enum):
-    ONE = Fraction(1)
-    HALF = Fraction(1, 2)
-    ZERO = Fraction(0)
-    NEG_HALF = Fraction(-1, 2)
+    # a value counts halves, so int order is value order
+    ONE = 2
+    HALF = 1
+    ZERO = 0
+    NEG_HALF = -1
 
     @property
     def rational(self) -> Fraction:
-        return self.value
+        from fractions import Fraction  # off the start-up path: no command needs it
+
+        return Fraction(self.value, 2)
 
     def __le__(self, other: "TruthValue4") -> bool:
         if not isinstance(other, TruthValue4):
@@ -63,7 +68,10 @@ class TruthValue4(Enum):
         return self.value > other.value
 
     def __str__(self) -> str:
-        return str(self.value)
+        return _TEXT[self.value]
+
+
+_TEXT = {2: "1", 1: "1/2", 0: "0", -1: "-1/2"}
 
 
 CARRIER = (TruthValue4.ONE, TruthValue4.HALF, TruthValue4.ZERO, TruthValue4.NEG_HALF)
@@ -74,13 +82,6 @@ CLASSIFICATION = {
     TruthValue4.HALF: "successful-performance",
     TruthValue4.NEG_HALF: "unsuccessful-performance",
 }
-
-_BY_RATIONAL = {v.value: v for v in TruthValue4}
-
-
-def _of(r: Fraction) -> TruthValue4:
-    return _BY_RATIONAL[Fraction(r)]
-
 
 def _is_performance(x: TruthValue4) -> bool:
     return x in (TruthValue4.HALF, TruthValue4.NEG_HALF)
@@ -96,14 +97,14 @@ def inf4(x: TruthValue4, y: TruthValue4) -> TruthValue4:
 
 def neg4(x: TruthValue4) -> TruthValue4:
     if x in (TruthValue4.ONE, TruthValue4.ZERO):
-        return _of(1 - x.rational)
-    return _of(-x.rational)
+        return TruthValue4(2 - x.value)
+    return TruthValue4(-x.value)
 
 
 def force4(x: TruthValue4) -> TruthValue4:
     """Performing a content: classical values drop by a half, performances stay."""
     if x in (TruthValue4.ONE, TruthValue4.ZERO):
-        return _of(x.rational - Fraction(1, 2))
+        return TruthValue4(x.value - 1)
     return x
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import illoc
 import illoc.cli
@@ -14,8 +18,10 @@ from illoc.hyper import StandardInput
 from illoc.matrix_m import MissingAtom
 from illoc.matrix_mb import MissingAssignment, NotCyclic, StandardAssignment
 from illoc.search import DEFAULT_BUDGET
-from illoc.syntax import CyclicAct, UnknownActRef
+from illoc.syntax import And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef
+from m_oracle import oracle_entails, oracle_eval, oracle_tautology
 from test_cli_surface import ARGS
+from test_matrix_m import formulas
 
 CYCLIC = "act x = [promise](~x);\n"
 DEEP_PARENTHESES = "(" * 300 + "p" + ")" * 300
@@ -566,6 +572,65 @@ class TestDispatch:
 
         monkeypatch.setattr(illoc.cli, "_add_common", unreachable)
         assert run(capsys, "fmt", "p & q") == (0, "p & q\n", "")
+
+
+M_ATOMS = ("p", "q", "r", "s")
+M_CLASSIFICATION = {"1": "true-sentence", "0": "false-sentence",
+                    "1/2": "successful-performance", "-1/2": "unsuccessful-performance"}
+
+
+def _text(f) -> str:
+    """A formula written out with every operand in parentheses, not by the package's printer."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Not):
+        return f"~({_text(f.body)})"
+    if isinstance(f, Force):
+        return f"[{f.force}]({_text(f.content)})"
+    op = {And: "&", Or: "|", Implies: "->"}[type(f)]
+    return f"({_text(f.left)}) {op} ({_text(f.right)})"
+
+
+def _json_call(*argv):
+    """A call's exit code and JSON payload; exit 70 or any stderr fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--output", "json"])
+    assert code != 70 and err.getvalue() == "", (argv, code, err.getvalue())
+    return code, json.loads(out.getvalue())
+
+
+class TestMatrixMDifferential:
+    """`cli.main` on random formulas of at most four atoms, against `tests/m_oracle.py`."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(formula=formulas(4, M_ATOMS))
+    def test_taut(self, formula):
+        code, payload = _json_call("taut", _text(formula))
+        status, witness, value = oracle_tautology(formula)
+        assert code == {"tautology": 0, "refuted": 1}[status]
+        assert payload["status"] == status and payload["value"] == value
+        assert payload["witness"] == (None if witness is None else {"atom_values": witness})
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(formula=formulas(4, M_ATOMS), bits=st.tuples(*[st.sampled_from((0, 1))] * len(M_ATOMS)))
+    def test_eval(self, formula, bits):
+        assignment = dict(zip(M_ATOMS, bits))
+        assigns = [f"--assign={name}={bit}" for name, bit in assignment.items()]
+        code, payload = _json_call("eval", *assigns, _text(formula))
+        value = oracle_eval(formula, assignment)
+        assert code == 0
+        assert (payload["value"], payload["classification"]) == (value, M_CLASSIFICATION[value])
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(left=formulas(3, M_ATOMS), right=formulas(3, M_ATOMS))
+    def test_entail(self, left, right):
+        code, payload = _json_call("entail", _text(left), _text(right))
+        holds, witness, lhs, rhs = oracle_entails(left, right)
+        assert code == (0 if holds else 1)
+        assert payload["holds"] == holds
+        assert (payload["left_value"], payload["right_value"]) == (lhs, rhs)
+        assert payload["witness"] == (None if witness is None else {"atom_values": witness})
 
 
 class TestConsoleScript:

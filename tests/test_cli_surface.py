@@ -33,6 +33,7 @@ CALLS = {
     "taut-no-jobs": ["taut", "--jobs", "0", "p"],
     "taut-unknown-matrix": ["taut", "--matrix", "x", "p"],
     "unfold-without-act-or-seed": ["unfold", "--steps", "1"],
+    "unfold-negative-steps": ["unfold", "--act", "x", "--steps", "-3", "--seed", "standard:0"],
     "entail-one-side": ["entail", "p"],
     "square-bad-force": ["square", "--force", "1x"],
 }

@@ -3,6 +3,7 @@ no module imports a `_`-prefixed name from another module of the package. A guar
 command imports before it runs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -75,15 +76,34 @@ def test_the_lint_sees_a_private_import():
 
 
 # Each costs milliseconds of start-up in every command: `dataclasses` imports `inspect`, which
-# imports `ast`, `dis` and `tokenize`.
-SLOW_IMPORTS = ("dataclasses", "inspect")
+# imports `ast`, `dis` and `tokenize`; `fractions` imports `decimal` and `numbers`, and only
+# `TruthValue4.rational` needs it; `json` is imported where a command reads or writes JSON.
+SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal", "json")
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 def test_a_command_starts_without_the_slow_imports():
     code = ("import sys, illoc, illoc.cli\nilloc.cli.build_parser()\n"
             f"print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-s", "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-s", "-c", code], env=ENV, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# a fresh interpreter for each call, so `json` is imported by the command that prints it
+@pytest.mark.parametrize("argv, exit_code, first_line", [
+    (["taut", "--output", "json", "p -> p"], 0, None),
+    (["taut", "--matrix", "mb", "[think](p)"], 1, "refuted with value <{},{a}>"),
+    (["entail", "p", "q"], 1, "does not entail (1 > 0)"),
+], ids=["taut-json", "taut-mb-text-witness", "entail-text-witness"])
+def test_a_fresh_command_prints_json_without_it_at_start_up(argv, exit_code, first_line):
+    done = subprocess.run([sys.executable, "-s", "-m", "illoc", *argv], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (exit_code, "")
+    if first_line is None:
+        assert json.loads(done.stdout)["status"] == "tautology"
+    else:
+        head, witness = done.stdout.splitlines()
+        assert head == first_line and witness.startswith("witness: {")
+        assert isinstance(json.loads(witness.removeprefix("witness: ")), dict)

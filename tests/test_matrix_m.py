@@ -101,6 +101,13 @@ class TestClassification:
     def test_rendering(self):
         assert [str(v) for v in CARRIER] == ["1", "1/2", "0", "-1/2"]
 
+    @pytest.mark.parametrize("value,oracle", [(ONE, m_oracle.ONE), (HALF, m_oracle.HALF),
+                                              (ZERO, m_oracle.ZERO), (NEG, m_oracle.NEG_HALF)],
+                             ids=lambda v: getattr(v, "name", v))
+    def test_rational_is_the_oracles_value(self, value, oracle):
+        assert type(value.rational) is Fraction
+        assert value.rational == Fraction(oracle)
+
 
 class TestEval:
     def test_successful_performance(self):
@@ -332,11 +339,11 @@ class TestCodeTables:
             assert LEQ_TABLE[CODE[x] * 4 + CODE[y]] == m_oracle.t_leq(str(x), str(y))
 
 
-def _formulas(depth):
-    leaf = st.sampled_from([Atom("p"), Atom("q"), Atom("r")])
+def formulas(depth, atoms=("p", "q", "r")):
+    leaf = st.sampled_from([Atom(name) for name in atoms])
     if depth == 0:
         return leaf
-    sub = _formulas(depth - 1)
+    sub = formulas(depth - 1, atoms)
     return st.one_of(
         leaf,
         st.builds(Not, sub),
@@ -349,14 +356,14 @@ def _formulas(depth):
 
 class TestDifferentialAgainstOracle:
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(formula=_formulas(5))
+    @given(formula=formulas(5))
     def test_eval_on_every_assignment(self, formula):
         for bits in itertools.product((0, 1), repeat=3):
             assignment = dict(zip(("p", "q", "r"), bits))
             assert str(eval_m(formula, assignment)) == m_oracle.oracle_eval(formula, assignment)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(formula=_formulas(5))
+    @given(formula=formulas(5))
     def test_tautology_scan(self, formula):
         result = is_tautology_m(formula)
         status, witness, value = m_oracle.oracle_tautology(formula)
@@ -364,7 +371,7 @@ class TestDifferentialAgainstOracle:
         assert (None if value is None else str(result.witness_value)) == value
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(left=_formulas(5), right=_formulas(5))
+    @given(left=formulas(5), right=formulas(5))
     def test_entailment_scan(self, left, right):
         result = entails(left, right, CheckSpace("m"))
         holds, witness, lhs, rhs = m_oracle.oracle_entails(left, right)

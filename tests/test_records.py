@@ -156,7 +156,7 @@ REPRS = [
      "admissible_only=True, budget=10000000, jobs=1)"),
     (is_tautology_m(parse_formula("p -> [think](p)")),
      "MTautologyResult(status='refuted', witness={'p': 0}, "
-     "witness_value=<TruthValue4.HALF: Fraction(1, 2)>)"),
+     "witness_value=<TruthValue4.HALF: 1>)"),
     (square_for_force("think", "p", CheckSpace("m")).laws.rows[0],
      "LawRow(label='p=0', excluded_middle='-1/2', contrariety='-1/2', "
      "excluded_middle_designated=False, contrariety_designated=False)"),
