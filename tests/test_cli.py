@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,11 @@ from illoc.hyper import StandardInput
 from illoc.matrix_m import MissingAtom
 from illoc.matrix_mb import MissingAssignment, NotCyclic, StandardAssignment
 from illoc.search import DEFAULT_BUDGET
-from illoc.syntax import And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef
+from illoc.syntax import (
+    ActRef, And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef, format_formula,
+)
 from m_oracle import oracle_entails, oracle_eval, oracle_tautology
+import mb_oracle
 from test_cli_surface import ARGS
 from test_matrix_m import formulas
 
@@ -581,7 +585,7 @@ M_CLASSIFICATION = {"1": "true-sentence", "0": "false-sentence",
 
 def _text(f) -> str:
     """A formula written out with every operand in parentheses, not by the package's printer."""
-    if isinstance(f, Atom):
+    if isinstance(f, (Atom, ActRef)):
         return f.name
     if isinstance(f, Not):
         return f"~({_text(f.body)})"
@@ -697,3 +701,262 @@ class TestModuleEntryPoint:
         assert "error:" not in stderr
         assert "Traceback" not in stderr
         assert "Exception ignored" not in stderr
+
+
+# --- matrix mb through the CLI, against tests/mb_oracle.py ---
+
+MB_ALGEBRAS = (("a",), ("a", "b"))
+MB_MODES = ("free", "pointwise", "connective")
+MB_SPACE_CAP = 400  # the oracle scans in pure Python: keep each space small
+
+
+def _mb_formulas(depth, acts=()):
+    leaf = st.sampled_from([Atom("p"), Atom("q"), *map(ActRef, acts)])
+    if depth == 0:
+        return leaf
+    sub = _mb_formulas(depth - 1, acts)
+    return st.one_of(
+        leaf,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Force, st.sampled_from(["f", "g"]), sub),
+    )
+
+
+@st.composite
+def _mb_programs(draw, formulas=1):
+    """Acyclic definitions (act i refers only to earlier acts) and formulas over them."""
+    defs = {}
+    for name in ("x", "y")[:draw(st.integers(0, 2))]:
+        defs[name] = draw(_mb_formulas(2, tuple(defs)))
+    return defs, [draw(_mb_formulas(2, tuple(defs))) for _ in range(formulas)]
+
+
+def _program_text(defs, formula):
+    return "".join(f"act {name} = {_text(body)}; " for name, body in defs.items()) + _text(formula)
+
+
+def _expand(f, defs):
+    """f with every act reference replaced by its definition, by the test's own walk."""
+    if isinstance(f, ActRef):
+        return _expand(defs[f.name], defs)
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Not):
+        return Not(_expand(f.body, defs))
+    if isinstance(f, Force):
+        return Force(f.force, _expand(f.content, defs))
+    return type(f)(_expand(f.left, defs), _expand(f.right, defs))
+
+
+def _table(atoms, data):
+    """The oracle's function table of a JSON hypervalue."""
+    if "standard" in data:
+        return mb_oracle.const_table(atoms, frozenset(data["standard"]))
+    return mb_oracle.term_table(atoms, frozenset(data["on_true"]), frozenset(data["on_false"]))
+
+
+def _shown(atoms, table):
+    """A table printed as the package prints a value (`HyperValue.__str__`)."""
+    on_true, on_false = table[-1], table[0]  # f(1) and f(0)
+    text = lambda e: "{" + ",".join(a for a in atoms if a in e) + "}"  # noqa: E731
+    if on_true == on_false:
+        return "*0" if not on_true else "*1" if on_true == frozenset(atoms) else "*" + text(on_true)
+    return f"<{text(on_true)},{text(on_false)}>"
+
+
+def _assignment(slots, index):
+    """The oracle's assignment at a mixed-radix index of its slots."""
+    assignment = {}
+    for key, domain in reversed(slots):
+        index, choice = divmod(index, len(domain))
+        assignment[key] = domain[choice]
+    return assignment
+
+
+def _slot_json(atoms, key, witness):
+    """The value a JSON valuation gives one oracle slot, as the oracle's domain value."""
+    if key[0] == "atom":
+        return frozenset(witness["atom_values"][key[1]])
+    if key[0] == "act":
+        return _table(atoms, witness["act_values"][format_formula(key[1])])
+    if key[0] == "gen":
+        return _table(atoms, witness["generators"][key[1]][key[2]])
+    return _table(atoms, witness["signatures"][key[1]])
+
+
+def _index_of(slots, atoms, witness):
+    index = 0
+    for key, domain in slots:
+        index = index * len(domain) + domain.index(_slot_json(atoms, key, witness))
+    return index
+
+
+def _valuation_json(atoms, mode, assignment):
+    """A valuation file for the CLI holding exactly an oracle assignment."""
+    pair = lambda t: {"on_true": [a for a in atoms if a in t[-1]],  # noqa: E731
+                      "on_false": [a for a in atoms if a in t[0]]}
+    data = {"algebra": {"atoms": list(atoms)}, "mode": mode, "atom_values": {},
+            "act_values": {}, "generators": {}, "signatures": {}}
+    for key, value in assignment.items():
+        if key[0] == "atom":
+            data["atom_values"][key[1]] = [a for a in atoms if a in value]
+        elif key[0] == "act":
+            data["act_values"][format_formula(key[1])] = pair(value)
+        elif key[0] == "gen":
+            data["generators"].setdefault(key[1], {})[key[2]] = pair(value)
+        else:
+            data["signatures"][key[1]] = pair(value)
+    return data
+
+
+def _postorder_forces(f):
+    if isinstance(f, Not):
+        yield from _postorder_forces(f.body)
+    elif isinstance(f, (And, Or, Implies)):
+        yield from _postorder_forces(f.left)
+        yield from _postorder_forces(f.right)
+    elif isinstance(f, Force):
+        yield from _postorder_forces(f.content)
+        yield f
+
+
+def _space(slots):
+    size = 1
+    for _, domain in slots:
+        size *= len(domain)
+    return size
+
+
+def _mb_options(atoms, mode, all_valuations):
+    return ["--matrix", "mb", "--algebra", ",".join(atoms), "--mode", mode,
+            *(["--all-valuations"] if all_valuations else [])]
+
+
+class TestMatrixMBDifferential:
+    """`cli.main --matrix mb` on programs with act definitions, against tests/mb_oracle.py."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(program=_mb_programs(), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES), all_valuations=st.booleans())
+    def test_taut(self, program, atoms, mode, all_valuations):
+        defs, (formula,) = program
+        expanded = _expand(formula, defs)
+        slots = mb_oracle.oracle_slots(expanded, atoms, mode)
+        if _space(slots) > MB_SPACE_CAP:
+            return
+        code, payload = _json_call("taut", *_mb_options(atoms, mode, all_valuations),
+                                   _program_text(defs, formula))
+        status, index, total = mb_oracle.oracle_status(expanded, atoms, mode,
+                                                       admissible_only=not all_valuations)
+        assert code == {"tautology": 0, "refuted": 1}[status]
+        assert (payload["status"], payload["checked"]) == (status, total)
+        if status == "tautology":
+            assert payload["witness"] is None and payload["value"] is None
+            return
+        assert _index_of(slots, atoms, payload["witness"]) == index
+        expected = mb_oracle.oracle_eval(expanded, atoms, mode, _assignment(slots, index), [])
+        assert _table(atoms, payload["value"]) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(program=_mb_programs(), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES), pick=st.integers(0, 10 ** 6))
+    def test_eval(self, program, atoms, mode, pick):
+        defs, (formula,) = program
+        expanded = _expand(formula, defs)
+        slots = mb_oracle.oracle_slots(expanded, atoms, mode)
+        assignment = _assignment(slots, pick % _space(slots))
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "valuation.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(_valuation_json(atoms, mode, assignment), handle)
+            code, payload = _json_call("eval", *_mb_options(atoms, mode, False),
+                                       "--valuation", path, _program_text(defs, formula))
+        subvalues: list = []
+        value = mb_oracle.oracle_eval(expanded, atoms, mode, assignment, subvalues)
+        assert code == 0
+        assert _table(atoms, payload["value"]) == value
+        assert payload["admissible"] == (not any(map(mb_oracle.is_const, subvalues)))
+        expected = {format_formula(node): table
+                    for node, table in zip(_postorder_forces(expanded), subvalues)}
+        assert list(payload["subvalues"]) == list(expected)
+        assert {key: _table(atoms, v) for key, v in payload["subvalues"].items()} == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(program=_mb_programs(formulas=2), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES), all_valuations=st.booleans())
+    def test_entail(self, program, atoms, mode, all_valuations):
+        defs, (left, right) = program
+        lhs, rhs = _expand(left, defs), _expand(right, defs)
+        slots = mb_oracle.oracle_slots(And(lhs, rhs), atoms, mode)  # both, first seen first
+        if _space(slots) > MB_SPACE_CAP:
+            return
+        code, payload = _json_call("entail", *_mb_options(atoms, mode, all_valuations),
+                                   _program_text(defs, left), _text(right))
+        for index in range(_space(slots)):
+            assignment = _assignment(slots, index)
+            left_subvalues, right_subvalues = [], []
+            lv = mb_oracle.oracle_eval(lhs, atoms, mode, assignment, left_subvalues)
+            rv = mb_oracle.oracle_eval(rhs, atoms, mode, assignment, right_subvalues)
+            admissible = not any(map(mb_oracle.is_const, left_subvalues + right_subvalues))
+            if not mb_oracle.t_leq(atoms, lv, rv) and (all_valuations or admissible):
+                break
+        else:
+            assert code == 0
+            assert payload["holds"] is True and payload["witness"] is None
+            return
+        assert code == 1 and payload["holds"] is False
+        assert _index_of(slots, atoms, payload["witness"]) == index
+        assert (payload["left_value"], payload["right_value"]) == (
+            _shown(atoms, lv), _shown(atoms, rv))
+
+
+def _exit_code(*argv):
+    """A call's exit code; a traceback-free error line, and never 70."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code != 70 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    return code
+
+
+class TestMatrixMBExitCodes:
+    """0 and 1 come only from verdicts, 2 from parsing, 3 from semantics, 4 from the budget."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(program=_mb_programs(), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES), cut=st.integers(1, 6))
+    def test_a_truncated_program_is_a_parse_error(self, program, atoms, mode, cut):
+        defs, (formula,) = program
+        body = _text(Not(formula))
+        # the definitions, then the formula without at least its last ")" but with its "~"
+        text = _program_text(defs, Atom("p"))[:-1] + body[:max(len(body) - cut, 1)]
+        for command in ("taut", "eval"):
+            assert _exit_code(command, *_mb_options(atoms, mode, False), text) == 2
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(program=_mb_programs(), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES), force=st.sampled_from(["f", "g"]))
+    def test_a_cyclic_reference_is_a_semantic_error(self, program, atoms, mode, force):
+        defs, (formula,) = program
+        cycle = f"act c = [{force}](d); act d = ~c & p; "
+        text = cycle + _program_text(defs, Or(formula, ActRef("c")))
+        for command in ("taut", "eval"):
+            assert _exit_code(command, *_mb_options(atoms, mode, False), text) == 3
+        assert _exit_code("entail", *_mb_options(atoms, mode, False), text, "p") == 3
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(program=_mb_programs(formulas=2), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES))
+    def test_a_space_over_the_budget_is_refused(self, program, atoms, mode):
+        defs, (left, right) = program
+        text = _program_text(defs, left)
+        budget = ["--budget", "1"]  # every formula has a slot, and every slot two values
+        assert _exit_code("taut", *_mb_options(atoms, mode, False), *budget, text) == 4
+        assert _exit_code("entail", *_mb_options(atoms, mode, False), *budget, text,
+                          _text(right)) == 4

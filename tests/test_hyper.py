@@ -2,13 +2,17 @@ import itertools
 
 import pytest
 
-from illoc.boolalg import AlgebraSpec, complement, enumerate_elements, join, leq, meet
+from illoc.boolalg import AlgebraSpec, Element, complement, enumerate_elements, join, leq, meet
 from illoc.hyper import (
     HyperValue,
     OppositionCase,
     StandardInput,
+    _decoded,
     classify_opposition,
     content_neg,
+    decode,
+    decode_element,
+    encode,
     enumerate_hypervalues,
     enumerate_nonstandard,
     equivalent,
@@ -26,6 +30,8 @@ from illoc.hyper import (
     square_report,
     standard,
 )
+from illoc.matrix_mb import MBMode, _nonstandard_codes, is_tautology_mb
+from illoc.syntax import Atom, Force
 
 K1 = AlgebraSpec(("a",))
 K2 = AlgebraSpec(("a", "b"))
@@ -306,3 +312,37 @@ class TestJson:
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError):
             hyper_from_json(K2, {"on_true": ["a"]})
+
+
+class TestDecodeTables:
+    """`decode`/`decode_element` read per-algebra tables, filled on demand."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_code_decodes_as_a_fresh_construction(self, k):
+        spec = AlgebraSpec(("a", "b", "c", "d")[:k])
+
+        def fresh(code):
+            return Element(spec, {atom for i, atom in enumerate(spec.atoms) if code >> i & 1})
+
+        for code in range(1 << k):
+            assert decode_element(spec, code) == fresh(code)
+            assert decode_element(spec, code) is decode_element(spec, code)
+        low = (1 << k) - 1
+        for code in range(1 << 2 * k):
+            value = decode(spec, code)
+            assert value == HyperValue(fresh(code & low), fresh(code >> k))
+            assert value.exceptions == () and encode(value) == code
+            assert decode(spec, code) is value
+
+    def test_an_equal_algebra_reads_the_same_table(self):
+        again = AlgebraSpec(("a", "b"), max_atoms=5)
+        assert decode(again, 6) is decode(K2, 6) and decode(again, 6).algebra == again
+
+    def test_scans_over_many_algebras_keep_the_tables_bounded(self):
+        limit = _decoded.cache_info().maxsize
+        for i in range(limit + 4):
+            spec = AlgebraSpec((f"atom{i}",))
+            result = is_tautology_mb(Force("f", Atom("p")), spec, MBMode.POINTWISE)
+            assert result.status == "refuted"
+        assert _decoded.cache_info().currsize == limit == 16
+        assert _nonstandard_codes.cache_info().currsize <= 16
