@@ -23,9 +23,9 @@ on `HyperValue` objects encode their operands, run it and decode the
 result. Only `content_neg` stays on objects, because it keeps the exception
 points. Elsewhere values become `Element`/`HyperValue` objects only where a
 caller keeps them: a witness, a table row, the outcome of `eval_mb`.
-`decode`/`decode_element` read them from per-algebra tables that each value
-enters, through its validating constructor, the first time it is decoded;
-the tables of at most 16 algebras are kept, and none is built at import.
+`decode`/`decode_element` keep the 4,096 values and elements, of any
+algebras, decoded most recently, so a check that decodes the same code
+again gets the same object without building and validating it again.
 """
 
 from __future__ import annotations
@@ -211,34 +211,17 @@ def encode(h: HyperValue) -> int:
     return element_index(h.on_true) | element_index(h.on_false) << h.algebra.k
 
 
-@lru_cache(maxsize=16)
-def _decoded(algebra: AlgebraSpec) -> tuple[dict[int, Element], dict[int, HyperValue]]:
-    """The elements and the values of algebra decoded so far, each by its code.
-
-    Filled on demand: a 16-atom algebra has 2^16 elements and 4^16 values.
-    """
-    return {}, {}
-
-
+@lru_cache(maxsize=4096)
 def decode_element(algebra: AlgebraSpec, code: int) -> Element:
-    """The element whose atoms are the set bits of a k-bit code; one object per code."""
-    elements = _decoded(algebra)[0]
-    element = elements.get(code)
-    if element is None:
-        element = elements[code] = Element(
-            algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1))
-    return element
+    """The element whose atoms are the set bits of a k-bit code."""
+    return Element(algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1))
 
 
+@lru_cache(maxsize=4096)
 def decode(algebra: AlgebraSpec, code: int) -> HyperValue:
-    """The normal form of a packed value; one object per code."""
-    values = _decoded(algebra)[1]
-    value = values.get(code)
-    if value is None:
-        k = algebra.k
-        value = values[code] = HyperValue(decode_element(algebra, code & (1 << k) - 1),
-                                          decode_element(algebra, code >> k))
-    return value
+    """The normal form of a packed value."""
+    return HyperValue(decode_element(algebra, code & (1 << algebra.k) - 1),
+                      decode_element(algebra, code >> algebra.k))
 
 
 # --- operations on values: encode, one packed operation, decode ---

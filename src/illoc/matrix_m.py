@@ -10,8 +10,8 @@ The connectives below are the one definition of the matrix. Evaluation runs
 on codes derived from them: `eval_m` and `scan_m` lower their formulas once
 into one register program (`illoc.program`) whose instructions are the code
 tables, and decode a value to `TruthValue4` only for a result a caller keeps.
-Lowering resolves act references itself, one act once, without an inlined
-copy of the formulas.
+Act references are inlined first, and only when there are definitions: with
+none, lowering raises UnknownActRef at the first reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 from .program import Program, run
 from .record import Record, setfield
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
-from .syntax import ActRef, And, Atom, Force, Formula, Implies, Not, Or, definition
+from .syntax import (
+    ActRef, And, Atom, Force, Formula, Implies, Not, Or, UnknownActRef, inline_acts,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -173,40 +175,24 @@ _OPS = {Not: lambda x, _: NEG_TABLE[x], Force: lambda x, _: FORCE_TABLE[x],
 BIT_CODE = (ZERO_CODE, ONE_CODE)  # an atom's slot values: the codes of 0 and 1
 
 
-def lower(formulas: Sequence[Formula], defs: Optional[Mapping[str, Formula]] = None
-          ) -> tuple[Program, list[int]]:
-    """One program for formulas whose act references resolve through defs, and
-    the register of each; an atom is the leaf of its name.
+def _lower(f: Formula, program: Program) -> int:
+    """The register of an act-free formula in program; an atom is the leaf of its name."""
+    if isinstance(f, Atom):
+        return program.leaf(f.name)
+    if isinstance(f, ActRef):
+        raise UnknownActRef(f.name)
+    if isinstance(f, (Not, Force)):
+        a = _lower(f.body if isinstance(f, Not) else f.content, program)
+        return program.emit(_OPS[type(f)], a, a)
+    if isinstance(f, (And, Or, Implies)):
+        return program.emit(_OPS[type(f)], _lower(f.left, program), _lower(f.right, program))
+    raise TypeError(f"cannot evaluate {f!r}")
 
-    An act is lowered once, at its first reference, and later references reuse
-    its register, so the program is that of the formulas with every act
-    inlined. A reference raises UnknownActRef or CyclicAct where `inline_acts`
-    would.
-    """
-    defs = defs or {}
+
+def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
+    """One program for act-free formulas, and the register of each."""
     program = Program()
-    acts: dict[str, int] = {}  # act name -> its register
-    expanding: set[str] = set()  # the acts whose definitions are being lowered
-
-    def lower_(f: Formula) -> int:
-        if isinstance(f, Atom):
-            return program.leaf(f.name)
-        if isinstance(f, ActRef):
-            x = acts.get(f.name)
-            if x is None:
-                body = definition(defs, f.name, expanding)
-                expanding.add(f.name)
-                x = acts[f.name] = lower_(body)
-                expanding.remove(f.name)
-            return x
-        if isinstance(f, (Not, Force)):
-            a = lower_(f.body if isinstance(f, Not) else f.content)
-            return program.emit(_OPS[type(f)], a, a)
-        if isinstance(f, (And, Or, Implies)):
-            return program.emit(_OPS[type(f)], lower_(f.left), lower_(f.right))
-        raise TypeError(f"cannot evaluate {f!r}")
-
-    return program, [lower_(f) for f in formulas]
+    return program, [_lower(f, program) for f in resolved]
 
 
 def eval_m(formula: Formula, assignment: Mapping[str, int],
@@ -216,7 +202,7 @@ def eval_m(formula: Formula, assignment: Mapping[str, int],
     The first leaf, left to right, that the assignment misses or gives a
     value other than 0 or 1 raises MissingAtom or ValueError.
     """
-    program, (root,) = lower([formula], defs)
+    program, (root,) = lower([inline_acts(formula, defs) if defs else formula])
     values = []
     for name in program.leaves:
         if name not in assignment:
@@ -276,7 +262,7 @@ def scan_m(
     significant; codes holds their values as codes (`CARRIER[code]` decodes
     one). Returns (assignment, payload), or None when the verdict never fires.
     """
-    program, roots = lower(formulas, defs)
+    program, roots = lower([inline_acts(f, defs) for f in formulas] if defs else formulas)
     atoms = sorted(program.leaves)
     code, register = program.link(atoms)
     roots = [register(x) for x in roots]

@@ -21,10 +21,9 @@ disambiguations are provided:
 
 A force over content that already contains forces applies the force's
 signature value through the matrix implication, in every mode. `lower` makes
-that choice while it lowers a scan's formulas into one register program, and
-resolves their act references as it goes, one act once, without an inlined
-copy of the formulas. A scan decodes a valuation into objects only for a
-verdict that asks, from the per-algebra tables of `hyper.decode`.
+that choice while it lowers a scan's formulas into one register program.
+Act references are inlined first, and only when there are definitions: with
+none, lowering raises UnknownActRef at the first reference.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ from .syntax import (
     Not,
     Or,
     UnknownActRef,
-    definition,
     detect_cycles,
     format_formula,
+    inline_acts,
     unfold_once,
     walk,
 )
@@ -133,7 +132,7 @@ class MBValuation(Record):
     ) -> None:
         atom_values = dict(atom_values or {})
         for name, value in atom_values.items():
-            if value.algebra is not algebra and value.algebra != algebra:
+            if value.algebra != algebra:
                 raise ValueError(f"atom {name!r} is valued outside the algebra")
         setfield(self, "algebra", algebra)
         setfield(self, "mode", mode)
@@ -147,7 +146,7 @@ def _nonstandard(label: str, mapping: Optional[Mapping], algebra: AlgebraSpec) -
     """A new dict of mapping's values, normalized; each must be a nonstandard value."""
     normalized = {}
     for key, value in (mapping or {}).items():
-        if value.algebra is not algebra and value.algebra != algebra:
+        if value.algebra != algebra:
             raise ValueError(f"{label} {key!r} is valued outside the algebra")
         value = normalize(value)
         if is_standard(value):
@@ -185,25 +184,16 @@ _MISSING = {"atom": "no value for atom {!r}", "act": "no act value for {!r}",
 Lowered = tuple[Program, list[int], list[list[tuple[Force, int]]]]
 
 
-def lower(formulas: Sequence[Formula], mode: MBMode, k: int, *,
-          defs: Optional[Mapping[str, Formula]] = None, bound: frozenset[str] = frozenset(),
-          nested_pointwise: bool = False) -> Lowered:
-    """One program for formulas whose act references resolve through defs.
+def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
+          bound: frozenset[str] = frozenset(), nested_pointwise: bool = False) -> Lowered:
+    """One program for act-free formulas.
 
     Its leaves are slot keys: ("atom", name), ("act", key), ("gen", force,
-    atom), ("sig", force) and, for a reference in bound, ("ref", name); such a
-    reference stays unresolved, for a cyclic unfolding to seed. They come in
-    evaluation order, a force's signature before its content. Whether a force
-    reads a signature, an act value or generators is decided here.
-
-    An act is lowered once, at its first reference; a later reference reuses
-    its register and lists its force entries again. Program, leaves and force
-    entries are those of the formulas with every act inlined, and a reference
-    raises UnknownActRef or CyclicAct where `inline_acts` would. A force entry
-    holds the inlined force only when defs is not empty: the printed force is
-    its FREE slot key and its subvalue key.
+    atom), ("sig", force) and, for a reference in bound, ("ref", name); any
+    other reference raises UnknownActRef. They come in evaluation order, a
+    force's signature before its content. Whether a force reads a signature,
+    an act value or generators is decided here.
     """
-    defs = defs or {}
     ops = packed_ops(k)
     unit = (1 << k) + 1  # the standard copy of element e is e * unit
     standard = lambda e, _: e * unit
@@ -214,68 +204,22 @@ def lower(formulas: Sequence[Formula], mode: MBMode, k: int, *,
     force_imp = ops.pointwise_imp if nested_pointwise else ops.imp
     program = Program()
     forces: list[list[tuple[Force, int]]] = []  # per formula
-    acts: dict[str, tuple[int, list]] = {}  # act name -> its register and force entries
-    reaches: dict[str, bool] = {}  # act name -> whether has_act holds of its definition
-    expanding: set[str] = set()  # the acts whose definitions are being walked
-    copies: dict[int, Formula] = {}  # id(node) -> the node with its acts inlined
+
+    def reference(f: ActRef) -> tuple:
+        if f.name not in bound:
+            raise UnknownActRef(f.name)
+        return ("ref", f.name)
 
     def has_act(f: Formula) -> bool:
-        # whether f reaches a force or a bound reference, so that a force over
-        # f reads its signature; a reference is walked as `ref` walks it
-        if isinstance(f, Force):
-            return True
-        if isinstance(f, Atom):
-            return False
+        # whether f holds a force or a reference outside any force in it; the
+        # walk stops at a force, so each node is walked for its nearest force only
         if isinstance(f, ActRef):
-            if f.name in bound:
-                return True
-            found = reaches.get(f.name)
-            if found is None or f.name in expanding:  # the latter raises CyclicAct
-                body = definition(defs, f.name, expanding)
-                expanding.add(f.name)
-                found = reaches[f.name] = has_act(body)
-                expanding.remove(f.name)
-            return found
+            reference(f)  # an unbound one raises here, as lowering it would
+        if isinstance(f, (Force, ActRef)):
+            return True
         if isinstance(f, Not):
             return has_act(f.body)
-        return has_act(f.left) or has_act(f.right)
-
-    def inlined(f: Formula) -> Formula:
-        # f with its resolved references replaced by their definitions; only
-        # the nodes above a reference are new
-        copy = copies.get(id(f))
-        if copy is None:
-            if isinstance(f, Atom) or isinstance(f, ActRef) and f.name in bound:
-                copy = f
-            elif isinstance(f, ActRef):
-                copy = inlined(defs[f.name])
-            elif isinstance(f, Not):
-                body = inlined(f.body)
-                copy = f if body is f.body else Not(body)
-            elif isinstance(f, Force):
-                body = inlined(f.content)
-                copy = f if body is f.content else Force(f.force, body)
-            else:
-                left, right = inlined(f.left), inlined(f.right)
-                copy = f if left is f.left and right is f.right else type(f)(left, right)
-            copies[id(f)] = copy
-        return copy
-
-    def ref(name: str) -> int:
-        if name in bound:
-            return program.leaf(("ref", name))
-        found = acts.get(name)
-        if found is None:
-            body = definition(defs, name, expanding)
-            entries = forces[-1]
-            start = len(entries)
-            expanding.add(name)
-            x = lower_(body)
-            expanding.remove(name)
-            found = acts[name] = x, entries[start:]
-        else:
-            forces[-1] += found[1]
-        return found[0]
+        return not isinstance(f, Atom) and (has_act(f.left) or has_act(f.right))
 
     def extend(force: str, f: Formula) -> int:
         # the value of a force over force-free content, from per-atom generators
@@ -293,27 +237,26 @@ def lower(formulas: Sequence[Formula], mode: MBMode, k: int, *,
             a = program.leaf(("atom", f.name))
             return program.emit(standard, a, a)
         if isinstance(f, ActRef):
-            return ref(f.name)
+            return program.leaf(reference(f))
         if isinstance(f, Not):
             a = lower_(f.body)
             return program.emit(ops.neg, a, a)
         if isinstance(f, (And, Or, Implies)):
             return program.emit(matrix[type(f)], lower_(f.left), lower_(f.right))
         if isinstance(f, Force):
-            signed = has_act(f.content)
-            if signed:
+            if has_act(f.content):
                 sig = program.leaf(("sig", f.force))
                 x = program.emit(force_imp, sig, lower_(f.content))
-            node = inlined(f) if defs else f  # once its content's references have resolved
-            if not signed:
-                x = (program.leaf(("act", format_formula(node))) if mode is MBMode.FREE
-                     else extend(f.force, node.content))
-            forces[-1].append((node, x))
+            elif mode is MBMode.FREE:
+                x = program.leaf(("act", format_formula(f)))
+            else:
+                x = extend(f.force, f.content)
+            forces[-1].append((f, x))
             return x
         raise TypeError(f"cannot evaluate {f!r}")
 
     roots = []
-    for f in formulas:
+    for f in resolved:
         forces.append([])
         roots.append(lower_(f))
     return program, roots, forces
@@ -362,24 +305,20 @@ class MBScan:
         return EvalOutcome(self.decode(r[self.roots[i]]), self.admissible(i), subvalues)
 
     def valuation(self) -> MBValuation:
-        algebra = self.algebra
         parts: dict[str, dict] = {"atom": {}, "act": {}, "gen": {}, "sig": {}}
         for key, code in zip(self.keys, self.values):
-            kind = key[0]
-            if kind == "atom":
-                parts[kind][key[1]] = decode_element(algebra, code)
-            else:
-                parts[kind][key[1:] if kind == "gen" else key[1]] = decode(algebra, code)
-        return MBValuation(algebra, self.mode, *parts.values())
+            value = decode_element(self.algebra, code) if key[0] == "atom" else self.decode(code)
+            parts[key[0]][key[1:] if key[0] == "gen" else key[1]] = value
+        return MBValuation(self.algebra, self.mode, *parts.values())
 
 
-def _visit(formula: Formula, valuation: MBValuation,
+def _visit(resolved: Formula, valuation: MBValuation,
            extra: Optional[Mapping[tuple, int]] = None, **lowering) -> MBScan:
     """A one-valuation scan of a formula over what valuation (and extra) assigns.
 
     The first leaf with no value raises MissingAssignment.
     """
-    lowered = lower([formula], valuation.mode, valuation.algebra.k, **lowering)
+    lowered = lower([resolved], valuation.mode, valuation.algebra.k, **lowering)
     codes = {
         **{("atom", name): element_index(e) for name, e in valuation.atom_values.items()},
         **{("act", key): encode(h) for key, h in valuation.act_values.items()},
@@ -401,7 +340,7 @@ def eval_mb(
     valuation: MBValuation,
     defs: Optional[Mapping[str, Formula]] = None,
 ) -> EvalOutcome:
-    return _visit(formula, valuation, defs=defs).outcome(0)
+    return _visit(inline_acts(formula, defs) if defs else formula, valuation).outcome(0)
 
 
 # --- exhaustive checks ---
@@ -414,10 +353,9 @@ def _scan_order(leaves: Iterable[tuple]) -> list[tuple]:
     return sorted(leaves, key=lambda key: _SCAN_ORDER[key[0]])
 
 
-def slot_keys(formulas: Sequence[Formula], mode: MBMode,
-              defs: Optional[Mapping[str, Formula]] = None) -> list[tuple]:
+def slot_keys(resolved: Sequence[Formula], mode: MBMode) -> list[tuple]:
     """The leaves of the formulas' program in the order `scan_mb` scans them (any k: K1)."""
-    return _scan_order(lower(formulas, mode, 1, defs=defs)[0].leaves)
+    return _scan_order(lower(resolved, mode, 1)[0].leaves)
 
 
 @lru_cache(maxsize=16)
@@ -476,7 +414,7 @@ def scan_mb(
     budget before any slot is built.
     """
     domains, k = domains or {}, algebra.k
-    lowered = lower(formulas, mode, k, defs=defs)
+    lowered = lower([inline_acts(f, defs) for f in formulas] if defs else formulas, mode, k)
     keys = _scan_order(lowered[0].leaves)
     _check_domains(keys, domains, k)
     size = math.prod(len(domains[key[0]]) if key[0] in domains
@@ -680,9 +618,9 @@ def unfold_cyclic(
         formula = unfold_once(formula, defs)
     open_refs = {name for node in walk(formula) if isinstance(node, ActRef)
                  for name in [node.name] if name in cyclic}
+    resolved = inline_acts(formula, defs, keep=frozenset(open_refs))
     seeded = {("ref", name): encode(seed) for name in open_refs}  # the seed's normal form
-    scan = _visit(formula, valuation, seeded, defs=defs, bound=frozenset(open_refs),
-                  nested_pointwise=True)
+    scan = _visit(resolved, valuation, seeded, bound=frozenset(open_refs), nested_pointwise=True)
     return scan.decode(scan.registers[scan.roots[0]])
 
 

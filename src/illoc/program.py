@@ -38,9 +38,7 @@ class Program:
         def register(x: int) -> int:
             return x + n if x >= 0 else leaf[~x]
 
-        code = tuple([(op, a + n if a >= 0 else leaf[~a], b + n if b >= 0 else leaf[~b])
-                      for op, a, b in self._code])
-        return code, register
+        return tuple((op, register(a), register(b)) for op, a, b in self._code), register
 
 
 def run(code: Code, values: Sequence) -> list:

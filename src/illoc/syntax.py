@@ -485,26 +485,16 @@ def inline_acts(
             return node
         if node.name in cache:
             return cache[node.name]
-        body = definition(defs, node.name, expanding)
+        if node.name in expanding:
+            raise CyclicAct(node.name)
+        if node.name not in defs:
+            raise UnknownActRef(node.name)
         expanding.add(node.name)
-        cache[node.name] = resolved = substitute(body, resolve)
+        cache[node.name] = resolved = substitute(defs[node.name], resolve)
         expanding.remove(node.name)
         return resolved
 
     return substitute(f, resolve)
-
-
-def definition(defs: Mapping[str, Formula], name: str, expanding: Collection[str]) -> Formula:
-    """The body of act name, about to be expanded inside the acts expanding holds.
-
-    Raises CyclicAct when name is one of them and UnknownActRef when defs has
-    no such act: what inlining a reference, or lowering one, meets first.
-    """
-    if name in expanding:
-        raise CyclicAct(name)
-    if name not in defs:
-        raise UnknownActRef(name)
-    return defs[name]
 
 
 def unfold_once(f: Formula, defs: Mapping[str, Formula]) -> Formula:

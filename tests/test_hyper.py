@@ -7,7 +7,6 @@ from illoc.hyper import (
     HyperValue,
     OppositionCase,
     StandardInput,
-    _decoded,
     classify_opposition,
     content_neg,
     decode,
@@ -315,7 +314,7 @@ class TestJson:
 
 
 class TestDecodeTables:
-    """`decode`/`decode_element` read per-algebra tables, filled on demand."""
+    """`decode`/`decode_element` keep the values and elements decoded most recently."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_code_decodes_as_a_fresh_construction(self, k):
@@ -338,11 +337,20 @@ class TestDecodeTables:
         again = AlgebraSpec(("a", "b"), max_atoms=5)
         assert decode(again, 6) is decode(K2, 6) and decode(again, 6).algebra == again
 
+    def test_many_codes_of_one_algebra_keep_the_tables_bounded(self):
+        spec = AlgebraSpec(tuple(f"a{i}" for i in range(8)))
+        limit = decode.cache_info().maxsize
+        assert limit == decode_element.cache_info().maxsize == 4096
+        for code in range(0, 1 << 16, 5):  # 13,108 distinct values, every element
+            assert encode(decode(spec, code)) == code
+        assert decode.cache_info().currsize == limit
+        assert decode_element.cache_info().currsize <= limit
+
     def test_scans_over_many_algebras_keep_the_tables_bounded(self):
-        limit = _decoded.cache_info().maxsize
-        for i in range(limit + 4):
-            spec = AlgebraSpec((f"atom{i}",))
+        for i in range(20):
+            spec = AlgebraSpec(tuple(f"atom{i}_{j}" for j in range(4)))
             result = is_tautology_mb(Force("f", Atom("p")), spec, MBMode.POINTWISE)
             assert result.status == "refuted"
-        assert _decoded.cache_info().currsize == limit == 16
+        assert decode.cache_info().currsize <= decode.cache_info().maxsize
+        assert decode_element.cache_info().currsize <= decode_element.cache_info().maxsize
         assert _nonstandard_codes.cache_info().currsize <= 16

@@ -110,12 +110,13 @@ def test_a_fresh_command_prints_json_without_it_at_start_up(argv, exit_code, fir
 
 
 def test_start_up_builds_no_table():
-    # the decode tables and the nonstandard domains are per algebra, and built on demand
+    # the decode tables and the nonstandard domains are built on demand
     code = ("import sys, illoc, illoc.cli\nilloc.cli.build_parser()\n"
             "hyper, matrix_mb = sys.modules['illoc.hyper'], sys.modules['illoc.matrix_mb']\n"
-            "print(hyper._decoded.cache_info().currsize, hyper.packed_ops.cache_info().currsize,"
+            "print(hyper.decode.cache_info().currsize, hyper.decode_element.cache_info().currsize,"
+            " hyper.packed_ops.cache_info().currsize,"
             " matrix_mb._nonstandard_codes.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-s", "-c", code], env=ENV, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "0"]
+    assert done.stdout.split() == ["0", "0", "0", "0"]
