@@ -8,8 +8,9 @@ read as the one "think" operator here.
 
 The connectives below are the one definition of the matrix. Evaluation runs
 on codes derived from them: `eval_m` and `scan_m` lower their formulas once
-into one register program (`illoc.program`) whose instructions are the code
-tables, and decode a value to `TruthValue4` only for a result a caller keeps.
+into one register program whose instructions are the code tables, run it
+through `illoc.program.Scan`, and decode a value to `TruthValue4` only for a
+result a caller keeps.
 Act references are inlined first, and only when there are definitions: with
 none, lowering raises UnknownActRef at the first reference.
 """
@@ -20,7 +21,7 @@ import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
-from .program import Program, run
+from .program import Program, Scan
 from .record import Record, setfield
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
 from .syntax import (
@@ -211,8 +212,7 @@ def eval_m(formula: Formula, assignment: Mapping[str, int],
         if bit not in (0, 1):
             raise ValueError(f"atoms take 0 or 1, got {name}={bit!r}")
         values.append(BIT_CODE[bit == 1])
-    code, register = program.link(program.leaves)
-    return CARRIER[run(code, values)[register(root)]]
+    return CARRIER[Scan(program, [root], program.leaves).visit(values)[0]]
 
 
 class MTautologyResult(Record):
@@ -232,20 +232,16 @@ class MTautologyResult(Record):
         }
 
 
-class MScan:
-    """The atoms of one scan and the assignment it is visiting.
+class MScan(Scan):
+    """A scan over the atoms of its formulas (`keys`, sorted).
 
     A verdict gets this object and the codes of the formulas on the current
     assignment (`values`, one code from BIT_CODE per atom in atom order);
     `assignment` builds the 0/1 dict only when the verdict asks.
     """
 
-    def __init__(self, atoms: Sequence[str]):
-        self.atoms = tuple(atoms)
-        self.values: tuple = ()
-
     def assignment(self) -> dict[str, int]:
-        return {atom: BIT_CODE.index(code) for atom, code in zip(self.atoms, self.values)}
+        return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.values)}
 
 
 def scan_m(
@@ -264,17 +260,10 @@ def scan_m(
     """
     program, roots = lower([inline_acts(f, defs) for f in formulas] if defs else formulas)
     atoms = sorted(program.leaves)
-    code, register = program.link(atoms)
-    roots = [register(x) for x in roots]
-    scan = MScan(atoms)
-
-    def predicate(values: tuple[int, ...]) -> Any:
-        scan.values = values
-        r = run(code, values)
-        return verdict(scan, [r[i] for i in roots])
-
     check_budget(2 ** len(atoms), budget)
-    payload = first_hit([Slot(name, BIT_CODE) for name in atoms], predicate)
+    scan = MScan(program, roots, atoms)
+    payload = first_hit([Slot(name, BIT_CODE) for name in atoms],
+                        lambda values: verdict(scan, scan.visit(values)))
     return None if payload is None else (scan.assignment(), payload)
 
 

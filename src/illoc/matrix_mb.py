@@ -54,7 +54,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
-from .program import Program, run
+from .program import Program, Scan
 from .record import Record, setfield
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
 from .syntax import (
@@ -262,31 +262,21 @@ def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
     return program, roots, forces
 
 
-class MBScan:
-    """The program of one scan and the valuation it is visiting.
+class MBScan(Scan):
+    """A scan of the nonstandard matrix: its valuation read off as objects.
 
-    `visit` runs the program on one valuation (`values`, one code per slot)
-    and keeps its `registers`; `admissible`, `decode`, `outcome` and
-    `valuation` read them off as objects only when a verdict asks.
+    `admissible`, `decode`, `outcome` and `valuation` read the registers of
+    the valuation visited last, only when a verdict asks.
     """
 
     def __init__(self, algebra: AlgebraSpec, mode: MBMode, keys: Iterable[tuple],
                  lowered: Lowered):
         program, roots, forces = lowered
-        self.algebra, self.mode, self.keys = algebra, mode, tuple(keys)
-        self.code, register = program.link(self.keys)
-        self.roots = [register(x) for x in roots]
-        self.forces = [[(node, register(x)) for node, x in found] for found in forces]
-        self.values: tuple = ()
-        self.registers: list = []
+        super().__init__(program, roots, keys)
+        self.algebra, self.mode = algebra, mode
+        self.forces = [[(node, self.register(x)) for node, x in found] for found in forces]
         self._is_standard = packed_ops(algebra.k).is_standard
         self._subvalue_keys: dict[int, dict[str, int]] = {}
-
-    def visit(self, values: tuple) -> list[int]:
-        """The packed values of the formulas on one valuation."""
-        self.values = values
-        self.registers = r = run(self.code, values)
-        return [r[x] for x in self.roots]
 
     def admissible(self, i: int) -> bool:
         """No act subvalue of formula i is standard on the current valuation."""
@@ -422,12 +412,8 @@ def scan_mb(
     check_budget(size, budget)
     slots = _slots(keys, algebra, domains)
     scan = MBScan(algebra, mode, keys, lowered)
-
-    def predicate(values: tuple) -> Optional[tuple[MBValuation, Any]]:
-        payload = verdict(scan, scan.visit(values))
-        return None if payload is None else (scan.valuation(), payload)
-
-    return first_hit(slots, predicate), size
+    payload = first_hit(slots, lambda values: verdict(scan, scan.visit(values)))
+    return None if payload is None else (scan.valuation(), payload), size
 
 
 class MBTautologyResult(Record):
@@ -589,7 +575,7 @@ def unfold_cyclic(
     *,
     valuation: Optional[MBValuation] = None,
 ) -> HyperValue:
-    """Unfold a cyclic act finitely and seed the still-open references.
+    """Unfold a cyclic act finitely and seed every cyclic reference left.
 
     The nested implications are evaluated pointwise here: under the
     order-join implication any step over a standard value lands on the top
@@ -602,7 +588,7 @@ def unfold_cyclic(
     defs = dict(defs)
     if act_name not in defs:
         raise UnknownActRef(act_name)
-    cyclic = {name for cycle in detect_cycles(defs) for name in cycle}
+    cyclic = frozenset(name for cycle in detect_cycles(defs) for name in cycle)
     if act_name not in cyclic:
         raise NotCyclic(act_name)
     if valuation is None:
@@ -616,11 +602,10 @@ def unfold_cyclic(
     formula: Formula = ActRef(act_name)
     for _ in range(steps):
         formula = unfold_once(formula, defs)
-    open_refs = {name for node in walk(formula) if isinstance(node, ActRef)
-                 for name in [node.name] if name in cyclic}
-    resolved = inline_acts(formula, defs, keep=frozenset(open_refs))
-    seeded = {("ref", name): encode(seed) for name in open_refs}  # the seed's normal form
-    scan = _visit(resolved, valuation, seeded, bound=frozenset(open_refs), nested_pointwise=True)
+    # every cyclic act stays a reference, in the tree or reached by inlining one that is not
+    seeded = {("ref", name): encode(seed) for name in cyclic}  # the seed's normal form
+    scan = _visit(inline_acts(formula, defs, keep=cyclic), valuation, seeded, bound=cyclic,
+                  nested_pointwise=True)
     return scan.decode(scan.registers[scan.roots[0]])
 
 

@@ -6,6 +6,8 @@ first registers hold the slot values; each instruction appends op(r[a], r[b])
 to r, and a unary op ignores its second operand. The program is hash-consed
 on (op, a, b), never on the subtree, so a subterm that repeats within or
 across the formulas is one instruction, evaluated once per valuation.
+A `Scan` links a program to its slot order; `Scan.visit` is the one loop
+that runs it, for both matrices.
 """
 
 from __future__ import annotations
@@ -41,9 +43,26 @@ class Program:
         return tuple((op, register(a), register(b)) for op, a, b in self._code), register
 
 
-def run(code: Code, values: Sequence) -> list:
-    """The register file of code on one valuation's slot values."""
-    r = [*values]
-    for op, a, b in code:
-        r.append(op(r[a], r[b]))
-    return r
+class Scan:
+    """A program linked with slot key keys[i] in register i, and the valuation
+    it is visiting.
+
+    `register` maps a lowering's register to the linked one, and `roots` are
+    the linked registers of the formulas' roots. A verdict reads `values` and
+    `registers` of the valuation visited last.
+    """
+
+    def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[Hashable]):
+        self.keys = tuple(keys)
+        self.code, self.register = program.link(self.keys)
+        self.roots = [self.register(x) for x in roots]
+        self.values: tuple = ()
+        self.registers: list = []
+
+    def visit(self, values: Sequence) -> list:
+        """The roots' codes on one valuation's slot values, one per slot."""
+        self.values = values
+        self.registers = r = [*values]
+        for op, a, b in self.code:
+            r.append(op(r[a], r[b]))
+        return [r[x] for x in self.roots]

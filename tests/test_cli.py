@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 import illoc
 import illoc.cli
 import illoc.matrix_mb
-from illoc.boolalg import AlgebraMismatch
+from illoc.boolalg import AlgebraMismatch, AlgebraSpec
 from illoc.cli import main
-from illoc.hyper import StandardInput
+from illoc.hyper import HyperValue, StandardInput, hyper_to_json, standard
 from illoc.matrix_m import MissingAtom
-from illoc.matrix_mb import MissingAssignment, NotCyclic, StandardAssignment
+from illoc.matrix_mb import (
+    MBMode, MBValuation, MissingAssignment, NotCyclic, StandardAssignment, default_signatures,
+    unfold_cyclic,
+)
 from illoc.search import DEFAULT_BUDGET
 from illoc.syntax import (
     ActRef, And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef, format_formula,
@@ -960,3 +963,82 @@ class TestMatrixMBExitCodes:
         assert _exit_code("taut", *_mb_options(atoms, mode, False), *budget, text) == 4
         assert _exit_code("entail", *_mb_options(atoms, mode, False), *budget, text,
                           _text(right)) == 4
+
+
+# --- unfold through acyclic acts, against unfold_cyclic ---
+
+UNFOLD_SEEDS = {
+    "standard:0": lambda algebra: standard(algebra.bottom()),
+    "standard:1": lambda algebra: standard(algebra.top()),
+    "on_true=a;on_false=": lambda algebra: HyperValue(algebra.element(["a"]), algebra.bottom()),
+}
+
+
+def _ref_formulas(names, depth=2):
+    """Formulas whose leaves are references to names, so every force reads its signature."""
+    leaf = st.sampled_from([ActRef(name) for name in names])
+    if depth == 0:
+        return leaf
+    sub = _ref_formulas(names, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Force, st.sampled_from(["f", "g"]), sub),
+    )
+
+
+@st.composite
+def _bridged_cycles(draw):
+    """Two cycles joined by acyclic acts, and the names of the cyclic acts.
+
+    The first cycle's acts (x, y) refer to each other and to the bridges
+    (v, w), x to a bridge always; a bridge refers only to earlier bridges and
+    to the second cycle (z, u), which refers only to itself. No act mentions
+    an atom, so the default signatures value every unfolding.
+    """
+    first, bridges, second = (
+        names[:draw(st.integers(1, 2))] for names in (("x", "y"), ("v", "w"), ("z", "u")))
+    defs = {}
+
+    def cycle(names, others):
+        for i, name in enumerate(names):
+            following = ActRef(names[(i + 1) % len(names)])
+            step = draw(st.sampled_from([following, Not(following), Force("h", following)]))
+            rest = draw(_ref_formulas(others(i)))
+            parts = (step, rest) if draw(st.booleans()) else (rest, step)
+            defs[name] = draw(st.sampled_from([And, Or, Implies]))(*parts)
+
+    cycle(first, lambda i: bridges if i == 0 else first + bridges)
+    for i, name in enumerate(bridges):
+        defs[name] = draw(_ref_formulas(second + bridges[:i]))
+    cycle(second, lambda i: second)
+    return defs, first + second
+
+
+class TestUnfoldThroughAcyclicActs:
+    """`unfold` where inlining an acyclic act reaches a cycle the tree does not show."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(program=_bridged_cycles(), atoms=st.sampled_from(MB_ALGEBRAS),
+           mode=st.sampled_from(MB_MODES), seed=st.sampled_from(sorted(UNFOLD_SEEDS)))
+    def test_every_cyclic_act_unfolds_at_every_depth(self, program, atoms, mode, seed):
+        defs, cyclic = program
+        algebra = AlgebraSpec(atoms)
+        valuation = MBValuation(algebra, MBMode(mode),
+                                signatures=default_signatures(defs, algebra))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "cycles.illoc")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("".join(f"act {name} = {_text(body)};\n"
+                                     for name, body in defs.items()))
+            for act in cyclic:
+                for steps in range(6):
+                    code, payload = _json_call(
+                        "unfold", *_mb_options(atoms, mode, False), "--defs", path,
+                        "--act", act, "--steps", str(steps), "--seed", seed)
+                    value = unfold_cyclic(defs, act, steps, UNFOLD_SEEDS[seed](algebra),
+                                          valuation=valuation)
+                    assert code == 0 and payload["value"] == hyper_to_json(value)

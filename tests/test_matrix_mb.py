@@ -625,6 +625,12 @@ class TestUnfold:
         value = unfold_cyclic(defs, "x", 3, standard(K2.bottom()))
         assert value.algebra == K2
 
+    def test_a_cycle_reached_only_through_an_acyclic_act_is_seeded(self):
+        # after one round the tree holds w, not z; inlining w reaches z's cycle
+        defs = parse("act x = [f](w) & ~x; act w = [g](z); act z = [h](~z);").definitions
+        values = [str(unfold_cyclic(defs, "x", k, standard(K1.bottom()))) for k in range(7)]
+        assert values == ["*0", "<{},{a}>", "*1", "*0", "<{},{a}>", "<{a},{}>", "<{},{a}>"]
+
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             unfold_cyclic(self._defs(), "x", -1, standard(K2.bottom()))
