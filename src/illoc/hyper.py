@@ -320,12 +320,6 @@ class OppositionCase(Enum):
 class OppositionClassification(Record):
     __slots__ = ("cases", "inf_with_content_neg", "sup_with_content_neg")
 
-    def __init__(self, cases: frozenset[OppositionCase], inf_with_content_neg: HyperValue,
-                 sup_with_content_neg: HyperValue) -> None:
-        setfield(self, "cases", cases)
-        setfield(self, "inf_with_content_neg", inf_with_content_neg)
-        setfield(self, "sup_with_content_neg", sup_with_content_neg)
-
     def to_json(self) -> dict:
         order = (OppositionCase.DISJOINT, OppositionCase.EXHAUSTIVE, OppositionCase.INCOMPARABLE)
         return {
@@ -361,39 +355,15 @@ def classify_opposition(h: HyperValue) -> OppositionClassification:
 
 
 class SquareReport(Record):
-    """The four opposition relations for h, its content negation and their complements."""
+    """The four opposition relations for h, its content negation and their complements.
+
+    `value` is the act value h and `holds` the criterion content_neg(h) <= hneg(h)
+    in the stipulated order; the relations are those of `square_relations`.
+    """
 
     __slots__ = ("value", "content_negated", "holds", "contrary", "contradictory",
                  "subcontrary", "subaltern_left", "subaltern_right", "contrary_inf",
                  "contradictory_inf", "contradictory_sup", "subcontrary_sup")
-
-    def __init__(
-        self,
-        value: HyperValue,              # the act value
-        content_negated: HyperValue,
-        holds: bool,                    # content_neg(h) <= hneg(h) in the stipulated order
-        contrary: bool,                 # pinf(h, content_neg(h)) is the standard bottom
-        contradictory: bool,            # complement pair meets at *0 and joins at *1
-        subcontrary: bool,              # psup of the two complements is the standard top
-        subaltern_left: bool,           # h <= hneg(content_neg(h))
-        subaltern_right: bool,          # content_neg(h) <= hneg(h)
-        contrary_inf: HyperValue,
-        contradictory_inf: HyperValue,
-        contradictory_sup: HyperValue,
-        subcontrary_sup: HyperValue,
-    ) -> None:
-        setfield(self, "value", value)
-        setfield(self, "content_negated", content_negated)
-        setfield(self, "holds", holds)
-        setfield(self, "contrary", contrary)
-        setfield(self, "contradictory", contradictory)
-        setfield(self, "subcontrary", subcontrary)
-        setfield(self, "subaltern_left", subaltern_left)
-        setfield(self, "subaltern_right", subaltern_right)
-        setfield(self, "contrary_inf", contrary_inf)
-        setfield(self, "contradictory_inf", contradictory_inf)
-        setfield(self, "contradictory_sup", contradictory_sup)
-        setfield(self, "subcontrary_sup", subcontrary_sup)
 
     def to_json(self) -> dict:
         return {
@@ -435,12 +405,19 @@ def square_relations(ops: PackedOps) -> dict[str, Callable[[int, int, int, int],
     }
 
 
-def square_from_corners(algebra: AlgebraSpec, fp: int, fnp: int, nfnp: int, nfp: int
-                        ) -> SquareReport:
-    """The square of one act value, from the codes of its four corners."""
-    corners = (fp, fnp, nfnp, nfp)
-    holds = {name: relation(*corners)
-             for name, relation in square_relations(packed_ops(algebra.k)).items()}
+def square_report(h: HyperValue) -> SquareReport:
+    """Check the square of opposition for a nonstandard value.
+
+    All four relations reduce to the components of h being disjoint, except
+    the contradictory pair, which holds by the complement laws regardless.
+    """
+    ops, algebra, fp = packed_ops(h.algebra.k), h.algebra, encode(h)
+    if ops.is_standard(fp):
+        raise StandardInput("the square is only defined for nonstandard values")
+    fnp = ops.content_neg(fp)
+    nfnp, nfp = ops.neg(fnp), ops.neg(fp)
+    holds = {name: relation(fp, fnp, nfnp, nfp)
+             for name, relation in square_relations(ops).items()}
     return SquareReport(
         value=decode(algebra, fp),
         content_negated=decode(algebra, fnp),
@@ -451,19 +428,6 @@ def square_from_corners(algebra: AlgebraSpec, fp: int, fnp: int, nfnp: int, nfp:
         contradictory_sup=decode(algebra, fp | nfp),
         subcontrary_sup=decode(algebra, nfnp | nfp),
     )
-
-
-def square_report(h: HyperValue) -> SquareReport:
-    """Check the square of opposition for a nonstandard value.
-
-    All four relations reduce to the components of h being disjoint, except
-    the contradictory pair, which holds by the complement laws regardless.
-    """
-    ops, c = packed_ops(h.algebra.k), encode(h)
-    if ops.is_standard(c):
-        raise StandardInput("the square is only defined for nonstandard values")
-    cn = ops.content_neg(c)
-    return square_from_corners(h.algebra, c, cn, ops.neg(cn), ops.neg(c))
 
 
 def enumerate_hypervalues(spec: AlgebraSpec) -> Iterator[HyperValue]:

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .program import Program, Scan
-from .record import Record, setfield
+from .record import Record
 from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
 from .syntax import (
     ActRef, And, Atom, Force, Formula, Implies, Not, Or, UnknownActRef, inline_acts,
@@ -216,13 +216,7 @@ def eval_m(formula: Formula, assignment: Mapping[str, int],
 
 
 class MTautologyResult(Record):
-    __slots__ = ("status", "witness", "witness_value")
-
-    def __init__(self, status: str, witness: Optional[dict[str, int]],
-                 witness_value: Optional[TruthValue4]) -> None:
-        setfield(self, "status", status)  # "tautology" | "refuted"
-        setfield(self, "witness", witness)
-        setfield(self, "witness_value", witness_value)
+    __slots__ = ("status", "witness", "witness_value")  # status: "tautology" | "refuted"
 
     def to_json(self) -> dict:
         return {
@@ -289,15 +283,6 @@ def is_tautology_m(
 class MatrixProperty(Record):
     __slots__ = ("prop_id", "statement", "arity", "holds", "checked", "violations")
 
-    def __init__(self, prop_id: str, statement: str, arity: int, holds: bool, checked: int,
-                 violations: tuple[tuple[TruthValue4, ...], ...]) -> None:
-        setfield(self, "prop_id", prop_id)
-        setfield(self, "statement", statement)
-        setfield(self, "arity", arity)
-        setfield(self, "holds", holds)
-        setfield(self, "checked", checked)
-        setfield(self, "violations", violations)
-
 
 _PROPERTIES = (
     ("force-deflates", "F(a) <= a", 1,
@@ -330,14 +315,9 @@ def check_matrix_properties() -> list[MatrixProperty]:
 
 
 class ContradictionRow(Record):
-    __slots__ = ("a", "conjunction", "performed_conjunction", "split_performance")
+    """The values of a, a & ~a, F(a & ~a) and F(a) & ~F(a)."""
 
-    def __init__(self, a: TruthValue4, conjunction: TruthValue4,
-                 performed_conjunction: TruthValue4, split_performance: TruthValue4) -> None:
-        setfield(self, "a", a)
-        setfield(self, "conjunction", conjunction)                      # a & ~a
-        setfield(self, "performed_conjunction", performed_conjunction)  # F(a & ~a)
-        setfield(self, "split_performance", split_performance)          # F(a) & ~F(a)
+    __slots__ = ("a", "conjunction", "performed_conjunction", "split_performance")
 
 
 def contradiction_profile() -> list[ContradictionRow]:

@@ -70,7 +70,7 @@ from .syntax import (
     detect_cycles,
     format_formula,
     inline_acts,
-    unfold_once,
+    substitute,
     walk,
 )
 
@@ -157,12 +157,6 @@ def _nonstandard(label: str, mapping: Optional[Mapping], algebra: AlgebraSpec) -
 
 class EvalOutcome(Record):
     __slots__ = ("value", "admissible", "subvalues")
-
-    def __init__(self, value: HyperValue, admissible: bool,
-                 subvalues: dict[str, HyperValue]) -> None:
-        setfield(self, "value", value)
-        setfield(self, "admissible", admissible)
-        setfield(self, "subvalues", subvalues)
 
     def to_json(self) -> dict:
         return {
@@ -417,14 +411,9 @@ def scan_mb(
 
 
 class MBTautologyResult(Record):
-    __slots__ = ("status", "witness", "witness_value", "checked")
+    """`status` is "tautology" or "refuted"; a refutation holds its first witness."""
 
-    def __init__(self, status: str, witness: Optional[MBValuation],
-                 witness_value: Optional[HyperValue], checked: int) -> None:
-        setfield(self, "status", status)  # "tautology" | "refuted"
-        setfield(self, "witness", witness)
-        setfield(self, "witness_value", witness_value)
-        setfield(self, "checked", checked)
+    __slots__ = ("status", "witness", "witness_value", "checked")
 
     def to_json(self) -> dict:
         return {
@@ -465,15 +454,6 @@ def is_tautology_mb(
 
 class DifferenceResult(Record):
     __slots__ = ("found", "witness", "left_value", "right_value", "checked")
-
-    def __init__(self, found: bool, witness: Optional[MBValuation],
-                 left_value: Optional[HyperValue], right_value: Optional[HyperValue],
-                 checked: int) -> None:
-        setfield(self, "found", found)
-        setfield(self, "witness", witness)
-        setfield(self, "left_value", left_value)
-        setfield(self, "right_value", right_value)
-        setfield(self, "checked", checked)
 
     def to_json(self) -> dict:
         return {
@@ -599,13 +579,16 @@ def unfold_cyclic(
     if seed.algebra != valuation.algebra:
         raise ValueError("seed is valued outside the valuation's algebra")
 
-    formula: Formula = ActRef(act_name)
+    # every act's tree after the rounds so far: round 0 inlines the acyclic acts and
+    # keeps each cyclic one a reference, and each later round puts the last round's
+    # trees in place of every definition's references, so the rounds share subtrees
+    trees = {name: inline_acts(ActRef(name), defs, keep=cyclic) for name in defs}
     for _ in range(steps):
-        formula = unfold_once(formula, defs)
-    # every cyclic act stays a reference, in the tree or reached by inlining one that is not
+        last = trees
+        trees = {name: substitute(body, lambda leaf: leaf if isinstance(leaf, Atom)
+                                  else last[leaf.name]) for name, body in defs.items()}
     seeded = {("ref", name): encode(seed) for name in cyclic}  # the seed's normal form
-    scan = _visit(inline_acts(formula, defs, keep=cyclic), valuation, seeded, bound=cyclic,
-                  nested_pointwise=True)
+    scan = _visit(trees[act_name], valuation, seeded, bound=cyclic, nested_pointwise=True)
     return scan.decode(scan.registers[scan.roots[0]])
 
 

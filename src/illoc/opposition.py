@@ -22,8 +22,8 @@ from .hyper import (
     is_standard,
     normalize,
     packed_ops,
-    square_from_corners,
     square_relations,
+    square_report,
 )
 from .matrix_m import CARRIER, LEQ_TABLE, ONE_CODE, SQUARE_RELATIONS, MScan, scan_m
 from .matrix_mb import MBMode, MBScan, StandardAssignment, scan_mb, valuation_to_json
@@ -59,14 +59,7 @@ class CheckSpace(Record):
 
 
 class EntailmentResult(Record):
-    __slots__ = ("holds", "witness", "left_value", "right_value")
-
-    def __init__(self, holds: bool, witness: Optional[dict], left_value: Optional[str],
-                 right_value: Optional[str]) -> None:
-        setfield(self, "holds", holds)
-        setfield(self, "witness", witness)  # JSON-shaped valuation
-        setfield(self, "left_value", left_value)
-        setfield(self, "right_value", right_value)
+    __slots__ = ("holds", "witness", "left_value", "right_value")  # witness: JSON-shaped
 
     def to_json(self) -> dict:
         return {
@@ -121,26 +114,18 @@ def entails(
 
 class RelationCheck(Record):
     __slots__ = ("holds", "witness")
-
-    def __init__(self, holds: bool, witness: Optional[dict] = None) -> None:
-        setfield(self, "holds", holds)
-        setfield(self, "witness", witness)
+    _defaults = {"witness": None}
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "witness": self.witness}
 
 
 class LawRow(Record):
+    """Values, printed, of ~F(~p) | ~F(p) (`excluded_middle`) and ~(F(~p) & F(p))
+    (`contrariety`) on one valuation, and whether each is designated."""
+
     __slots__ = ("label", "excluded_middle", "contrariety", "excluded_middle_designated",
                  "contrariety_designated")
-
-    def __init__(self, label: str, excluded_middle: str, contrariety: str,
-                 excluded_middle_designated: bool, contrariety_designated: bool) -> None:
-        setfield(self, "label", label)
-        setfield(self, "excluded_middle", excluded_middle)  # value of ~F(~p) | ~F(p)
-        setfield(self, "contrariety", contrariety)          # value of ~(F(~p) & F(p))
-        setfield(self, "excluded_middle_designated", excluded_middle_designated)
-        setfield(self, "contrariety_designated", contrariety_designated)
 
     def to_json(self) -> dict:
         return {
@@ -159,13 +144,6 @@ class LawRow(Record):
 class LawsReport(Record):
     __slots__ = ("rows", "excluded_middle_always_designated", "contrariety_always_designated",
                  "values_coincide")
-
-    def __init__(self, rows: tuple[LawRow, ...], excluded_middle_always_designated: bool,
-                 contrariety_always_designated: bool, values_coincide: bool) -> None:
-        setfield(self, "rows", rows)
-        setfield(self, "excluded_middle_always_designated", excluded_middle_always_designated)
-        setfield(self, "contrariety_always_designated", contrariety_always_designated)
-        setfield(self, "values_coincide", values_coincide)
 
     @classmethod
     def of(cls, rows: Iterable[LawRow]) -> "LawsReport":
@@ -193,34 +171,7 @@ class OppositionReport(Record):
                  "contradictory", "subcontrary", "subaltern_left", "subaltern_right", "laws",
                  "hyper")
     _shown = __slots__[:-1]
-
-    def __init__(
-        self,
-        matrix: str,
-        force: str,
-        atom: str,
-        square_holds: bool,
-        criterion_holds: bool,
-        contrary: RelationCheck,
-        contradictory: RelationCheck,
-        subcontrary: RelationCheck,
-        subaltern_left: RelationCheck,
-        subaltern_right: RelationCheck,
-        laws: LawsReport,
-        hyper: Optional[SquareReport] = None,
-    ) -> None:
-        setfield(self, "matrix", matrix)
-        setfield(self, "force", force)
-        setfield(self, "atom", atom)
-        setfield(self, "square_holds", square_holds)
-        setfield(self, "criterion_holds", criterion_holds)
-        setfield(self, "contrary", contrary)
-        setfield(self, "contradictory", contradictory)
-        setfield(self, "subcontrary", subcontrary)
-        setfield(self, "subaltern_left", subaltern_left)
-        setfield(self, "subaltern_right", subaltern_right)
-        setfield(self, "laws", laws)
-        setfield(self, "hyper", hyper)
+    _defaults = {"hyper": None}
 
     def to_json(self) -> dict:
         data = {
@@ -347,7 +298,6 @@ def _square_mb(
     ops = packed_ops(space.algebra.k)
     square = _Square(square_relations(ops))
     text: dict[int, str] = {}  # printed values, by code
-    squares: list[SquareReport] = []
 
     def visit(scan: MBScan, codes: list[int]) -> None:
         corners, (em, lc) = codes[:4], codes[4:]
@@ -357,12 +307,11 @@ def _square_mb(
         row = LawRow(f"generator={text[corners[0]]}", text[em], text[lc],
                      em == ops.top, lc == ops.top)
         square.add(corners, lambda: {"generator": hyper_to_json(scan.decode(corners[0]))}, row)
-        if generator is not None:
-            squares.append(square_from_corners(space.algebra, *corners))
 
     scan_mb(_square_formulas(force, atom), space.algebra, space.mode, visit,
             budget=budget, domains=domains)
-    return square.report("mb", force, atom, squares[0] if squares else None)
+    hyper = None if generator is None else square_report(generator)
+    return square.report("mb", force, atom, hyper)
 
 
 def laws_report(

@@ -1,18 +1,27 @@
 """The base of the package's immutable record types.
 
-A record is a plain class with `__slots__` and its own `__init__`, which
-checks its arguments and sets each field once through `setfield`. The base
-gives every record the rest: equality only with a record of the same class,
-a hash consistent with it, the repr `Name(field=value, ...)`, and an
-AttributeError when a field is assigned or deleted. Records are written out
-by hand rather than generated by the standard library's decorator, whose
-import and per-class code generation cost about a millisecond per class at
-start-up.
+A record is a plain class with `__slots__`. The base gives every record the
+rest: equality only with a record of the same class, a hash consistent with
+it, the repr `Name(field=value, ...)`, an AttributeError when a field is
+assigned or deleted, and a constructor. Records are written out by hand
+rather than generated by the standard library's decorator, whose import and
+per-class code generation cost about a millisecond per class at start-up.
+
+The base constructor takes the fields by position in `__slots__` order or by
+name. A field left out takes its value from the class's `_defaults`, and a
+missing, extra, repeated or unknown field raises TypeError. Two groups of
+records define their own `__init__`, which sets each field through `setfield`:
+- the records that check or normalise their input: `AlgebraSpec`,
+  `Element`, `HyperValue`, `MBValuation`, `CheckSpace` and `ForceDecl`;
+- the records built once per formula node or per scan slot, where the base
+  constructor's argument handling would add to the cost of every node the
+  parser and `substitute` build: the seven formula nodes and `search.Slot`.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Callable, Mapping
 
 setfield = object.__setattr__  # how an __init__ sets a field past `Record.__setattr__`
 
@@ -24,11 +33,36 @@ class Record:
     # default every slot counts in both.
     _compared: tuple[str, ...]
     _shown: tuple[str, ...]
+    _defaults: Mapping[str, object] = {}  # field -> value when the constructor leaves it out
+    _setters: tuple[Callable[[Record, object], None], ...]  # one per slot, in order
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._shown = cls.__dict__.get("_shown", cls.__slots__)
         cls._key = staticmethod(attrgetter(*cls.__dict__.get("_compared", cls.__slots__)))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args: object, **named: object) -> None:
+        setters = self._setters
+        if len(args) == len(setters) and not named:
+            for i, set_field in enumerate(setters):
+                set_field(self, args[i])
+            return
+        fields, record = self.__slots__, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{record}() takes {len(fields)} fields but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for name in named:
+            if name not in fields:
+                raise TypeError(f"{record}() has no field {name!r}")
+            if name in given:
+                raise TypeError(f"{record}() got field {name!r} by position and by name")
+        given.update(named)
+        missing = [name for name in fields if name not in given and name not in self._defaults]
+        if missing:
+            raise TypeError(f"{record}() is missing field(s) {', '.join(map(repr, missing))}")
+        for name, set_field in zip(fields, setters):
+            set_field(self, given[name] if name in given else self._defaults[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -186,10 +186,6 @@ def _unexpected(text: str, tokens: list[str], index: int,
 class ParseResult(Record):
     __slots__ = ("definitions", "formula")
 
-    def __init__(self, definitions: ActDefs, formula: Optional[Formula]) -> None:
-        setfield(self, "definitions", definitions)
-        setfield(self, "formula", formula)
-
 
 _BINARY = {"&": And, "|": Or, "->": Implies}
 # the operators a binary operator reduces before it is pushed: "&" binds
@@ -397,57 +393,33 @@ def is_force_free(f: Formula, defs: Optional[Mapping[str, Formula]] = None) -> b
 def detect_cycles(defs: Mapping[str, Formula]) -> list[list[str]]:
     """Groups of definitions whose unfolding never terminates.
 
-    Each group is a strongly connected component of the reference graph with
-    a cycle in it (self-references included), members in definition order.
+    An act is cyclic when it reaches itself through references (a
+    self-reference included); a group is the acts that reach each other,
+    members in definition order, and the groups come in the order of their
+    first members.
     """
-    names = list(defs)
     graph: dict[str, list[str]] = {}
-    for name in names:
-        targets = refs_of(defs[name])
+    for name, body in defs.items():
+        targets = refs_of(body)
         for target in targets:
             if target not in defs:
                 raise UnknownActRef(target)
         graph[name] = targets
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    components: list[list[str]] = []
-
-    def connect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in graph[v]:
-            if w not in index:
-                connect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            components.append(component)
-
-    for name in names:
-        if name not in index:
-            connect(name)
-
-    order = {name: i for i, name in enumerate(names)}
-    cycles = []
-    for component in components:
-        if len(component) > 1 or component[0] in graph[component[0]]:
-            cycles.append(sorted(component, key=order.__getitem__))
-    cycles.sort(key=lambda c: order[c[0]])
-    return cycles
+    reach: dict[str, set[str]] = {}  # the acts each act reaches
+    for name in graph:
+        seen, todo = set(), list(graph[name])
+        while todo:
+            target = todo.pop()
+            if target not in seen:
+                seen.add(target)
+                todo.extend(graph[target])
+        reach[name] = seen
+    groups: dict[frozenset[str], list[str]] = {}
+    for name, reached in reach.items():
+        if name in reached:
+            group = frozenset(other for other in reached if name in reach[other])
+            groups.setdefault(group, []).append(name)
+    return list(groups.values())
 
 
 def substitute(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
@@ -495,19 +467,6 @@ def inline_acts(
         return resolved
 
     return substitute(f, resolve)
-
-
-def unfold_once(f: Formula, defs: Mapping[str, Formula]) -> Formula:
-    """Replace every act reference by its definition body, one round only."""
-
-    def body(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            return node
-        if node.name not in defs:
-            raise UnknownActRef(node.name)
-        return defs[node.name]
-
-    return substitute(f, body)
 
 
 # --- JSON export of ASTs ---

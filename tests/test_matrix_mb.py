@@ -53,7 +53,8 @@ from illoc.matrix_mb import (
 from illoc.opposition import _square_formulas
 from illoc.search import BudgetExceeded
 from illoc.syntax import (
-    ActRef, And, Atom, Force, Implies, Not, Or, format_formula, parse, parse_formula,
+    ActRef, And, Atom, Force, Implies, Not, Or, detect_cycles, format_formula, inline_acts,
+    parse, parse_formula,
 )
 import m_oracle
 import mb_oracle
@@ -634,6 +635,77 @@ class TestUnfold:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             unfold_cyclic(self._defs(), "x", -1, standard(K2.bottom()))
+
+
+def _literal_unfolding(defs, act, steps, seed, valuation):
+    """What `unfold_cyclic` computes, written out: the act's reference unfolded
+    `steps` times as a tree of fresh nodes, every acyclic act inlined, every
+    cyclic reference left bound to the seed, and one visit of the lowered tree.
+    The outcome is the value or the exception, as (type, message)."""
+    cyclic = frozenset(name for cycle in detect_cycles(defs) for name in cycle)
+
+    def unfold(f, rounds):
+        if isinstance(f, ActRef):
+            return f if rounds == 0 else unfold(defs[f.name], rounds - 1)
+        if isinstance(f, Atom):
+            return Atom(f.name)
+        if isinstance(f, Not):
+            return Not(unfold(f.body, rounds))
+        if isinstance(f, Force):
+            return Force(f.force, unfold(f.content, rounds))
+        return type(f)(unfold(f.left, rounds), unfold(f.right, rounds))
+
+    if valuation is None:
+        valuation = MBValuation(seed.algebra, signatures=default_signatures(defs, seed.algebra))
+    tree = inline_acts(unfold(ActRef(act), steps), defs, keep=cyclic)
+    seeded = {("ref", name): encode(seed) for name in cyclic}
+    try:
+        scan = illoc.matrix_mb._visit(tree, valuation, seeded, bound=cyclic,
+                                      nested_pointwise=True)
+    except MissingAssignment as error:
+        return MissingAssignment, str(error)
+    return scan.decode(scan.registers[scan.roots[0]])
+
+
+@st.composite
+def _cyclic_programs(draw):
+    """Up to three acts over atoms p and q; each body holds one or two references,
+    so an unfolding at most doubles per round."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    atoms = st.sampled_from([Atom("p"), Atom("q")])
+    plain = st.one_of(atoms, st.builds(Not, atoms), st.builds(Force, st.just("f"), atoms),
+                      st.builds(Force, st.just("f"), st.builds(And, atoms, atoms)))
+    wrapped = st.sampled_from([ActRef(name) for name in names]).flatmap(
+        lambda ref: st.sampled_from([ref, Not(ref), Force("g", ref), Force("f", Not(ref))]))
+    defs = {}
+    for name in names:
+        parts = [draw(wrapped), draw(st.one_of(plain, wrapped))]
+        if draw(st.booleans()):
+            parts.reverse()
+        defs[name] = draw(st.sampled_from([And, Or, Implies]))(*parts)
+    return defs
+
+
+UNFOLD_SEEDS = [standard(K1.bottom()), standard(K1.top()), hyper(K1.top(), K1.bottom())]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(defs=_cyclic_programs(), mode=st.sampled_from(MODES),
+       seed=st.sampled_from(UNFOLD_SEEDS), given_values=st.booleans())
+def test_unfold_cyclic_matches_the_literal_tree_unfolding(defs, mode, seed, given_values):
+    valuation = None
+    if given_values:  # p and f's generator on p valued, q and the rest left out
+        valuation = MBValuation(K1, mode, atom_values={"p": K1.top()},
+                                generators={("f", "p"): hyper(K1.top(), K1.bottom())},
+                                signatures=default_signatures(defs, K1))
+    for act in (name for cycle in detect_cycles(defs) for name in cycle):
+        for steps in range(9):
+            expected = _literal_unfolding(defs, act, steps, seed, valuation)
+            try:
+                value = unfold_cyclic(defs, act, steps, seed, valuation=valuation)
+            except MissingAssignment as error:
+                value = MissingAssignment, str(error)
+            assert value == expected
 
 
 class TestHomomorphismLaws:

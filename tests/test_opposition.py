@@ -310,8 +310,9 @@ class TestQuantifiedSquareAgainstOracle:
     def test_fixed_generators(self, k):
         atoms = tuple("abc"[:k])
         algebra = AlgebraSpec(atoms)
-        space = CheckSpace("mb", algebra, MBMode.POINTWISE)
-        for (u, v), relations, criterion, (em, _) in oracle_square(atoms):
+        for mode, ((u, v), relations, criterion, (em, _)) in itertools.product(
+                (MBMode.POINTWISE, MBMode.CONNECTIVE), oracle_square(atoms)):
+            space = CheckSpace("mb", algebra, mode)
             g = hyper(algebra.element(u), algebra.element(v))
             report = square_for_force("f", "p", space, generator=g)
             assert {name: getattr(report, name).holds for name in RELATIONS} == relations
@@ -319,6 +320,7 @@ class TestQuantifiedSquareAgainstOracle:
             (row,) = report.laws.rows
             assert row.excluded_middle == str(hyper(algebra.element(em[-1]), algebra.element(em[0])))
             assert report.hyper.to_json()["relations"]["contrary"]["holds"] == relations["contrary"]
+            assert report.hyper == square_report(g)
 
 
 class TestLawsMatrixMB:

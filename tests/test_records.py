@@ -221,3 +221,55 @@ def test_each_constructor_check_keeps_its_type_and_message(make, error, message)
         make()
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+OWN_CONSTRUCTORS = {  # the records that check their input or are built once per node or slot
+    "AlgebraSpec", "Element", "HyperValue", "MBValuation", "CheckSpace", "ForceDecl",
+    "Atom", "Not", "And", "Or", "Implies", "Force", "ActRef", "Slot",
+}
+STORED = [record for record, _ in EXAMPLES if "__init__" not in type(record).__dict__]
+
+
+def test_only_the_records_that_check_or_are_built_per_node_have_a_constructor():
+    own = {type(record).__name__ for record, _ in EXAMPLES if "__init__" in type(record).__dict__}
+    assert own == OWN_CONSTRUCTORS
+    assert len(STORED) == 14
+
+
+def _fields(record):
+    return [getattr(record, name) for name in record.__slots__]
+
+
+@pytest.mark.parametrize("record", STORED, ids=[type(r).__name__ for r in STORED])
+def test_the_base_constructor_takes_fields_by_position_or_by_name(record):
+    cls, names, values = type(record), record.__slots__, _fields(record)
+    by_position, by_name = cls(*values), cls(**dict(zip(names, values)))
+    assert by_position == by_name == record
+    assert _fields(by_position) == _fields(by_name) == values
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
+
+
+@pytest.mark.parametrize("record", STORED, ids=[type(r).__name__ for r in STORED])
+def test_the_base_constructor_refuses_a_missing_extra_repeated_or_unknown_field(record):
+    cls, names, values = type(record), record.__slots__, _fields(record)
+    with pytest.raises(TypeError, match="missing field"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="missing field"):
+        cls()
+    with pytest.raises(TypeError, match="fields but"):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match="by position and by name"):
+        cls(*values[:1], **dict(zip(names, values)))
+    with pytest.raises(TypeError, match="has no field 'other'"):
+        cls(*values, other=1)
+    with pytest.raises(TypeError, match="has no field 'other'"):
+        cls(**dict(zip(names, values)), other=1)
+
+
+def test_a_field_left_out_takes_its_default():
+    assert RelationCheck(True).witness is None
+    assert RelationCheck(holds=False) == RelationCheck(False, None)
+    report = square_for_force("think", "p", CheckSpace("m"))
+    fields = {name: getattr(report, name) for name in report.__slots__[:-1]}
+    assert type(report)(**fields).hyper is None
+    assert type(report)(*fields.values()) == report

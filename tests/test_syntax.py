@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formula
@@ -494,6 +494,54 @@ def test_detect_cycles_agrees_with_unfolding(defs):
     flagged = {name for cycle in detect_cycles(defs) for name in cycle}
     for name in defs:
         assert (name in flagged) == _unfolds_forever(name, defs)
+
+
+def _mutual_reachability_groups(defs):
+    """The cycle groups by brute force: the transitive closure of the reference
+    relation, grown to a fixed point over every pair of acts."""
+    names = list(defs)
+    reaches = {(a, b) for a in names for b in names
+               if any(isinstance(n, ActRef) and n.name == b for n in _nodes(defs[a]))}
+    while True:
+        grown = reaches | {(a, c) for a, b in reaches for b2, c in reaches if b == b2}
+        if grown == reaches:
+            break
+        reaches = grown
+    groups = []
+    for name in names:
+        group = [other for other in names if (name, other) in reaches and (other, name) in reaches]
+        if group and group not in groups:
+            groups.append(group)
+    return groups
+
+
+@st.composite
+def reference_graphs(draw):
+    """Up to five acts in any order, each referring to any of them (itself included)."""
+    names = draw(st.permutations("abcde"))[: draw(st.integers(1, 5))]
+    defs = {}
+    for name in names:
+        body = Atom("p")
+        for target in draw(st.lists(st.sampled_from(names), max_size=3)):
+            body = And(body, ActRef(target))
+        defs[name] = body
+    return defs
+
+
+TWO_CYCLES = parse(  # the cycle c-b reaches the cycle d-a, which does not reach back
+    "act d = [f](a); act c = [f](b) & d; act b = [f](c); act a = d | p; act e = c;"
+).definitions
+
+
+@given(st.one_of(definition_environments(), reference_graphs()))
+@example(TWO_CYCLES)
+@settings(max_examples=300)
+def test_detect_cycles_groups_the_acts_that_reach_each_other(defs):
+    assert detect_cycles(defs) == _mutual_reachability_groups(defs)
+
+
+def test_a_cycle_that_reaches_another_is_its_own_group():
+    assert detect_cycles(TWO_CYCLES) == [["d", "a"], ["c", "b"]]
 
 
 class TestForceQueries:
