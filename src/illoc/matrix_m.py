@@ -8,9 +8,9 @@ read as the one "think" operator here.
 
 The connectives below are the one definition of the matrix. Evaluation runs
 on codes derived from them: `eval_m` and `scan_m` lower their formulas once
-into one register program whose instructions are the code tables, run it
-through `illoc.program.Scan`, and decode a value to `TruthValue4` only for a
-result a caller keeps.
+into one register program, run it through `MScan`, whose loop indexes each
+instruction's 16-entry code table with no call per instruction, and decode a
+value to `TruthValue4` only for a result a caller keeps.
 Act references are inlined first, and only when there are definitions: with
 none, lowering raises UnknownActRef at the first reference.
 """
@@ -169,10 +169,14 @@ SQUARE_RELATIONS: dict[str, Callable[[int, int, int, int], bool]] = {
 }
 
 
-# the instruction of each node kind; a unary one ignores its second operand
-_OPS = {Not: lambda x, _: NEG_TABLE[x], Force: lambda x, _: FORCE_TABLE[x],
-        And: lambda x, y: AND_TABLE[4 * x + y], Or: lambda x, y: OR_TABLE[4 * x + y],
-        Implies: lambda x, y: IMP_TABLE[4 * x + y]}
+# The instruction table of each node kind, indexed by 4 * left + right: a
+# unary table repeats its entry across the second operand, which it ignores.
+# Lowering emits the node kind, which hashes faster than a table, and `MScan`
+# links each kind to its table.
+NEG_TABLE16, FORCE_TABLE16 = (tuple(t[x] for x in range(4) for _ in range(4))
+                              for t in (NEG_TABLE, FORCE_TABLE))
+_TABLES = {Not: NEG_TABLE16, Force: FORCE_TABLE16, And: AND_TABLE, Or: OR_TABLE,
+           Implies: IMP_TABLE}
 BIT_CODE = (ZERO_CODE, ONE_CODE)  # an atom's slot values: the codes of 0 and 1
 
 
@@ -184,9 +188,9 @@ def _lower(f: Formula, program: Program) -> int:
         raise UnknownActRef(f.name)
     if isinstance(f, (Not, Force)):
         a = _lower(f.body if isinstance(f, Not) else f.content, program)
-        return program.emit(_OPS[type(f)], a, a)
+        return program.emit(type(f), a, a)
     if isinstance(f, (And, Or, Implies)):
-        return program.emit(_OPS[type(f)], _lower(f.left, program), _lower(f.right, program))
+        return program.emit(type(f), _lower(f.left, program), _lower(f.right, program))
     raise TypeError(f"cannot evaluate {f!r}")
 
 
@@ -194,6 +198,28 @@ def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
     """One program for act-free formulas, and the register of each."""
     program = Program()
     return program, [_lower(f, program) for f in resolved]
+
+
+class MScan(Scan):
+    """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`).
+
+    A verdict gets this object and the codes of the formulas on the current
+    assignment (`values`, one code from BIT_CODE per atom in atom order);
+    `assignment` builds the 0/1 dict only when the verdict asks.
+    """
+
+    ops = _TABLES
+
+    def visit(self, values: Sequence[int]) -> list[int]:
+        """The roots' codes on one assignment: each instruction is a table lookup."""
+        self.values = values
+        self.registers = r = [*values]
+        for t, a, b in self.code:
+            r.append(t[4 * r[a] + r[b]])
+        return [r[x] for x in self.roots]
+
+    def assignment(self) -> dict[str, int]:
+        return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.values)}
 
 
 def eval_m(formula: Formula, assignment: Mapping[str, int],
@@ -212,7 +238,7 @@ def eval_m(formula: Formula, assignment: Mapping[str, int],
         if bit not in (0, 1):
             raise ValueError(f"atoms take 0 or 1, got {name}={bit!r}")
         values.append(BIT_CODE[bit == 1])
-    return CARRIER[Scan(program, [root], program.leaves).visit(values)[0]]
+    return CARRIER[MScan(program, [root], program.leaves).visit(values)[0]]
 
 
 class MTautologyResult(Record):
@@ -224,18 +250,6 @@ class MTautologyResult(Record):
             "witness": None if self.witness is None else {"atom_values": self.witness},
             "value": None if self.witness_value is None else str(self.witness_value),
         }
-
-
-class MScan(Scan):
-    """A scan over the atoms of its formulas (`keys`, sorted).
-
-    A verdict gets this object and the codes of the formulas on the current
-    assignment (`values`, one code from BIT_CODE per atom in atom order);
-    `assignment` builds the 0/1 dict only when the verdict asks.
-    """
-
-    def assignment(self) -> dict[str, int]:
-        return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.values)}
 
 
 def scan_m(

@@ -1,20 +1,23 @@
-"""Formulas lowered to one flat register program, and the one loop that runs it.
+"""Formulas lowered to one flat register program, and the loops that run it.
 
 A matrix lowers the formulas of a scan, or of one evaluation, into one
 `Program`: postorder instructions (op, a, b) over a register file r whose
-first registers hold the slot values; each instruction appends op(r[a], r[b])
-to r, and a unary op ignores its second operand. The program is hash-consed
-on (op, a, b), never on the subtree, so a subterm that repeats within or
-across the formulas is one instruction, evaluated once per valuation.
-A `Scan` links a program to its slot order; `Scan.visit` is the one loop
-that runs it, for both matrices.
+first registers hold the slot values; each instruction appends the value of
+op on r[a] and r[b] to r, and a unary op ignores its second operand. The
+program is hash-consed on (op, a, b), never on the subtree, so a subterm that
+repeats within or across the formulas is one instruction, evaluated once per
+valuation. A `Scan` links a program to its slot order, and its `ops`, when
+set, to the ops the linked code runs. There are two loops: `Scan.visit` calls
+each op, `r.append(op(r[a], r[b]))`, and runs `mb`, whose values are packed
+ints; `matrix_m.MScan.visit` indexes a 16-entry table,
+`r.append(t[4 * r[a] + r[b]])`, with no call per instruction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-Code = tuple[tuple[Callable, int, int], ...]
+Code = tuple[tuple[Any, int, int], ...]
 
 
 class Program:
@@ -28,19 +31,23 @@ class Program:
     def leaf(self, key: Hashable) -> int:
         return ~self.leaves.setdefault(key, len(self.leaves))
 
-    def emit(self, op: Callable, a: int, b: int) -> int:
+    def emit(self, op: Hashable, a: int, b: int) -> int:
         return self._code.setdefault((op, a, b), len(self._code))
 
-    def link(self, order: Iterable[Hashable]) -> tuple[Code, Callable[[int], int]]:
+    def link(self, order: Iterable[Hashable],
+             ops: Optional[Mapping] = None) -> tuple[Code, Callable[[int], int]]:
         """The instructions with slot key order[i] in register i, and the map
-        from a lowering's registers to the linked ones."""
+        from a lowering's registers to the linked ones; with ops, each op is
+        replaced by ops[op]."""
         at = {key: i for i, key in enumerate(order)}
         leaf, n = [at[key] for key in self.leaves], len(at)
 
         def register(x: int) -> int:
             return x + n if x >= 0 else leaf[~x]
 
-        return tuple((op, register(a), register(b)) for op, a, b in self._code), register
+        if ops is None:
+            return tuple((op, register(a), register(b)) for op, a, b in self._code), register
+        return tuple((ops[op], register(a), register(b)) for op, a, b in self._code), register
 
 
 class Scan:
@@ -49,18 +56,22 @@ class Scan:
 
     `register` maps a lowering's register to the linked one, and `roots` are
     the linked registers of the formulas' roots. A verdict reads `values` and
-    `registers` of the valuation visited last.
+    `registers` of the valuation visited last. A subclass whose lowering emits
+    op keys rather than callables sets `ops` to what they link to.
     """
+
+    ops: Optional[Mapping] = None
 
     def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[Hashable]):
         self.keys = tuple(keys)
-        self.code, self.register = program.link(self.keys)
+        self.code, self.register = program.link(self.keys, self.ops)
         self.roots = [self.register(x) for x in roots]
         self.values: tuple = ()
         self.registers: list = []
 
     def visit(self, values: Sequence) -> list:
-        """The roots' codes on one valuation's slot values, one per slot."""
+        """The roots' codes on one valuation's slot values, one per slot: each
+        instruction calls its op."""
         self.values = values
         self.registers = r = [*values]
         for op, a, b in self.code:

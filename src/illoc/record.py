@@ -3,9 +3,10 @@
 A record is a plain class with `__slots__`. The base gives every record the
 rest: equality only with a record of the same class, a hash consistent with
 it, the repr `Name(field=value, ...)`, an AttributeError when a field is
-assigned or deleted, and a constructor. Records are written out by hand
-rather than generated by the standard library's decorator, whose import and
-per-class code generation cost about a millisecond per class at start-up.
+assigned or deleted, a constructor, and copying and pickling through that
+constructor. Records are written out by hand rather than generated by the
+standard library's decorator, whose import and per-class code generation cost
+about a millisecond per class at start-up.
 
 The base constructor takes the fields by position in `__slots__` order or by
 name. A field left out takes its value from the class's `_defaults`, and a
@@ -75,6 +76,11 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a record through its constructor, which
+        # every record gives its fields by position in `__slots__` order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -13,11 +13,14 @@ from illoc.matrix_m import (
     CARRIER,
     CODE,
     FORCE_TABLE,
+    FORCE_TABLE16,
     IMP_TABLE,
     LEQ_TABLE,
     NEG_TABLE,
+    NEG_TABLE16,
     OR_TABLE,
     MissingAtom,
+    MScan,
     TruthValue4,
     and4,
     check_matrix_properties,
@@ -31,9 +34,8 @@ from illoc.matrix_m import (
     neg4,
     or4,
 )
-import illoc.matrix_m
 from illoc.opposition import CheckSpace, _square_formulas, entails
-from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula
+from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula, walk
 
 ONE, HALF, ZERO, NEG = (
     TruthValue4.ONE,
@@ -309,30 +311,46 @@ class TestProgram:
 
     def test_the_square_lowers_each_force_once(self):
         program, _ = lower(_square_formulas("think", "p"))
-        code, _ = program.link(program.leaves)
-        forces = [op for op, _, _ in code if op is illoc.matrix_m._OPS[Force]]
+        code, _ = program.link(program.leaves, MScan.ops)
+        forces = [table for table, _, _ in code if table is FORCE_TABLE16]
         # F(p), ~p, F(~p), ~F(~p), ~F(p), their |, F(~p) & F(p) and its ~
         assert (len(forces), len(code)) == (2, 8)
 
 
 class TestCodeTables:
-    """The code tables the compiled evaluator runs on, against the oracle's literals."""
+    """The code tables the compiled evaluator runs on, against the oracle's
+    literals, and the instruction table `MScan` links each node kind to,
+    against its connective on all 16 pairs of operands."""
 
-    @pytest.mark.parametrize("table,oracle", [(NEG_TABLE, m_oracle.T_NEG),
-                                              (FORCE_TABLE, m_oracle.T_FORCE)],
+    @pytest.mark.parametrize("kind,table,connective,oracle",
+                             [(Not, NEG_TABLE, neg4, m_oracle.T_NEG),
+                              (Force, FORCE_TABLE, force4, m_oracle.T_FORCE)],
                              ids=["neg", "force"])
-    def test_unary(self, table, oracle):
+    def test_unary(self, kind, table, connective, oracle):
         assert [str(v) for v in CARRIER] == list(m_oracle.CARRIER)
         for x in CARRIER:
             assert str(CARRIER[table[CODE[x]]]) == oracle[str(x)]
+        instruction = MScan.ops[kind]
+        assert len(instruction) == 16
+        for x, y in itertools.product(CARRIER, repeat=2):  # the second operand is ignored
+            assert CARRIER[instruction[CODE[x] * 4 + CODE[y]]] is connective(x)
 
-    @pytest.mark.parametrize("table,oracle", [(AND_TABLE, m_oracle.T_AND),
-                                              (OR_TABLE, m_oracle.T_OR),
-                                              (IMP_TABLE, m_oracle.T_IMP)],
+    @pytest.mark.parametrize("kind,table,connective,oracle",
+                             [(And, AND_TABLE, and4, m_oracle.T_AND),
+                              (Or, OR_TABLE, or4, m_oracle.T_OR),
+                              (Implies, IMP_TABLE, imp4, m_oracle.T_IMP)],
                              ids=["and", "or", "imp"])
-    def test_binary(self, table, oracle):
+    def test_binary(self, kind, table, connective, oracle):
         for x, y in itertools.product(CARRIER, repeat=2):
             assert str(CARRIER[table[CODE[x] * 4 + CODE[y]]]) == oracle[str(x), str(y)]
+        instruction = MScan.ops[kind]
+        assert len(instruction) == 16
+        for x, y in itertools.product(CARRIER, repeat=2):
+            assert CARRIER[instruction[CODE[x] * 4 + CODE[y]]] is connective(x, y)
+
+    def test_every_node_kind_links_to_a_table(self):
+        assert set(MScan.ops) == {Not, Force, And, Or, Implies}
+        assert (MScan.ops[Not], MScan.ops[Force]) == (NEG_TABLE16, FORCE_TABLE16)
 
     def test_order(self):
         for x, y in itertools.product(CARRIER, repeat=2):
@@ -377,3 +395,86 @@ class TestDifferentialAgainstOracle:
         holds, witness, lhs, rhs = m_oracle.oracle_entails(left, right)
         assert (result.holds, result.left_value, result.right_value) == (holds, lhs, rhs)
         assert result.witness == (None if witness is None else {"atom_values": witness})
+
+
+def wide_formula(rng: random.Random):
+    """An act-free formula over 8-10 atoms x0, x1, ..., every one of which
+    occurs, with 40-120 nodes counted as a tree: the sizes the benchmark's
+    matrix-m workload scans. It grows as a chain whose side operands are fresh
+    atoms or small subterms reused several times, so lowering merges the
+    repeats into one instruction each."""
+    atoms = [Atom(f"x{i}") for i in range(rng.randint(8, 10))]
+    fresh, nodes = rng.sample(atoms, len(atoms)), rng.randint(40, 120)
+    shared: list = []
+    formula, size = fresh.pop(), 1
+    while fresh or size < nodes:
+        kind = rng.choice((Not, Force, And, Or, Implies))
+        if kind is Not:
+            formula, size = Not(formula), size + 1
+            continue
+        if kind is Force:
+            formula, size = Force("think", formula), size + 1
+            continue
+        if fresh and rng.random() < 0.5:
+            other = fresh.pop()
+        elif shared and rng.random() < 0.7:
+            other = rng.choice(shared)
+        else:
+            a, b = rng.sample(atoms, 2)
+            other = rng.choice((And(a, Not(b)), Force("think", Or(a, b)),
+                                Implies(a, Force("think", b))))
+            shared.append(other)
+        formula = kind(formula, other) if rng.random() < 0.5 else kind(other, formula)
+        size += 1 + sum(1 for _ in walk(other))
+    return formula
+
+
+class TestDifferentialAtWideSizes:
+    """Full and early-ending scans over 256-1,024 assignments, against the oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reflexive_implication(self, seed):
+        rng = random.Random(seed)
+        a = wide_formula(rng)
+        alone, _ = lower([a])
+        assert _size(alone) < sum(not isinstance(node, Atom) for node in walk(a))  # repeats merged
+        result = is_tautology_m(Implies(a, a))
+        assert m_oracle.oracle_tautology(Implies(a, a)) == ("tautology", None, None)
+        assert (result.status, result.witness, result.witness_value) == ("tautology", None, None)
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_self_entailment(self, seed):
+        rng = random.Random(seed)
+        a = wide_formula(rng)
+        result = entails(a, a, CheckSpace("m"))
+        assert m_oracle.oracle_entails(a, a) == (True, None, None, None)
+        assert (result.holds, result.witness) == (True, None)
+        b = wide_formula(rng)  # and one that may fail, at a later first witness
+        result = entails(a, b, CheckSpace("m"))
+        holds, witness, lhs, rhs = m_oracle.oracle_entails(a, b)
+        assert (result.holds, result.left_value, result.right_value) == (holds, lhs, rhs)
+        assert result.witness == (None if witness is None else {"atom_values": witness})
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_contradiction_and_the_formula_itself(self, seed):
+        rng = random.Random(seed)
+        a = wide_formula(rng)
+        for formula in (And(a, Not(a)), a):
+            result = is_tautology_m(formula)
+            status, witness, value = m_oracle.oracle_tautology(formula)
+            assert (result.status, result.witness) == (status, witness)
+            assert (None if value is None else str(result.witness_value)) == value
+        assert is_tautology_m(And(a, Not(a))).status == "refuted"
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_eval(self, seed):
+        rng = random.Random(seed)
+        a = wide_formula(rng)
+        names = sorted(m_oracle.oracle_atoms(a))
+        for _ in range(16):
+            assignment = {name: rng.randint(0, 1) for name in names}
+            assert str(eval_m(a, assignment)) == m_oracle.oracle_eval(a, assignment)

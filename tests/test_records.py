@@ -1,6 +1,9 @@
 """The package's record types: equality only within one class, hashes consistent with it,
-the field-by-field repr, fields that cannot be assigned or deleted, and the checks each
-constructor makes, with their exception types and messages."""
+the field-by-field repr, fields that cannot be assigned or deleted, copying and pickling,
+and the checks each constructor makes, with their exception types and messages."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -87,6 +90,14 @@ def test_a_record_equals_itself_and_nothing_of_another_class(record, field):
     assert record == record
     assert record != getattr(record, field)
     assert record.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("record,field", EXAMPLES, ids=[type(r).__name__ for r, _ in EXAMPLES])
+def test_a_record_survives_copy_deepcopy_and_pickle(record, field):
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record
 
 
 @pytest.mark.parametrize("left,right", [
