@@ -8,9 +8,11 @@ read as the one "think" operator here.
 
 The connectives below are the one definition of the matrix. Evaluation runs
 on codes derived from them: `eval_m` and `scan_m` lower their formulas once
-into one register program, run it through `MScan`, whose loop indexes each
-instruction's 16-entry code table with no call per instruction, and decode a
-value to `TruthValue4` only for a result a caller keeps.
+into one register program, run it through `MScan.run`, the matrix's one loop
+(over one assignment for `eval_m`), and decode a value to `TruthValue4` only
+for a result a caller keeps. Each instruction indexes its 16-entry code table
+with no call and, after the first assignment, runs only when an atom it reads
+has changed.
 Act references are inlined first, and only when there are definitions: with
 none, lowering raises UnknownActRef at the first reference.
 """
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .program import Program, Scan
+from .program import Program
 from .record import Record
-from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
+from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
     ActRef, And, Atom, Force, Formula, Implies, Not, Or, UnknownActRef, inline_acts,
 )
@@ -200,26 +202,95 @@ def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
     return program, [_lower(f, program) for f in resolved]
 
 
-class MScan(Scan):
-    """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`).
+class MScan:
+    """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`),
+    each node kind linked to its table in `ops`.
 
     A verdict gets this object and the codes of the formulas on the current
-    assignment (`values`, one code from BIT_CODE per atom in atom order);
-    `assignment` builds the 0/1 dict only when the verdict asks.
+    assignment; `assignment` builds the 0/1 dict from the slot registers only
+    when the verdict asks.
     """
 
     ops = _TABLES
 
-    def visit(self, values: Sequence[int]) -> list[int]:
-        """The roots' codes on one assignment: each instruction is a table lookup."""
-        self.values = values
-        self.registers = r = [*values]
+    def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[str]):
+        self.keys = tuple(keys)
+        self.code, register = program.link(self.keys, self.ops)
+        self.roots = [register(x) for x in roots]
+        self.registers: list[int] = []
+
+    def run(self, domains: Sequence[Sequence[int]],
+            verdict: Callable[["MScan", list[int]], Any]) -> Any:
+        """The first payload, in mixed-radix order over domains (one per key,
+        the first most significant, each in its order), for which
+        verdict(self, codes) is not None; None when there is none.
+
+        The first assignment runs every instruction. Then each one runs only
+        when a slot it reads has changed: an instruction's level is the last
+        varying slot it reads, and when slot j takes its next value the
+        instructions of levels j and later run, in postorder. An operand's
+        level is never higher than its instruction's, so its register is
+        fresh. A one-value slot is a constant, gives no level and is not
+        counted among the slots that levels number. The outer slots advance
+        as an odometer, and the last one in a plain loop.
+        """
+        r = self.registers = [d[0] for d in domains]
+        roots = self.roots
         for t, a, b in self.code:
             r.append(t[4 * r[a] + r[b]])
-        return [r[x] for x in self.roots]
+        payload = verdict(self, [r[x] for x in roots])
+        if payload is not None:
+            return payload
+        varying = [j for j, d in enumerate(domains) if len(d) > 1]
+        if not varying:
+            return None
+        flat, starts = self._by_level(varying, len(domains))  # only once the first assignment misses
+        inner = flat[starts[-1]:]
+        *outer, last = varying
+        digits = [0] * len(outer)
+        values, code = domains[last][1:], inner
+        while True:
+            for value in values:
+                r[last] = value
+                for t, o, a, b in code:
+                    r[o] = t[4 * r[a] + r[b]]
+                payload = verdict(self, [r[x] for x in roots])
+                if payload is not None:
+                    return payload
+                code = inner
+            k = len(outer) - 1  # the odometer: the last outer slot not at its end
+            while k >= 0 and digits[k] == len(domains[outer[k]]) - 1:
+                digits[k] = 0
+                r[outer[k]] = domains[outer[k]][0]
+                k -= 1
+            if k < 0:
+                return None
+            digits[k] += 1
+            r[outer[k]] = domains[outer[k]][digits[k]]
+            values, code = domains[last], flat[starts[k]:]
+
+    def _by_level(self, varying: Sequence[int], n: int) -> tuple[tuple, list[int]]:
+        """The instructions (table, out, a, b) that have a level, by level and
+        in postorder within one, and where each level starts; slot varying[k]
+        has level k. One tuple, sliced per run of levels, keeps the memory
+        linear in the program."""
+        level = [-1] * n
+        for k, j in enumerate(varying):
+            level[j] = k
+        groups: list[list] = [[] for _ in varying]
+        for o, (t, a, b) in enumerate(self.code, n):
+            level.append(max(level[a], level[b]))
+            if level[o] >= 0:
+                groups[level[o]].append((t, o, a, b))
+        flat: list = []
+        starts = []
+        for group in groups:
+            starts.append(len(flat))
+            flat += group
+        return tuple(flat), starts
 
     def assignment(self) -> dict[str, int]:
-        return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.values)}
+        return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.registers)}
 
 
 def eval_m(formula: Formula, assignment: Mapping[str, int],
@@ -230,15 +301,16 @@ def eval_m(formula: Formula, assignment: Mapping[str, int],
     value other than 0 or 1 raises MissingAtom or ValueError.
     """
     program, (root,) = lower([inline_acts(formula, defs) if defs else formula])
-    values = []
+    domains = []
     for name in program.leaves:
         if name not in assignment:
             raise MissingAtom(name)
         bit = assignment[name]
         if bit not in (0, 1):
             raise ValueError(f"atoms take 0 or 1, got {name}={bit!r}")
-        values.append(BIT_CODE[bit == 1])
-    return CARRIER[MScan(program, [root], program.leaves).visit(values)[0]]
+        domains.append((BIT_CODE[bit == 1],))
+    scan = MScan(program, [root], program.leaves)
+    return CARRIER[scan.run(domains, lambda _, codes: codes[0])]
 
 
 class MTautologyResult(Record):
@@ -270,8 +342,7 @@ def scan_m(
     atoms = sorted(program.leaves)
     check_budget(2 ** len(atoms), budget)
     scan = MScan(program, roots, atoms)
-    payload = first_hit([Slot(name, BIT_CODE) for name in atoms],
-                        lambda values: verdict(scan, scan.visit(values)))
+    payload = scan.run([BIT_CODE] * len(atoms), verdict)
     return None if payload is None else (scan.assignment(), payload)
 
 

@@ -2,15 +2,17 @@
 
 A matrix lowers the formulas of a scan, or of one evaluation, into one
 `Program`: postorder instructions (op, a, b) over a register file r whose
-first registers hold the slot values; each instruction appends the value of
-op on r[a] and r[b] to r, and a unary op ignores its second operand. The
+first n registers hold the n slot values; instruction i sets register n + i
+to op on r[a] and r[b], and a unary op ignores its second operand. The
 program is hash-consed on (op, a, b), never on the subtree, so a subterm that
 repeats within or across the formulas is one instruction, evaluated once per
-valuation. A `Scan` links a program to its slot order, and its `ops`, when
-set, to the ops the linked code runs. There are two loops: `Scan.visit` calls
-each op, `r.append(op(r[a], r[b]))`, and runs `mb`, whose values are packed
-ints; `matrix_m.MScan.visit` indexes a 16-entry table,
-`r.append(t[4 * r[a] + r[b]])`, with no call per instruction.
+valuation. `Program.link` numbers the registers for one slot order and can
+replace each op key by what the linked code runs. There are two loops, one per
+matrix. `Scan.visit` runs `mb`, whose values are packed ints, on one valuation
+that `search.first_hit` hands it: each instruction calls its op,
+`r.append(op(r[a], r[b]))`. `matrix_m.MScan.run` is the whole scan of `m`:
+each instruction indexes a 16-entry table, `r[o] = t[4 * r[a] + r[b]]`, and
+after the first assignment runs only when a slot it reads has changed.
 """
 
 from __future__ import annotations
@@ -56,15 +58,12 @@ class Scan:
 
     `register` maps a lowering's register to the linked one, and `roots` are
     the linked registers of the formulas' roots. A verdict reads `values` and
-    `registers` of the valuation visited last. A subclass whose lowering emits
-    op keys rather than callables sets `ops` to what they link to.
+    `registers` of the valuation visited last.
     """
-
-    ops: Optional[Mapping] = None
 
     def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[Hashable]):
         self.keys = tuple(keys)
-        self.code, self.register = program.link(self.keys, self.ops)
+        self.code, self.register = program.link(self.keys)
         self.roots = [self.register(x) for x in roots]
         self.values: tuple = ()
         self.registers: list = []

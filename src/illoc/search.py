@@ -2,7 +2,10 @@
 
 Assignments are visited in mixed-radix order, first slot most significant and
 each domain in its listed order, so the first hit is well defined and the
-same for every caller.
+same for every caller. `first_hit` is the scan of matrix `mb`; matrix `m`
+scans in the same order in its own loop, `matrix_m.MScan.run`, which runs an
+instruction only when a slot it reads has changed. The callers of both size
+the space and check `check_budget` before the scan starts.
 """
 
 from __future__ import annotations

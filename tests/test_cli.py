@@ -25,7 +25,7 @@ from illoc.search import DEFAULT_BUDGET
 from illoc.syntax import (
     ActRef, And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef, format_formula,
 )
-from m_oracle import oracle_entails, oracle_eval, oracle_tautology
+from m_oracle import oracle_assignments, oracle_entails, oracle_eval, oracle_tautology
 import mb_oracle
 from test_cli_surface import ARGS
 from test_matrix_m import formulas
@@ -608,7 +608,10 @@ def _json_call(*argv):
 
 
 class TestMatrixMDifferential:
-    """`cli.main` on random formulas of at most four atoms, against `tests/m_oracle.py`."""
+    """`cli.main` on random formulas of at most four atoms, against `tests/m_oracle.py`.
+
+    `table` is the one command that reads every valuation of a scan.
+    """
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(formula=formulas(4, M_ATOMS))
@@ -638,6 +641,16 @@ class TestMatrixMDifferential:
         assert payload["holds"] == holds
         assert (payload["left_value"], payload["right_value"]) == (lhs, rhs)
         assert payload["witness"] == (None if witness is None else {"atom_values": witness})
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(formula=formulas(4, M_ATOMS))
+    def test_table(self, formula):
+        code, payload = _json_call("table", "--matrix", "m", _text(formula))
+        values = [(a, oracle_eval(formula, a)) for a in oracle_assignments(formula)]
+        assert code == 0
+        assert payload["rows"] == [
+            {"atom_values": a, "value": v, "classification": M_CLASSIFICATION[v]} for a, v in values
+        ]
 
 
 class TestConsoleScript:

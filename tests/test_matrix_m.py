@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from illoc.matrix_m import (
     lower,
     neg4,
     or4,
+    scan_m,
 )
 from illoc.opposition import CheckSpace, _square_formulas, entails
 from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula, walk
@@ -478,3 +480,74 @@ class TestDifferentialAtWideSizes:
         for _ in range(16):
             assignment = {name: rng.randint(0, 1) for name in names}
             assert str(eval_m(a, assignment)) == m_oracle.oracle_eval(a, assignment)
+
+
+def _scanned_rows(fs, stop=None):
+    """(assignment, values) on every assignment scan_m visits, and what it
+    returns, with a verdict that hits on the assignment at index stop only."""
+    rows = []
+
+    def record(scan, codes):
+        rows.append((scan.assignment(), [str(CARRIER[code]) for code in codes]))
+        return len(rows) - 1 if len(rows) - 1 == stop else None
+
+    return rows, scan_m(fs, record)
+
+
+class TestRegisterFreshness:
+    """Every value a verdict gets is the formula's value on the assignment it
+    reads, on every assignment: a stale register would not show in `A -> A`
+    or `entail A A`, which hold whatever `A`'s register holds."""
+
+    @staticmethod
+    def check(fs):
+        expected = [(a, [m_oracle.oracle_eval(f, a) for f in fs])
+                    for a in m_oracle.oracle_assignments(*fs)]
+        assert _scanned_rows(fs) == (expected, None)
+        for stop in sorted({0, len(expected) // 2, len(expected) - 1}):
+            rows, first = _scanned_rows(fs, stop)
+            assert rows == expected[:stop + 1]
+            assert first == (expected[stop][0], stop)  # the hit's assignment after the scan
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(fs=st.integers(3, 6).flatmap(lambda n: st.lists(
+        formulas(4, tuple(f"x{i}" for i in range(n))), min_size=1, max_size=3)))
+    def test_every_assignment_of_small_formulas(self, fs):
+        self.check([*fs, Implies(fs[0], fs[-1])])
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_assignment_at_wide_sizes(self, seed):
+        rng = random.Random(seed)
+        a, b = wide_formula(rng), wide_formula(rng)
+        self.check([a, b, Or(a, Force("think", b))])
+
+
+def _balanced_and(atoms):
+    layer = list(atoms)
+    while len(layer) > 1:
+        layer = [And(*layer[i:i + 2]) if i + 1 < len(layer) else layer[i]
+                 for i in range(0, len(layer), 2)]
+    return layer[0]
+
+
+class TestWideEarlyRefutation:
+    """A space of 2**2000 assignments is answered at its first one: the scan
+    does not recurse per slot, and groups no instructions before its first
+    assignment misses."""
+
+    ATOMS = [Atom(f"x{i:04}") for i in range(2000)]
+
+    def test_refuted_at_the_all_zero_assignment(self):
+        start = time.perf_counter()
+        result = is_tautology_m(_balanced_and(self.ATOMS), budget=2**2000)
+        assert time.perf_counter() - start < 1.0
+        assert (result.status, result.witness_value) == ("refuted", ZERO)
+        assert result.witness == {atom.name: 0 for atom in self.ATOMS}
+
+    def test_eval(self):
+        formula = _balanced_and(self.ATOMS)
+        start = time.perf_counter()
+        assert eval_m(formula, {atom.name: 1 for atom in self.ATOMS}) is ONE
+        assert eval_m(formula, {atom.name: int(atom.name != "x1234") for atom in self.ATOMS}) is ZERO
+        assert time.perf_counter() - start < 1.0
