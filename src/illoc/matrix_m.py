@@ -12,7 +12,10 @@ into one register program, run it through `MScan.run`, the matrix's one loop
 (over one assignment for `eval_m`), and decode a value to `TruthValue4` only
 for a result a caller keeps. Each instruction indexes its 16-entry code table
 with no call and, after the first assignment, runs only when an atom it reads
-has changed.
+has changed. A tautology check and entailment split their verdict into a
+mask, a 16-entry 0/1 table over the codes of their roots that runs as the
+program's last instruction, and a payload, the one Python call, made only
+where the mask is 1.
 Act references are inlined first, and only when there are definitions: with
 none, lowering raises UnknownActRef at the first reference.
 """
@@ -181,6 +184,12 @@ _TABLES = {Not: NEG_TABLE16, Force: FORCE_TABLE16, And: AND_TABLE, Or: OR_TABLE,
            Implies: IMP_TABLE}
 BIT_CODE = (ZERO_CODE, ONE_CODE)  # an atom's slot values: the codes of 0 and 1
 
+# The masks `scan_m` runs as an instruction on the codes of its first and last
+# root, 1 where a verdict may hit: a code other than 1's (a one-root mask
+# repeats its entry across the second operand), and a pair out of order.
+NOT_ONE_MASK = tuple(int(x != ONE_CODE) for x in range(4) for _ in range(4))
+NOT_LEQ_MASK = tuple(int(not leq) for leq in LEQ_TABLE)
+
 
 def _lower(f: Formula, program: Program) -> int:
     """The register of an act-free formula in program; an atom is the leaf of its name."""
@@ -204,7 +213,8 @@ def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
 
 class MScan:
     """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`),
-    each node kind linked to its table in `ops`.
+    each node kind linked to its table in `ops`, and the register of its
+    mask (`hit`), if it has one.
 
     A verdict gets this object and the codes of the formulas on the current
     assignment; `assignment` builds the 0/1 dict from the slot registers only
@@ -213,10 +223,12 @@ class MScan:
 
     ops = _TABLES
 
-    def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[str]):
+    def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[str],
+                 hit: Optional[int] = None):
         self.keys = tuple(keys)
         self.code, register = program.link(self.keys, self.ops)
         self.roots = [register(x) for x in roots]
+        self.hit = None if hit is None else register(hit)
         self.registers: list[int] = []
 
     def run(self, domains: Sequence[Sequence[int]],
@@ -225,41 +237,50 @@ class MScan:
         the first most significant, each in its order), for which
         verdict(self, codes) is not None; None when there is none.
 
+        The verdict runs only on the assignments where the mask's register
+        holds 1, and on every assignment when there is no mask; the test is
+        one index, with no call, on an assignment the mask rules out.
         The first assignment runs every instruction. Then each one runs only
         when a slot it reads has changed: an instruction's level is the last
         varying slot it reads, and when slot j takes its next value the
         instructions of levels j and later run, in postorder. An operand's
         level is never higher than its instruction's, so its register is
-        fresh. A one-value slot is a constant, gives no level and is not
-        counted among the slots that levels number. The outer slots advance
-        as an odometer, and the last one in a plain loop.
+        fresh; the mask is an instruction like any other. A one-value slot is
+        a constant, gives no level and is not counted among the slots that
+        levels number. The outer slots advance as an odometer, and the last
+        one in a plain loop.
         """
         r = self.registers = [d[0] for d in domains]
-        roots = self.roots
+        roots, hit = self.roots, self.hit
         for t, a, b in self.code:
             r.append(t[4 * r[a] + r[b]])
-        payload = verdict(self, [r[x] for x in roots])
-        if payload is not None:
-            return payload
+        if hit is None:  # no mask: test a register past the program's that holds 1
+            hit = len(r)
+            r.append(1)
+        if r[hit]:
+            payload = verdict(self, [r[x] for x in roots])
+            if payload is not None:
+                return payload
         varying = [j for j, d in enumerate(domains) if len(d) > 1]
         if not varying:
             return None
         flat, starts = self._by_level(varying, len(domains))  # only once the first assignment misses
         inner = flat[starts[-1]:]
         *outer, last = varying
-        digits = [0] * len(outer)
+        digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
         values, code = domains[last][1:], inner
         while True:
             for value in values:
                 r[last] = value
                 for t, o, a, b in code:
                     r[o] = t[4 * r[a] + r[b]]
-                payload = verdict(self, [r[x] for x in roots])
-                if payload is not None:
-                    return payload
+                if r[hit]:
+                    payload = verdict(self, [r[x] for x in roots])
+                    if payload is not None:
+                        return payload
                 code = inner
             k = len(outer) - 1  # the odometer: the last outer slot not at its end
-            while k >= 0 and digits[k] == len(domains[outer[k]]) - 1:
+            while k >= 0 and digits[k] == ends[k]:
                 digits[k] = 0
                 r[outer[k]] = domains[outer[k]][0]
                 k -= 1
@@ -328,6 +349,7 @@ def scan_m(
     formulas: Sequence[Formula],
     verdict: Callable[[MScan, list[int]], Any],
     *,
+    mask: Optional[tuple[int, ...]] = None,
     defs: Optional[Mapping[str, Formula]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[tuple[dict[str, int], Any]]:
@@ -337,11 +359,17 @@ def scan_m(
     assignment of their sorted atoms, 0 before 1 and the first atom most
     significant; codes holds their values as codes (`CARRIER[code]` decodes
     one). Returns (assignment, payload), or None when the verdict never fires.
+
+    With a mask (`NOT_ONE_MASK`, `NOT_LEQ_MASK`), the verdict is a payload
+    that runs only where the mask, on the codes of the first and last
+    formula, is 1; the mask must be 1 wherever the verdict would hit. A scan
+    that reads every row, such as a table, passes none.
     """
     program, roots = lower([inline_acts(f, defs) for f in formulas] if defs else formulas)
+    hit = None if mask is None else program.emit(mask, roots[0], roots[-1])
     atoms = sorted(program.leaves)
     check_budget(2 ** len(atoms), budget)
-    scan = MScan(program, roots, atoms)
+    scan = MScan(program, roots, atoms, hit)
     payload = scan.run([BIT_CODE] * len(atoms), verdict)
     return None if payload is None else (scan.assignment(), payload)
 
@@ -353,12 +381,8 @@ def is_tautology_m(
     budget: int = DEFAULT_BUDGET,
 ) -> MTautologyResult:
     """Exhaust all 0/1 assignments; the first refuting one (0 before 1) is the witness."""
-
-    def refutes(_, codes: list[int]) -> Optional[int]:
-        (code,) = codes
-        return None if code == ONE_CODE else code
-
-    first = scan_m([formula], refutes, defs=defs, budget=budget)
+    first = scan_m([formula], lambda _, codes: codes[0], mask=NOT_ONE_MASK, defs=defs,
+                   budget=budget)
     if first is None:
         return MTautologyResult("tautology", None, None)
     witness, code = first

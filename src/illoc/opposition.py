@@ -25,7 +25,7 @@ from .hyper import (
     square_relations,
     square_report,
 )
-from .matrix_m import CARRIER, LEQ_TABLE, ONE_CODE, SQUARE_RELATIONS, MScan, scan_m
+from .matrix_m import CARRIER, NOT_LEQ_MASK, ONE_CODE, SQUARE_RELATIONS, MScan, scan_m
 from .matrix_mb import MBMode, MBScan, StandardAssignment, scan_mb, valuation_to_json
 from .record import Record, setfield
 from .search import DEFAULT_BUDGET
@@ -78,15 +78,14 @@ def entails(
 ) -> EntailmentResult:
     """Check value(left) <= value(right) under every valuation of the space.
 
-    space.jobs is accepted for compatibility and does not change the scan.
+    In `m` the order test is the scan's mask, `NOT_LEQ_MASK`, so the payload
+    runs only on a violation; in `mb` the verdict compares the packed values
+    on every valuation. space.jobs is accepted for compatibility and does not
+    change the scan.
     """
     if space.matrix == "m":
-
-        def violates_m(_, codes: list[int]) -> Optional[list[int]]:
-            lhs, rhs = codes
-            return None if LEQ_TABLE[lhs * 4 + rhs] else codes
-
-        first = scan_m([left, right], violates_m, defs=defs, budget=space.budget)
+        first = scan_m([left, right], lambda _, codes: codes, mask=NOT_LEQ_MASK, defs=defs,
+                       budget=space.budget)
         if first is None:
             return EntailmentResult(True, None, None, None)
         assignment, (lhs, rhs) = first

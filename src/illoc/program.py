@@ -10,9 +10,13 @@ valuation. `Program.link` numbers the registers for one slot order and can
 replace each op key by what the linked code runs. There are two loops, one per
 matrix. `Scan.visit` runs `mb`, whose values are packed ints, on one valuation
 that `search.first_hit` hands it: each instruction calls its op,
-`r.append(op(r[a], r[b]))`. `matrix_m.MScan.run` is the whole scan of `m`:
-each instruction indexes a 16-entry table, `r[o] = t[4 * r[a] + r[b]]`, and
-after the first assignment runs only when a slot it reads has changed.
+`r.append(op(r[a], r[b]))`, and the verdict runs on every valuation.
+`matrix_m.MScan.run` is the whole scan of `m`: each instruction indexes a
+16-entry table, `r[o] = t[4 * r[a] + r[b]]`, and after the first assignment
+runs only when a slot it reads has changed. A check in `m` emits its mask, a
+16-entry 0/1 table over its roots' codes, as one more instruction whose op
+is the table itself (`link` keeps an op its mapping does not list), and the
+loop calls the verdict only where that register is 1.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ class Program:
     def link(self, order: Iterable[Hashable],
              ops: Optional[Mapping] = None) -> tuple[Code, Callable[[int], int]]:
         """The instructions with slot key order[i] in register i, and the map
-        from a lowering's registers to the linked ones; with ops, each op is
-        replaced by ops[op]."""
+        from a lowering's registers to the linked ones; with ops, each op
+        that ops lists is replaced by ops[op] and any other is kept."""
         at = {key: i for i, key in enumerate(order)}
         leaf, n = [at[key] for key in self.leaves], len(at)
 
@@ -49,7 +53,7 @@ class Program:
 
         if ops is None:
             return tuple((op, register(a), register(b)) for op, a, b in self._code), register
-        return tuple((ops[op], register(a), register(b)) for op, a, b in self._code), register
+        return tuple((ops.get(op, op), register(a), register(b)) for op, a, b in self._code), register
 
 
 class Scan:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Sequence
 
-from .record import Record, setfield
+from .record import Record
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -26,8 +26,11 @@ class Slot(Record):
     __slots__ = ("key", "domain")
 
     def __init__(self, key: Any, domain: tuple) -> None:
-        setfield(self, "key", key)
-        setfield(self, "domain", domain)
+        _slot_key(self, key)
+        _slot_domain(self, domain)
+
+
+_slot_key, _slot_domain = Slot._setters  # bound once, as the formula nodes' in `syntax`
 
 
 def check_budget(size: int, budget: int) -> None:

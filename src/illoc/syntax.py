@@ -54,54 +54,60 @@ class Atom(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        setfield(self, "name", name)
+        _atom_name(self, name)
 
 
 class Not(Record):
     __slots__ = ("body",)
 
     def __init__(self, body: Formula) -> None:
-        setfield(self, "body", body)
+        _not_body(self, body)
 
 
 class And(Record):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+        _and_left(self, left)
+        _and_right(self, right)
 
 
 class Or(Record):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+        _or_left(self, left)
+        _or_right(self, right)
 
 
 class Implies(Record):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+        _implies_left(self, left)
+        _implies_right(self, right)
 
 
 class Force(Record):
     __slots__ = ("force", "content")
 
     def __init__(self, force: str, content: Formula) -> None:
-        setfield(self, "force", force)
-        setfield(self, "content", content)
+        _force_force(self, force)
+        _force_content(self, content)
 
 
 class ActRef(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        setfield(self, "name", name)
+        _actref_name(self, name)
 
+
+# A node's __init__ calls the `__set__` of each slot, bound here once, rather
+# than setting the field by name, which looks the slot up on every node built.
+((_atom_name,), (_not_body,), (_and_left, _and_right), (_or_left, _or_right),
+ (_implies_left, _implies_right), (_force_force, _force_content), (_actref_name,)) = (
+    node._setters for node in (Atom, Not, And, Or, Implies, Force, ActRef))
 
 Formula = Union[Atom, Not, And, Or, Implies, Force, ActRef]
 ActDefs = dict[str, Formula]
@@ -260,7 +266,10 @@ def parse(text: str, acts: Collection[str] = frozenset()) -> ParseResult:
     """
     tokens, idents = _tokenize(text)
     # in a program that parses, "=" follows exactly the names it defines
-    names = {tokens[i - 1] for i, token in enumerate(tokens) if token == "="}.union(acts)
+    names, i = set(acts), -1
+    for _ in range(tokens.count("=")):
+        i = tokens.index("=", i + 1)
+        names.add(tokens[i - 1])
     # one leaf per name, shared by all its occurrences (nodes are immutable)
     leaves = {name: ActRef(name) if name in names else Atom(name) for name in idents}
     definitions: ActDefs = {}

@@ -19,6 +19,8 @@ from illoc.matrix_m import (
     LEQ_TABLE,
     NEG_TABLE,
     NEG_TABLE16,
+    NOT_LEQ_MASK,
+    NOT_ONE_MASK,
     OR_TABLE,
     MissingAtom,
     MScan,
@@ -358,6 +360,12 @@ class TestCodeTables:
         for x, y in itertools.product(CARRIER, repeat=2):
             assert LEQ_TABLE[CODE[x] * 4 + CODE[y]] == m_oracle.t_leq(str(x), str(y))
 
+    def test_masks_are_their_verdicts_hit_conditions(self):
+        for x, y in itertools.product(CARRIER, repeat=2):
+            i = CODE[x] * 4 + CODE[y]
+            assert NOT_ONE_MASK[i] == (str(x) != m_oracle.ONE)  # refutes; y is ignored
+            assert NOT_LEQ_MASK[i] == (not m_oracle.t_leq(str(x), str(y)))  # violates entailment
+
 
 def formulas(depth, atoms=("p", "q", "r")):
     leaf = st.sampled_from([Atom(name) for name in atoms])
@@ -471,6 +479,41 @@ class TestDifferentialAtWideSizes:
             assert (None if value is None else str(result.witness_value)) == value
         assert is_tautology_m(And(a, Not(a))).status == "refuted"
 
+    @settings(derandomize=True, deadline=None, max_examples=5)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_checks_that_compare_a_formula_with_an_atom(self, seed):
+        """Unlike `A -> A`, these hold only if every register is fresh: each
+        compares the formula with an atom's slot. An atom is classical, so
+        `&` with it is a meet and `|` with it a join: a & x <= x, and
+        a <= a | x. x10 is an eleventh atom, sorted between x1 and x2."""
+        rng = random.Random(seed)
+        a = wide_formula(rng)
+        x10, x = Atom("x10"), Atom(f"x{rng.randrange(8)}")
+        taut = Implies(And(a, x10), x10)
+        assert m_oracle.oracle_tautology(taut) == ("tautology", None, None)
+        assert is_tautology_m(taut).status == "tautology"
+        assert m_oracle.oracle_entails(a, Or(a, x)) == (True, None, None, None)
+        assert entails(a, Or(a, x), CheckSpace("m")).holds
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 8, 10, 13, 24])
+    def test_entailment_guarded_by_the_first_two_atoms(self, seed):
+        """a & (x0 & x1) <= b | ~(x0 & x1) can fail only where x0 = x1 = 1,
+        in the last quarter of the scan; the seeds, chosen with the oracle,
+        give first witnesses at 75-88% of the space, and at 0 and 10 it
+        holds."""
+        rng = random.Random(seed)
+        a, b = wide_formula(rng), wide_formula(rng)
+        both = And(Atom("x0"), Atom("x1"))
+        left, right = And(a, both), Or(b, Not(both))
+        holds, witness, lhs, rhs = m_oracle.oracle_entails(left, right)
+        assert holds == (seed in (0, 10))
+        result = entails(left, right, CheckSpace("m"))
+        assert (result.holds, result.left_value, result.right_value) == (holds, lhs, rhs)
+        assert result.witness == (None if witness is None else {"atom_values": witness})
+        if witness is not None:
+            index = int("".join(str(witness[name]) for name in sorted(witness)), 2)
+            assert index >= 3 * 2 ** len(witness) // 4
+
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_eval(self, seed):
@@ -482,16 +525,16 @@ class TestDifferentialAtWideSizes:
             assert str(eval_m(a, assignment)) == m_oracle.oracle_eval(a, assignment)
 
 
-def _scanned_rows(fs, stop=None):
-    """(assignment, values) on every assignment scan_m visits, and what it
-    returns, with a verdict that hits on the assignment at index stop only."""
+def _scanned_rows(fs, stop=None, mask=None):
+    """(assignment, values) on every assignment scan_m hands its verdict, and
+    what it returns, with a verdict that hits on the row at index stop only."""
     rows = []
 
     def record(scan, codes):
         rows.append((scan.assignment(), [str(CARRIER[code]) for code in codes]))
         return len(rows) - 1 if len(rows) - 1 == stop else None
 
-    return rows, scan_m(fs, record)
+    return rows, scan_m(fs, record, mask=mask)
 
 
 class TestRegisterFreshness:
@@ -508,6 +551,12 @@ class TestRegisterFreshness:
             rows, first = _scanned_rows(fs, stop)
             assert rows == expected[:stop + 1]
             assert first == (expected[stop][0], stop)  # the hit's assignment after the scan
+        for code, value in enumerate(m_oracle.CARRIER):
+            # a mask that selects one value of the first formula: the verdict
+            # gets exactly the rows where it holds, in scan order
+            mask = tuple(int(x == code) for x in range(4) for _ in range(4))
+            assert _scanned_rows(fs, mask=mask) == (
+                [row for row in expected if row[1][0] == value], None)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(fs=st.integers(3, 6).flatmap(lambda n: st.lists(
@@ -521,6 +570,38 @@ class TestRegisterFreshness:
         rng = random.Random(seed)
         a, b = wide_formula(rng), wide_formula(rng)
         self.check([a, b, Or(a, Force("think", b))])
+
+
+class TestMask:
+    """A scan with a mask calls its verdict only where the mask is 1."""
+
+    @staticmethod
+    def calls(fs, mask):
+        """What scan_m returns, and the assignments its verdict was called on."""
+        called = []
+
+        def payload(scan, codes):
+            called.append(scan.assignment())
+            return [str(CARRIER[code]) for code in codes]
+
+        return scan_m(fs, payload, mask=mask), called
+
+    def test_no_call_on_a_scan_that_holds(self):
+        a = wide_formula(random.Random(5))  # 10 atoms
+        x = Atom("x3")
+        assert self.calls([Implies(And(a, x), x)], NOT_ONE_MASK) == (None, [])
+        assert self.calls([a, Or(a, x)], NOT_LEQ_MASK) == (None, [])
+
+    def test_one_call_on_a_refutation(self):
+        rng = random.Random(1)
+        a, b = wide_formula(rng), wide_formula(rng)
+        _, witness, value = m_oracle.oracle_tautology(a)
+        assert witness is not None
+        assert self.calls([a], NOT_ONE_MASK) == ((witness, [value]), [witness])
+        both = And(Atom("x0"), Atom("x1"))  # fails at 772 of 1,024, as tested above
+        left, right = And(a, both), Or(b, Not(both))
+        _, witness, lhs, rhs = m_oracle.oracle_entails(left, right)
+        assert self.calls([left, right], NOT_LEQ_MASK) == ((witness, [lhs, rhs]), [witness])
 
 
 def _balanced_and(atoms):
