@@ -115,7 +115,7 @@ def normalize(h: HyperValue) -> HyperValue:
 
 
 def is_standard(h: HyperValue) -> bool:
-    return h.on_true == h.on_false
+    return h.on_true.atoms == h.on_false.atoms  # the two share an algebra
 
 
 # --- packed values ---

@@ -226,9 +226,9 @@ class MScan:
     def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[str],
                  hit: Optional[int] = None):
         self.keys = tuple(keys)
-        self.code, register = program.link(self.keys, self.ops)
-        self.roots = [register(x) for x in roots]
-        self.hit = None if hit is None else register(hit)
+        self.code, table = program.link(self.keys, self.ops)
+        self.roots = [table[x] for x in roots]
+        self.hit = None if hit is None else table[hit]
         self.registers: list[int] = []
 
     def run(self, domains: Sequence[Sequence[int]],

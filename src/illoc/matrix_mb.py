@@ -28,12 +28,12 @@ none, lowering raises UnknownActRef at the first reference.
 
 from __future__ import annotations
 
-import math
 import operator
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+from . import search
 from .boolalg import (
     AlgebraSpec,
     Element,
@@ -55,8 +55,8 @@ from .hyper import (
     packed_ops,
 )
 from .program import Program, Scan
-from .record import Record, setfield
-from .search import DEFAULT_BUDGET, Slot, check_budget, first_hit
+from .record import Record
+from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
     ActRef,
     And,
@@ -134,18 +134,25 @@ class MBValuation(Record):
         for name, value in atom_values.items():
             if value.algebra != algebra:
                 raise ValueError(f"atom {name!r} is valued outside the algebra")
-        setfield(self, "algebra", algebra)
-        setfield(self, "mode", mode)
-        setfield(self, "atom_values", atom_values)
-        setfield(self, "act_values", _nonstandard("act", act_values, algebra))
-        setfield(self, "generators", _nonstandard("generator", generators, algebra))
-        setfield(self, "signatures", _nonstandard("signature", signatures, algebra))
+        _set_algebra(self, algebra)
+        _set_mode(self, mode)
+        _set_atom_values(self, atom_values)
+        _set_act_values(self, _nonstandard("act", act_values, algebra))
+        _set_generators(self, _nonstandard("generator", generators, algebra))
+        _set_signatures(self, _nonstandard("signature", signatures, algebra))
+
+
+# bound once, as the formula nodes' in `syntax`: a scan builds one valuation per witness
+(_set_algebra, _set_mode, _set_atom_values, _set_act_values, _set_generators,
+ _set_signatures) = MBValuation._setters
 
 
 def _nonstandard(label: str, mapping: Optional[Mapping], algebra: AlgebraSpec) -> dict:
     """A new dict of mapping's values, normalized; each must be a nonstandard value."""
-    normalized = {}
-    for key, value in (mapping or {}).items():
+    normalized: dict = {}
+    if not mapping:
+        return normalized
+    for key, value in mapping.items():
         if value.algebra != algebra:
             raise ValueError(f"{label} {key!r} is valued outside the algebra")
         value = normalize(value)
@@ -173,9 +180,115 @@ _MISSING = {"atom": "no value for atom {!r}", "act": "no act value for {!r}",
             "gen": "no generator for force {!r} on atom {!r}",
             "sig": "no signature for force {!r}", "ref": "no value for act {!r}"}
 
+# the kinds of slot a scan varies, in scan order; a bound reference's leaf is never scanned
+_KINDS = ("atom", "act", "gen", "sig")
+
+
+class MBProgram(Program):
+    """The program of one lowering and what lowering keeps beside it: the
+    bound act names, each formula's force nodes with their registers, and
+    the leaves of each kind, first seen first, whose lists one after another
+    are the scan order."""
+
+    def __init__(self, bound: frozenset[str]) -> None:
+        super().__init__()
+        self.bound = bound
+        self.forces: list[list[tuple[Force, int]]] = []  # per formula
+        self.kinds: dict[str, list[tuple]] = {}  # kind -> its leaves; only the kinds seen
+
+    def leaf(self, key: tuple) -> int:
+        leaves = self.leaves
+        j = leaves.get(key)
+        if j is None:
+            j = leaves[key] = len(leaves)
+            self.kinds.setdefault(key[0], []).append(key)
+        return ~j
+
+    def order(self) -> list[tuple]:
+        """The leaves a scan varies, in scan order: atoms, acts, generators, signatures."""
+        kinds = self.kinds
+        return [key for kind in _KINDS if kind in kinds for key in kinds[kind]]
+
 
 # a program, the register of each formula and each one's force nodes with theirs
-Lowered = tuple[Program, list[int], list[list[tuple[Force, int]]]]
+Lowered = tuple[MBProgram, list[int], list[list[tuple[Force, int]]]]
+
+
+@lru_cache(maxsize=None)
+def _lowering(mode: MBMode, k: int, nested_pointwise: bool) -> Callable[[Formula, MBProgram], int]:
+    """How one mode over k atoms lowers a node into a program, returning its
+    register; built once per (mode, k, nested_pointwise), beside
+    `packed_ops(k)`, and dispatched on the node's type."""
+    ops = packed_ops(k)
+    unit = (1 << k) + 1
+
+    def standard(e: int, _: int) -> int:  # the standard copy of element e
+        return e * unit
+
+    matrix = {Not: ops.neg, And: ops.and_, Or: ops.or_, Implies: ops.imp}
+    # how a force extends its generators through its content's connectives
+    content = {**matrix, Not: ops.content_neg} if mode is MBMode.CONNECTIVE else {
+        Not: ops.content_neg, And: operator.and_, Or: operator.or_,
+        Implies: lambda a, b: ops.content_neg(a) | b}
+    force_imp = ops.pointwise_imp if nested_pointwise else ops.imp
+    free = mode is MBMode.FREE
+
+    def reference(f: ActRef, p: MBProgram) -> tuple:
+        if f.name not in p.bound:
+            raise UnknownActRef(f.name)
+        return ("ref", f.name)
+
+    def has_act(f: Formula, p: MBProgram) -> bool:
+        # whether f holds a force or a reference outside any force in it; the
+        # walk stops at a force, so each node is walked for its nearest force only
+        t = type(f)
+        if t is Force:
+            return True
+        if t is ActRef:
+            reference(f, p)  # an unbound one raises here, as lowering it would
+            return True
+        if t is Atom:
+            return False
+        if t is Not:
+            return has_act(f.body, p)
+        return has_act(f.left, p) or has_act(f.right, p)
+
+    def extend(force: str, f: Formula, p: MBProgram) -> int:
+        # the value of a force over force-free content, from per-atom generators
+        t = type(f)
+        if t is Atom:
+            return p.leaf(("gen", force, f.name))
+        if t is Not:
+            a = extend(force, f.body, p)
+            return p.emit(content[t], a, a)
+        if t in content:
+            return p.emit(content[t], extend(force, f.left, p), extend(force, f.right, p))
+        raise TypeError(f"force-free content cannot contain {f!r}")
+
+    def node(f: Formula, p: MBProgram) -> int:
+        t = type(f)
+        if t is Atom:
+            a = p.leaf(("atom", f.name))
+            return p.emit(standard, a, a)
+        if t is Not:
+            a = node(f.body, p)
+            return p.emit(matrix[t], a, a)
+        if t in matrix:
+            return p.emit(matrix[t], node(f.left, p), node(f.right, p))
+        if t is Force:
+            if has_act(f.content, p):
+                x = p.emit(force_imp, p.leaf(("sig", f.force)), node(f.content, p))
+            elif free:
+                x = p.leaf(("act", format_formula(f)))
+            else:
+                x = extend(f.force, f.content, p)
+            p.forces[-1].append((f, x))
+            return x
+        if t is ActRef:
+            return p.leaf(reference(f, p))
+        raise TypeError(f"cannot evaluate {f!r}")
+
+    return node
 
 
 def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
@@ -188,72 +301,13 @@ def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
     force's signature before its content. Whether a force reads a signature,
     an act value or generators is decided here.
     """
-    ops = packed_ops(k)
-    unit = (1 << k) + 1  # the standard copy of element e is e * unit
-    standard = lambda e, _: e * unit
-    matrix = {And: ops.and_, Or: ops.or_, Implies: ops.imp}
-    # how a force extends its generators through its content's connectives
-    content = matrix if mode is MBMode.CONNECTIVE else {
-        And: operator.and_, Or: operator.or_, Implies: lambda a, b: ops.content_neg(a) | b}
-    force_imp = ops.pointwise_imp if nested_pointwise else ops.imp
-    program = Program()
-    forces: list[list[tuple[Force, int]]] = []  # per formula
-
-    def reference(f: ActRef) -> tuple:
-        if f.name not in bound:
-            raise UnknownActRef(f.name)
-        return ("ref", f.name)
-
-    def has_act(f: Formula) -> bool:
-        # whether f holds a force or a reference outside any force in it; the
-        # walk stops at a force, so each node is walked for its nearest force only
-        if isinstance(f, ActRef):
-            reference(f)  # an unbound one raises here, as lowering it would
-        if isinstance(f, (Force, ActRef)):
-            return True
-        if isinstance(f, Not):
-            return has_act(f.body)
-        return not isinstance(f, Atom) and (has_act(f.left) or has_act(f.right))
-
-    def extend(force: str, f: Formula) -> int:
-        # the value of a force over force-free content, from per-atom generators
-        if isinstance(f, Atom):
-            return program.leaf(("gen", force, f.name))
-        if isinstance(f, Not):
-            a = extend(force, f.body)
-            return program.emit(ops.content_neg, a, a)
-        if isinstance(f, (And, Or, Implies)):
-            return program.emit(content[type(f)], extend(force, f.left), extend(force, f.right))
-        raise TypeError(f"force-free content cannot contain {f!r}")
-
-    def lower_(f: Formula) -> int:
-        if isinstance(f, Atom):
-            a = program.leaf(("atom", f.name))
-            return program.emit(standard, a, a)
-        if isinstance(f, ActRef):
-            return program.leaf(reference(f))
-        if isinstance(f, Not):
-            a = lower_(f.body)
-            return program.emit(ops.neg, a, a)
-        if isinstance(f, (And, Or, Implies)):
-            return program.emit(matrix[type(f)], lower_(f.left), lower_(f.right))
-        if isinstance(f, Force):
-            if has_act(f.content):
-                sig = program.leaf(("sig", f.force))
-                x = program.emit(force_imp, sig, lower_(f.content))
-            elif mode is MBMode.FREE:
-                x = program.leaf(("act", format_formula(f)))
-            else:
-                x = extend(f.force, f.content)
-            forces[-1].append((f, x))
-            return x
-        raise TypeError(f"cannot evaluate {f!r}")
-
+    program = MBProgram(bound)
+    node = _lowering(mode, k, nested_pointwise)
     roots = []
     for f in resolved:
-        forces.append([])
-        roots.append(lower_(f))
-    return program, roots, forces
+        program.forces.append([])
+        roots.append(node(f, program))
+    return program, roots, program.forces
 
 
 class MBScan(Scan):
@@ -268,7 +322,8 @@ class MBScan(Scan):
         program, roots, forces = lowered
         super().__init__(program, roots, keys)
         self.algebra, self.mode = algebra, mode
-        self.forces = [[(node, self.register(x)) for node, x in found] for found in forces]
+        table = self.table
+        self.forces = [[(node, table[x]) for node, x in found] for found in forces]
         self._is_standard = packed_ops(algebra.k).is_standard
         self._subvalue_keys: dict[int, dict[str, int]] = {}
 
@@ -289,11 +344,15 @@ class MBScan(Scan):
         return EvalOutcome(self.decode(r[self.roots[i]]), self.admissible(i), subvalues)
 
     def valuation(self) -> MBValuation:
+        algebra = self.algebra
         parts: dict[str, dict] = {"atom": {}, "act": {}, "gen": {}, "sig": {}}
         for key, code in zip(self.keys, self.values):
-            value = decode_element(self.algebra, code) if key[0] == "atom" else self.decode(code)
-            parts[key[0]][key[1:] if key[0] == "gen" else key[1]] = value
-        return MBValuation(self.algebra, self.mode, *parts.values())
+            kind = key[0]
+            if kind == "atom":
+                parts[kind][key[1]] = decode_element(algebra, code)
+            else:
+                parts[kind][key[1:] if kind == "gen" else key[1]] = decode(algebra, code)
+        return MBValuation(algebra, self.mode, *parts.values())
 
 
 def _visit(resolved: Formula, valuation: MBValuation,
@@ -329,49 +388,57 @@ def eval_mb(
 
 # --- exhaustive checks ---
 
-_SCAN_ORDER = {"atom": 0, "act": 1, "gen": 2, "sig": 3}
-
-
-def _scan_order(leaves: Iterable[tuple]) -> list[tuple]:
-    """Slot keys first seen first, stably sorted by kind: atoms, acts, generators, signatures."""
-    return sorted(leaves, key=lambda key: _SCAN_ORDER[key[0]])
-
-
 def slot_keys(resolved: Sequence[Formula], mode: MBMode) -> list[tuple]:
     """The leaves of the formulas' program in the order `scan_mb` scans them (any k: K1)."""
-    return _scan_order(lower(resolved, mode, 1)[0].leaves)
+    return lower(resolved, mode, 1)[0].order()
 
 
 @lru_cache(maxsize=16)
-def _nonstandard_codes(algebra: AlgebraSpec) -> tuple[int, ...]:
-    """The nonstandard values packed, in `enumerate_nonstandard`'s order."""
-    k = algebra.k
+def _nonstandard_codes(k: int) -> tuple[int, ...]:
+    """The nonstandard values of the k-atom algebra packed, in `enumerate_nonstandard`'s order."""
     return tuple(u | v << k for u in range(1 << k) for v in range(1 << k) if u != v)
 
 
-def _check_domains(keys: Sequence[tuple], domains: Mapping[str, Sequence[int]], k: int) -> None:
-    """Raise ValueError for an unknown kind, or a code its slot cannot take."""
+def _check_domains(kinds: Mapping[str, Sequence[tuple]], domains: Mapping[str, Sequence[int]],
+                   k: int) -> None:
+    """Raise ValueError for an unknown kind, or a code its slots cannot take."""
     for kind in domains:
-        if kind not in _SCAN_ORDER:
+        if kind not in _KINDS:
             raise ValueError(f"unknown slot kind {kind!r}")
     low = (1 << k) - 1
-    for key in keys:
-        atom = key[0] == "atom"
-        for code in domains.get(key[0], ()):
+    for kind in _KINDS:  # in scan order: the message names the first slot of a bad domain
+        if kind not in domains or kind not in kinds:
+            continue
+        atom = kind == "atom"
+        for code in domains[kind]:
             if not 0 <= code < 1 << (k if atom else 2 * k) or not atom and code & low == code >> k:
-                raise ValueError(f"{code} is outside the domain of slot {key!r}")
+                raise ValueError(f"{code} is outside the domain of slot {kinds[kind][0]!r}")
 
 
-def _slots(keys: Sequence[tuple], algebra: AlgebraSpec,
-           domains: Mapping[str, Sequence[int]]) -> list[Slot]:
-    """The slots of keys, in order, each over its kind's given domain or every value.
+def _slot_domains(kinds: Mapping[str, Sequence[tuple]], k: int,
+                  domains: Mapping[str, Sequence[int]], budget: int) -> tuple[list, int]:
+    """The domain of each slot of a lowering's kinds over k atoms, in scan
+    order, and the size of the space.
 
-    A nonstandard domain is built only for a slot that needs it.
+    A slot takes its kind's given domain, or every value of its kind. The
+    space is sized from the domains' lengths and refused over budget before
+    any domain is built, and a nonstandard domain is built only for a scan
+    with a slot that needs it.
     """
-    elements = range(1 << algebra.k)  # binary-counting order, as `enumerate_elements`
-    return [Slot(key, domains[key[0]] if key[0] in domains
-                 else elements if key[0] == "atom" else _nonstandard_codes(algebra))
-            for key in keys]
+    if domains:
+        _check_domains(kinds, domains, k)
+    size = 1
+    for kind, keys in kinds.items():
+        size *= (len(domains[kind]) if kind in domains
+                 else 2 ** k if kind == "atom" else 4 ** k - 2 ** k) ** len(keys)
+    check_budget(size, budget)
+    slots: list = []
+    for kind in _KINDS:
+        if kind in kinds:
+            slots += [domains[kind] if kind in domains
+                      else range(1 << k) if kind == "atom"  # binary-counting order, as `enumerate_elements`
+                      else _nonstandard_codes(k)] * len(kinds[kind])
+    return slots, size
 
 
 def scan_mb(
@@ -388,25 +455,26 @@ def scan_mb(
 
     The formulas are lowered once into one program, whose leaves are the
     slots (`slot_keys`), scanned atoms first, then acts, generators and
-    signatures, the first slot most significant. The program runs on every
-    valuation; codes holds the formulas' packed values and scan (an MBScan)
-    decodes the valuation on demand.
+    signatures, the first slot most significant. Lowering keeps each kind's
+    leaves in the order first seen, so the scan order, the register table
+    that links the program to it and the size of the space come from those
+    lists with no sort. The program runs on every valuation; codes holds the
+    formulas' packed values and scan (an MBScan) decodes the valuation on
+    demand, and the witness is decoded once, when a verdict hits.
     Returns ((valuation, payload) or None, number of valuations in the
     space). domains maps a slot kind ("atom", "act", "gen" or "sig") to the
     codes, in scan order, that its slots take in place of every value of the
     kind. The space is sized from the domains' lengths and refused over the
-    budget before any slot is built.
+    budget before any slot's domain is built.
     """
-    domains, k = domains or {}, algebra.k
+    k = algebra.k
     lowered = lower([inline_acts(f, defs) for f in formulas] if defs else formulas, mode, k)
-    keys = _scan_order(lowered[0].leaves)
-    _check_domains(keys, domains, k)
-    size = math.prod(len(domains[key[0]]) if key[0] in domains
-                     else 2 ** k if key[0] == "atom" else 4 ** k - 2 ** k for key in keys)
-    check_budget(size, budget)
-    slots = _slots(keys, algebra, domains)
-    scan = MBScan(algebra, mode, keys, lowered)
-    payload = first_hit(slots, lambda values: verdict(scan, scan.visit(values)))
+    program = lowered[0]
+    slots, size = _slot_domains(program.kinds, k, domains or {}, budget)
+    scan = MBScan(algebra, mode, program.order(), lowered)
+    # through its module: perfbench's tracer wraps a module's own `first_hit`
+    # in a wrapper that reads the slot records this scan no longer builds
+    payload = search.first_hit(slots, lambda values: verdict(scan, scan.visit(values)))
     return None if payload is None else (scan.valuation(), payload), size
 
 

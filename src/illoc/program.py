@@ -6,11 +6,13 @@ first n registers hold the n slot values; instruction i sets register n + i
 to op on r[a] and r[b], and a unary op ignores its second operand. The
 program is hash-consed on (op, a, b), never on the subtree, so a subterm that
 repeats within or across the formulas is one instruction, evaluated once per
-valuation. `Program.link` numbers the registers for one slot order and can
-replace each op key by what the linked code runs. There are two loops, one per
-matrix. `Scan.visit` runs `mb`, whose values are packed ints, on one valuation
-that `search.first_hit` hands it: each instruction calls its op,
-`r.append(op(r[a], r[b]))`, and the verdict runs on every valuation.
+valuation. `Program.link` numbers the registers for one slot order through
+one register table, a list that an instruction's register indexes from its
+start and a leaf's ~j from its end, and can replace each op key by what the
+linked code runs. There are two loops, one per matrix. `Scan.visit` runs `mb`,
+whose values are packed ints, on one valuation that `search.first_hit` hands
+it as a tuple drawn from plain per-slot domains: each instruction calls its
+op, `r.append(op(r[a], r[b]))`, and the verdict runs on every valuation.
 `matrix_m.MScan.run` is the whole scan of `m`: each instruction indexes a
 16-entry table, `r[o] = t[4 * r[a] + r[b]]`, and after the first assignment
 runs only when a slot it reads has changed. A check in `m` emits its mask, a
@@ -21,9 +23,9 @@ loop calls the verdict only where that register is 1.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
 
-Code = tuple[tuple[Any, int, int], ...]
+Code = list[tuple[Any, int, int]]
 
 
 class Program:
@@ -40,35 +42,35 @@ class Program:
     def emit(self, op: Hashable, a: int, b: int) -> int:
         return self._code.setdefault((op, a, b), len(self._code))
 
-    def link(self, order: Iterable[Hashable],
-             ops: Optional[Mapping] = None) -> tuple[Code, Callable[[int], int]]:
-        """The instructions with slot key order[i] in register i, and the map
-        from a lowering's registers to the linked ones; with ops, each op
-        that ops lists is replaced by ops[op] and any other is kept."""
-        at = {key: i for i, key in enumerate(order)}
-        leaf, n = [at[key] for key in self.leaves], len(at)
-
-        def register(x: int) -> int:
-            return x + n if x >= 0 else leaf[~x]
-
+    def link(self, order: Sequence[Hashable],
+             ops: Optional[Mapping] = None) -> tuple[Code, list[int]]:
+        """The instructions with slot key order[i] in register i, order
+        holding every leaf once, and the register table: entry x is the
+        linked register of a lowering's register x, an instruction's x >= 0
+        or a leaf's ~j, which indexes the table from its end. With ops, each
+        op that ops lists is replaced by ops[op] and any other is kept."""
+        n, leaves = len(order), self.leaves
+        table = [*range(n, n + len(self._code)), *[0] * n]
+        for i, key in enumerate(order):
+            table[~leaves[key]] = i
         if ops is None:
-            return tuple((op, register(a), register(b)) for op, a, b in self._code), register
-        return tuple((ops.get(op, op), register(a), register(b)) for op, a, b in self._code), register
+            return [(op, table[a], table[b]) for op, a, b in self._code], table
+        return [(ops.get(op, op), table[a], table[b]) for op, a, b in self._code], table
 
 
 class Scan:
     """A program linked with slot key keys[i] in register i, and the valuation
     it is visiting.
 
-    `register` maps a lowering's register to the linked one, and `roots` are
-    the linked registers of the formulas' roots. A verdict reads `values` and
-    `registers` of the valuation visited last.
+    `table` maps a lowering's register to the linked one (`Program.link`),
+    and `roots` are the linked registers of the formulas' roots. A verdict
+    reads `values` and `registers` of the valuation visited last.
     """
 
     def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[Hashable]):
         self.keys = tuple(keys)
-        self.code, self.register = program.link(self.keys)
-        self.roots = [self.register(x) for x in roots]
+        self.code, self.table = program.link(self.keys)
+        self.roots = [self.table[x] for x in roots]
         self.values: tuple = ()
         self.registers: list = []
 

@@ -14,13 +14,14 @@ missing, extra, repeated or unknown field raises TypeError. Two groups of
 records define their own `__init__`:
 - the records that check or normalise their input, which set each field
   by name through `setfield`: `AlgebraSpec`, `Element`, `HyperValue`,
-  `MBValuation`, `CheckSpace` and `ForceDecl`;
-- the records built once per formula node or per scan slot, where the base
-  constructor's argument handling would add to the cost of every node the
-  parser and `substitute` build: the seven formula nodes and `search.Slot`.
-  Each calls its slots' `__set__` from `_setters`, bound to module names
-  once after the class, since `setfield` by name looks the slot up on the
-  class at every call.
+  `CheckSpace` and `ForceDecl`;
+- the records built once per formula node or per scan witness, where the
+  base constructor's argument handling would add to the cost of every node
+  the parser and `substitute` build and of every check: the seven formula
+  nodes and `MBValuation`, which also checks its input. Each calls its
+  slots' `__set__` from `_setters`, bound to module names once after the
+  class, since `setfield` by name looks the slot up on the class at every
+  call.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import ast
+import gc
 import itertools
 import random
 from pathlib import Path
@@ -33,6 +34,7 @@ from illoc.hyper import (
 )
 from illoc.matrix_mb import (
     MBMode,
+    MBScan,
     MBValuation,
     MissingAssignment,
     NotCyclic,
@@ -204,6 +206,14 @@ class TestValuation:
         for given in given_maps:
             given.clear()
         assert v == MBValuation(K2, MBMode.POINTWISE, *maps())
+
+    def test_values_in_an_equal_algebra_built_apart_are_accepted(self):
+        twin = AlgebraSpec(("a", "b"))
+        assert twin == K2 and twin is not K2
+        v = MBValuation(K2, MBMode.POINTWISE, atom_values={"p": el(twin, "a")},
+                        generators={("f", "p"): hyper(el(twin, "a"), twin.bottom())})
+        assert v == MBValuation(K2, MBMode.POINTWISE, atom_values={"p": el(K2, "a")},
+                                generators={("f", "p"): hyper(el(K2, "a"), K2.bottom())})
 
     def test_exceptional_assignments_normalize(self):
         patched = hyper(el(K2, "a"), el(K2, "b"), {K2.bottom(): K2.top()})
@@ -388,6 +398,53 @@ class TestProgram:
         assert (result.status, result.checked) == ("refuted", 144)
         assert str(result.witness_value) == "<{a,b},{a}>"
 
+    @pytest.mark.parametrize("mode,inner", [(MBMode.POINTWISE, ("gen", "b", "q")),
+                                            (MBMode.CONNECTIVE, ("gen", "b", "q")),
+                                            (MBMode.FREE, ("act", "[b](q)"))])
+    def test_leaves_first_seen_against_scan_order_link_to_their_slots(self, mode, inner):
+        f = parse_formula("[a]([b](q)) | ~p")
+        lowered = lower([f], mode, 2)
+        program = lowered[0]
+        # a signature and the inner force's slot are seen before the atom, which is scanned first
+        assert list(program.leaves) == [("sig", "a"), inner, ("atom", "p")]
+        assert program.order() == [("atom", "p"), inner, ("sig", "a")]
+        scan = MBScan(K2, mode, program.order(), lowered)
+        # by hand: each slot in the register of its place in scan order, instruction i in 3 + i
+        slot = {("atom", "p"): 0, inner: 1, ("sig", "a"): 2}
+        sig_imp, standard_p, not_p, either = 3, 4, 5, 6
+        assert [(a, b) for _, a, b in scan.code] == [
+            (slot[("sig", "a")], slot[inner]),  # [a]([b](q)): the signature implies the inner force
+            (slot[("atom", "p")], slot[("atom", "p")]),  # the standard copy of p
+            (standard_p, standard_p),  # ~p
+            (sig_imp, not_p),  # the disjunction
+        ]
+        ops = packed_ops(2)
+        assert [op for op, _, _ in scan.code[:1] + scan.code[2:]] == [ops.imp, ops.neg, ops.or_]
+        assert scan.roots == [either]
+        assert [x for _, x in scan.forces[0]] == [slot[inner], sig_imp]
+        result = is_tautology_mb(f, K2, mode)
+        status, index, total = oracle_status(f, K2.atoms, mode.value)
+        assert (result.status, index, result.checked) == ("refuted", 145, total)
+        assert _oracle_index(f, K2.atoms, mode.value, result.witness) == index
+
+
+def test_a_check_leaves_no_reference_cycle_behind():
+    # lowering, linking and the witness are freed by reference counting alone,
+    # so a check leaves nothing for the cycle collector to find
+    f = parse_formula("[f](p -> q) -> ([f](p) -> [f](q))")
+    for mode in MODES:  # each mode's lowering is built on its first use
+        is_tautology_mb(f, K2, mode)
+        find_idempotence_counterexample(K2, mode)
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in MODES:
+            is_tautology_mb(f, K2, mode)
+            assert find_idempotence_counterexample(K2, mode).found  # a witness is built
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
 
 class TestRequirements:
     """What a formula reads from a valuation: the slot keys scan_mb scans."""
@@ -559,7 +616,7 @@ class TestScanDomains:
 
     @pytest.mark.parametrize("spec", [K1, K2, K3, K4], ids=["K1", "K2", "K3", "K4"])
     def test_nonstandard_codes_follow_the_object_enumeration(self, spec):
-        codes = illoc.matrix_mb._nonstandard_codes(spec)
+        codes = illoc.matrix_mb._nonstandard_codes(spec.k)
         assert list(codes) == [encode(h) for h in enumerate_nonstandard(spec)]
 
     @pytest.mark.parametrize("spec", [K1, K2, K3, K4], ids=["K1", "K2", "K3", "K4"])
@@ -843,6 +900,7 @@ class TestDifferentialAgainstOracle:
         assert (result.status, result.checked) == (status, total)
         if status == "refuted":
             assert _oracle_index(formula, spec.atoms, mode.value, result.witness) == index
+            assert valuation_from_json(valuation_to_json(result.witness)) == result.witness
             value = result.witness_value
             assert term_table(spec.atoms, value.on_true.atoms, value.on_false.atoms) == \
                 _oracle_value(formula, spec.atoms, mode.value, index)

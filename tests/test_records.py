@@ -19,7 +19,6 @@ from illoc.matrix_mb import (
     is_tautology_mb,
 )
 from illoc.opposition import CheckSpace, RelationCheck, entails, square_for_force
-from illoc.search import Slot
 from illoc.syntax import (
     ActRef,
     And,
@@ -57,15 +56,15 @@ def _examples():
         (find_difference(P, Not(Not(P)), K1, MBMode.POINTWISE), "found"),
         (CheckSpace("m"), "matrix"), (entails(P, P, CheckSpace("m")), "holds"),
         (RelationCheck(True), "holds"), (square.laws.rows[0], "label"), (square.laws, "rows"),
-        (square, "matrix"), (Slot("p", (0, 1)), "key"),
+        (square, "matrix"),
     ]
 
 
 EXAMPLES = _examples()
 
 
-def test_there_is_an_example_of_each_of_the_28_record_types():
-    assert len({type(record) for record, _ in EXAMPLES}) == len(EXAMPLES) == 28
+def test_there_is_an_example_of_each_of_the_27_record_types():
+    assert len({type(record) for record, _ in EXAMPLES}) == len(EXAMPLES) == 27
 
 
 @pytest.mark.parametrize("record,field", EXAMPLES, ids=[type(r).__name__ for r, _ in EXAMPLES])
@@ -106,10 +105,8 @@ def test_a_record_survives_copy_deepcopy_and_pickle(record, field):
     (Or(P, Q), Implies(P, Q)),
     (Not(P), Force("f", P)),
     (Atom("p"), "p"),
-    (Slot("p", (0, 1)), ("p", (0, 1))),
     (RelationCheck(True), (True, None)),
-], ids=["atom-actref", "and-or", "or-implies", "not-force", "atom-str", "slot-tuple",
-        "relation-tuple"])
+], ids=["atom-actref", "and-or", "or-implies", "not-force", "atom-str", "relation-tuple"])
 def test_equality_holds_only_within_a_class(left, right):
     assert left != right and right != left
     assert not left == right
@@ -119,10 +116,9 @@ def test_equality_holds_only_within_a_class(left, right):
     lambda: parse_formula("[f](p & ~q) -> x | p"),
     lambda: K2.element(["b", "a"]),
     lambda: HyperValue(A, NONE, ((NONE, A),)),
-    lambda: Slot(("gen", "f", "p"), (1, 2)),
     lambda: ForceDecl("think"),
     lambda: CheckSpace("mb", K2, MBMode.FREE, budget=7),
-], ids=["formula", "element", "hyper", "slot", "forcedecl", "checkspace"])
+], ids=["formula", "element", "hyper", "forcedecl", "checkspace"])
 def test_equal_records_have_equal_hashes(make):
     first, second = make(), make()
     assert first is not second
@@ -161,7 +157,6 @@ REPRS = [
     (H, "HyperValue(on_true=Element(algebra=AlgebraSpec(atoms=('a',)), atoms=frozenset({'a'})), "
         "on_false=Element(algebra=AlgebraSpec(atoms=('a',)), atoms=frozenset()), "
         "exceptions=())"),
-    (Slot("p", (0, 1)), "Slot(key='p', domain=(0, 1))"),
     (CheckSpace("m"),
      "CheckSpace(matrix='m', algebra=None, mode=<MBMode.POINTWISE: 'pointwise'>, "
      "admissible_only=True, budget=10000000, jobs=1)"),
@@ -234,9 +229,9 @@ def test_each_constructor_check_keeps_its_type_and_message(make, error, message)
     assert str(raised.value) == message
 
 
-OWN_CONSTRUCTORS = {  # the records that check their input or are built once per node or slot
+OWN_CONSTRUCTORS = {  # the records that check their input or are built once per node
     "AlgebraSpec", "Element", "HyperValue", "MBValuation", "CheckSpace", "ForceDecl",
-    "Atom", "Not", "And", "Or", "Implies", "Force", "ActRef", "Slot",
+    "Atom", "Not", "And", "Or", "Implies", "Force", "ActRef",
 }
 STORED = [record for record, _ in EXAMPLES if "__init__" not in type(record).__dict__]
 
