@@ -558,6 +558,18 @@ class TestTautologyStatuses:
         result = is_tautology_mb(parse_formula("p | ~p"), k12, MBMode.POINTWISE)
         assert (result.status, result.checked) == ("tautology", 4096)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_over_budget_scan_builds_no_nonstandard_domain(self, mode, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("a nonstandard domain was built before the budget check")
+
+        # at K2, an atom slot of 4 values and an act or generator slot of 12
+        formula = parse_formula("p & [f](p)")
+        assert is_tautology_mb(formula, K2, mode, budget=48).checked == 48
+        monkeypatch.setattr(illoc.matrix_mb, "_nonstandard_codes", unreachable)
+        with pytest.raises(BudgetExceeded, match="^48 assignments exceed the budget of 47$"):
+            is_tautology_mb(formula, K2, mode, budget=47)
+
 
 class TestDeterminism:
     def test_jobs_do_not_change_verdicts_or_witnesses(self):
