@@ -28,12 +28,12 @@ none, lowering raises UnknownActRef at the first reference.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from . import search
 from .boolalg import (
     AlgebraSpec,
     Element,
@@ -54,7 +54,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
-from .program import Program, Scan
+from .program import Program
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -310,22 +310,46 @@ def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
     return program, roots, program.forces
 
 
-class MBScan(Scan):
-    """A scan of the nonstandard matrix: its valuation read off as objects.
+class MBScan:
+    """A scan of the nonstandard matrix: a program linked with slot key
+    keys[i] in register i, and the valuation it is visiting.
 
-    `admissible`, `decode`, `outcome` and `valuation` read the registers of
-    the valuation visited last, only when a verdict asks.
+    `roots` are the linked registers of the formulas' roots. A verdict gets
+    this object and the codes of the formulas on the current valuation;
+    `admissible`, `decode`, `outcome` and `valuation` read its registers
+    only when the verdict asks.
     """
 
     def __init__(self, algebra: AlgebraSpec, mode: MBMode, keys: Iterable[tuple],
                  lowered: Lowered):
         program, roots, forces = lowered
-        super().__init__(program, roots, keys)
+        self.keys = tuple(keys)
+        self.code, table = program.link(self.keys)
+        self.roots = [table[x] for x in roots]
         self.algebra, self.mode = algebra, mode
-        table = self.table
         self.forces = [[(node, table[x]) for node, x in found] for found in forces]
+        self.registers: list[int] = []
         self._is_standard = packed_ops(algebra.k).is_standard
         self._subvalue_keys: dict[int, dict[str, int]] = {}
+
+    def run(self, domains: Sequence[Sequence[int]],
+            verdict: Callable[["MBScan", list[int]], Any]) -> Any:
+        """The first payload, in mixed-radix order over domains (one per key,
+        the first most significant, each in its order), for which
+        verdict(self, codes) is not None; None when there is none.
+
+        Every valuation runs the whole program, each instruction calling its
+        op on packed ints, and then the verdict.
+        """
+        code, roots = self.code, self.roots
+        for values in itertools.product(*domains):
+            r = self.registers = [*values]
+            for op, a, b in code:
+                r.append(op(r[a], r[b]))
+            payload = verdict(self, [r[x] for x in roots])
+            if payload is not None:
+                return payload
+        return None
 
     def admissible(self, i: int) -> bool:
         """No act subvalue of formula i is standard on the current valuation."""
@@ -346,7 +370,7 @@ class MBScan(Scan):
     def valuation(self) -> MBValuation:
         algebra = self.algebra
         parts: dict[str, dict] = {"atom": {}, "act": {}, "gen": {}, "sig": {}}
-        for key, code in zip(self.keys, self.values):
+        for key, code in zip(self.keys, self.registers):  # the slot registers
             kind = key[0]
             if kind == "atom":
                 parts[kind][key[1]] = decode_element(algebra, code)
@@ -374,8 +398,7 @@ def _visit(resolved: Formula, valuation: MBValuation,
         if key not in codes:
             raise MissingAssignment(_MISSING[key[0]].format(*key[1:]))
     scan = MBScan(valuation.algebra, valuation.mode, keys, lowered)
-    scan.visit(tuple(codes[key] for key in keys))
-    return scan
+    return scan.run([(codes[key],) for key in keys], lambda scan, _: scan)
 
 
 def eval_mb(
@@ -458,9 +481,9 @@ def scan_mb(
     signatures, the first slot most significant. Lowering keeps each kind's
     leaves in the order first seen, so the scan order, the register table
     that links the program to it and the size of the space come from those
-    lists with no sort. The program runs on every valuation; codes holds the
-    formulas' packed values and scan (an MBScan) decodes the valuation on
-    demand, and the witness is decoded once, when a verdict hits.
+    lists with no sort. `MBScan.run` runs the program on every valuation;
+    codes holds the formulas' packed values and scan (the MBScan) decodes the
+    valuation on demand, and the witness is decoded once, when a verdict hits.
     Returns ((valuation, payload) or None, number of valuations in the
     space). domains maps a slot kind ("atom", "act", "gen" or "sig") to the
     codes, in scan order, that its slots take in place of every value of the
@@ -472,9 +495,7 @@ def scan_mb(
     program = lowered[0]
     slots, size = _slot_domains(program.kinds, k, domains or {}, budget)
     scan = MBScan(algebra, mode, program.order(), lowered)
-    # through its module: perfbench's tracer wraps a module's own `first_hit`
-    # in a wrapper that reads the slot records this scan no longer builds
-    payload = search.first_hit(slots, lambda values: verdict(scan, scan.visit(values)))
+    payload = scan.run(slots, verdict)
     return None if payload is None else (scan.valuation(), payload), size
 
 

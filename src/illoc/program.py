@@ -1,4 +1,4 @@
-"""Formulas lowered to one flat register program, and the loops that run it.
+"""Formulas lowered to one flat register program.
 
 A matrix lowers the formulas of a scan, or of one evaluation, into one
 `Program`: postorder instructions (op, a, b) over a register file r whose
@@ -9,21 +9,21 @@ repeats within or across the formulas is one instruction, evaluated once per
 valuation. `Program.link` numbers the registers for one slot order through
 one register table, a list that an instruction's register indexes from its
 start and a leaf's ~j from its end, and can replace each op key by what the
-linked code runs. There are two loops, one per matrix. `Scan.visit` runs `mb`,
-whose values are packed ints, on one valuation that `search.first_hit` hands
-it as a tuple drawn from plain per-slot domains: each instruction calls its
-op, `r.append(op(r[a], r[b]))`, and the verdict runs on every valuation.
-`matrix_m.MScan.run` is the whole scan of `m`: each instruction indexes a
-16-entry table, `r[o] = t[4 * r[a] + r[b]]`, and after the first assignment
-runs only when a slot it reads has changed. A check in `m` emits its mask, a
-16-entry 0/1 table over its roots' codes, as one more instruction whose op
-is the table itself (`link` keeps an op its mapping does not list), and the
-loop calls the verdict only where that register is 1.
+linked code runs. Each matrix runs its linked program in its own scan, one
+loop with one contract (`search`): `matrix_mb.MBScan.run` runs the whole
+program on every valuation, each instruction calling its op on packed ints,
+`r.append(op(r[a], r[b]))`, and then the verdict. `matrix_m.MScan.run`
+indexes a 16-entry table per instruction, `r[o] = t[4 * r[a] + r[b]]`, and
+after the first assignment runs an instruction only when a slot it reads has
+changed. A check in `m` emits its mask, a 16-entry 0/1 table over its roots'
+codes, as one more instruction whose op is the table itself (`link` keeps an
+op its mapping does not list), and the loop calls the verdict only where
+that register is 1.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Hashable, Mapping, Optional, Sequence
 
 Code = list[tuple[Any, int, int]]
 
@@ -56,29 +56,3 @@ class Program:
         if ops is None:
             return [(op, table[a], table[b]) for op, a, b in self._code], table
         return [(ops.get(op, op), table[a], table[b]) for op, a, b in self._code], table
-
-
-class Scan:
-    """A program linked with slot key keys[i] in register i, and the valuation
-    it is visiting.
-
-    `table` maps a lowering's register to the linked one (`Program.link`),
-    and `roots` are the linked registers of the formulas' roots. A verdict
-    reads `values` and `registers` of the valuation visited last.
-    """
-
-    def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[Hashable]):
-        self.keys = tuple(keys)
-        self.code, self.table = program.link(self.keys)
-        self.roots = [self.table[x] for x in roots]
-        self.values: tuple = ()
-        self.registers: list = []
-
-    def visit(self, values: Sequence) -> list:
-        """The roots' codes on one valuation's slot values, one per slot: each
-        instruction calls its op."""
-        self.values = values
-        self.registers = r = [*values]
-        for op, a, b in self.code:
-            r.append(op(r[a], r[b]))
-        return [r[x] for x in self.roots]

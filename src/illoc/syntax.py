@@ -475,7 +475,10 @@ def inline_acts(
         expanding.remove(node.name)
         return resolved
 
-    return substitute(f, resolve)
+    try:
+        return substitute(f, resolve)
+    finally:
+        del resolve  # resolve's cell refers to resolve: break the cycle
 
 
 # --- JSON export of ASTs ---

@@ -52,7 +52,8 @@ from illoc.matrix_mb import (
     valuation_from_json,
     valuation_to_json,
 )
-from illoc.opposition import _square_formulas
+from illoc.matrix_m import eval_m, is_tautology_m
+from illoc.opposition import CheckSpace, _square_formulas, entails, square_for_force
 from illoc.search import BudgetExceeded
 from illoc.syntax import (
     ActRef, And, Atom, Force, Implies, Not, Or, detect_cycles, format_formula, inline_acts,
@@ -441,6 +442,42 @@ def test_a_check_leaves_no_reference_cycle_behind():
         for mode in MODES:
             is_tautology_mb(f, K2, mode)
             assert find_idempotence_counterexample(K2, mode).found  # a witness is built
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_DEFINED = parse("act x = [think](p) -> q; x | ~x")
+_M, _MB = CheckSpace("m"), CheckSpace("mb", K2, MBMode.POINTWISE)
+_GENERATOR = hyper(el(K2, "a"), K2.bottom())
+_CHECKS = {
+    "is_tautology_m": lambda: is_tautology_m(parse_formula("[think](p) -> q")),
+    "is_tautology_m with defs": lambda: is_tautology_m(_DEFINED.formula, _DEFINED.definitions),
+    "entails m": lambda: entails(parse_formula("[think](p)"), parse_formula("p | q"), _M),
+    "entails m with defs": lambda: entails(_DEFINED.formula, parse_formula("x"), _M,
+                                           _DEFINED.definitions),
+    "eval_m": lambda: eval_m(parse_formula("[think](p) -> q"), {"p": 1, "q": 0}),
+    "eval_mb": lambda: eval_mb(parse_formula("[f](p) & p"), MBValuation(
+        K2, MBMode.POINTWISE, {"p": K2.top()}, generators={("f", "p"): _GENERATOR})),
+    "unfold_cyclic": lambda: unfold_cyclic(
+        parse("act x = [f](~y); act y = [g](~x);").definitions, "x", 3, standard(K2.bottom())),
+    "entails mb": lambda: entails(parse_formula("[f](p)"), parse_formula("[f](p) | q"), _MB),
+    "is_tautology_mb with defs": lambda: is_tautology_mb(
+        _DEFINED.formula, K2, MBMode.POINTWISE, defs=_DEFINED.definitions),
+    "square_for_force": lambda: square_for_force("f", "p", _MB),
+    "square_for_force with a generator": lambda: square_for_force("f", "p", _MB,
+                                                                  generator=_GENERATOR),
+    "find_neg_swap_counterexample": lambda: find_neg_swap_counterexample(K2, MBMode.POINTWISE),
+}
+
+
+@pytest.mark.parametrize("check", _CHECKS.values(), ids=_CHECKS)
+def test_no_library_check_of_either_matrix_leaves_a_reference_cycle(check):
+    check()  # builds what a first call caches: lowerings, decode tables
+    gc.collect()
+    gc.disable()
+    try:
+        check()
         assert gc.collect() == 0
     finally:
         gc.enable()

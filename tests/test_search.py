@@ -1,29 +1,49 @@
-"""The scan kernel of matrix mb: `first_hit` over plain per-slot domains, and
-the budget check its callers make before they build the domains."""
+"""The scan order both matrices keep, `MBScan.run` on lowered programs, and
+the budget check the callers of a scan make before they build the domains."""
 
 import itertools
 
 import pytest
 
-from illoc.search import BudgetExceeded, check_budget, first_hit
+from illoc.boolalg import AlgebraSpec
+from illoc.matrix_m import BIT_CODE, MScan
+from illoc.matrix_m import lower as lower_m
+from illoc.matrix_mb import MBMode, MBScan, lower
+from illoc.search import BudgetExceeded, check_budget
+from illoc.syntax import parse_formula
+
+K2 = AlgebraSpec(("a", "b"))  # an atom slot takes the codes 0 to 3
 
 
-def test_first_hit_walks_the_first_slot_most_significant_each_domain_in_its_order():
-    domains = [("x", "y"), (2, 0, 1), [True, False]]
+def _mb_scan(atoms):
+    """A scan of the conjunction of atoms, one atom slot per name in order."""
+    formulas = [parse_formula(" & ".join(atoms))] if atoms else []
+    lowered = lower(formulas, MBMode.POINTWISE, K2.k)
+    return MBScan(K2, MBMode.POINTWISE, lowered[0].order(), lowered)
+
+
+def _slots(scan):
+    return tuple(scan.registers[:len(scan.keys)])
+
+
+def test_run_walks_the_first_slot_most_significant_each_domain_in_its_order():
+    scan = _mb_scan(["p", "q", "r"])
+    domains = [(1, 0), (2, 0, 3), (3, 1)]
     seen = []
-    assert first_hit(domains, lambda values: seen.append(values)) is None
-    assert seen == [(a, b, c) for a in ("x", "y") for b in (2, 0, 1) for c in (True, False)]
+    assert scan.run(domains, lambda scan, codes: seen.append(_slots(scan))) is None
+    assert seen == [(a, b, c) for a in (1, 0) for b in (2, 0, 3) for c in (3, 1)]
     assert seen == list(itertools.product(*domains))
 
 
-def test_first_hit_stops_at_the_first_payload():
+def test_run_stops_at_the_first_payload():
     seen = []
 
-    def predicate(values):
+    def verdict(scan, codes):
+        values = _slots(scan)
         seen.append(values)
         return sum(values) if sum(values) >= 3 else None
 
-    assert first_hit([range(3), range(3)], predicate) == 3
+    assert _mb_scan(["p", "q"]).run([range(3), range(3)], verdict) == 3
     assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
@@ -31,23 +51,36 @@ def test_first_hit_stops_at_the_first_payload():
 def test_a_falsy_payload_is_a_hit_and_only_none_misses(payload):
     seen = []
 
-    def predicate(values):
-        seen.append(values)
-        return payload if values == (1, 0) else None
+    def verdict(scan, codes):
+        seen.append(_slots(scan))
+        return payload if seen[-1] == (1, 0) else None
 
-    assert first_hit([(0, 1), (0, 1)], predicate) is payload
+    assert _mb_scan(["p", "q"]).run([(0, 1), (0, 1)], verdict) is payload
     assert seen == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_a_slot_with_an_empty_domain_leaves_nothing_to_visit():
-    def unreachable(values):
-        raise AssertionError(f"visited {values} in an empty space")
+    def unreachable(scan, codes):
+        raise AssertionError(f"visited {_slots(scan)} in an empty space")
 
-    assert first_hit([(0, 1), (), (0, 1)], unreachable) is None
+    assert _mb_scan(["p", "q", "r"]).run([(0, 1), (), (0, 1)], unreachable) is None
 
 
 def test_no_slot_is_one_empty_assignment():
-    assert first_hit([], lambda values: ("hit", values)) == ("hit", ())
+    scan = _mb_scan([])
+    assert scan.keys == () and scan.code == []
+    assert scan.run([], lambda scan, codes: ("hit", codes)) == ("hit", [])
+
+
+def test_both_matrices_scan_three_two_value_slots_in_the_same_order():
+    domains = [BIT_CODE] * 3  # the codes of 0 and 1 in m; atom codes at K2 in mb
+    program, roots = lower_m([parse_formula("p & q & r")])
+    m_scan = MScan(program, roots, ["p", "q", "r"])
+    m_seen, mb_seen = [], []
+    assert m_scan.run(domains, lambda scan, codes: m_seen.append(_slots(scan))) is None
+    assert _mb_scan(["p", "q", "r"]).run(
+        domains, lambda scan, codes: mb_seen.append(_slots(scan))) is None
+    assert m_seen == mb_seen == list(itertools.product(*domains))
 
 
 def test_a_space_of_exactly_the_budget_is_allowed_and_one_more_is_refused():
