@@ -160,13 +160,14 @@ def _parse_element(algebra: AlgebraSpec, text: str) -> Element:
     return algebra.element(names)
 
 
-def _parse_gen(algebra: AlgebraSpec, text: str) -> HyperValue:
-    parts = dict(
-        part.partition("=")[::2] for part in text.split(";") if part.strip()
-    )
-    unknown = set(parts) - {"on_true", "on_false"}
-    if unknown or "on_true" not in parts or "on_false" not in parts:
-        raise ValueError('generators look like "on_true=a,b;on_false=b"')
+_GENERATOR_FORM = '"on_true=a,b;on_false=b"'
+
+
+def _parse_gen(algebra: AlgebraSpec, text: str) -> Optional[HyperValue]:
+    """The value `text` writes as on_true=...;on_false=..., or None if it has another form."""
+    parts = dict(part.partition("=")[::2] for part in text.split(";") if part.strip())
+    if parts.keys() != {"on_true", "on_false"}:
+        return None
     return HyperValue(
         _parse_element(algebra, parts["on_true"]),
         _parse_element(algebra, parts["on_false"]),
@@ -181,7 +182,11 @@ def _parse_seed(algebra: AlgebraSpec, text: str) -> HyperValue:
         if payload == "1":
             return standard(algebra.top())
         return standard(_parse_element(algebra, payload))
-    return _parse_gen(algebra, text)
+    seed = _parse_gen(algebra, text)
+    if seed is None:
+        raise ValueError('seeds look like "standard:0", "standard:1", "standard:<atoms>" or '
+                         + _GENERATOR_FORM)
+    return seed
 
 
 def _load_valuation(args, algebra: AlgebraSpec) -> MBValuation:
@@ -347,6 +352,8 @@ def _cmd_square(args) -> int:
     generator = None
     if args.gen:
         generator = _parse_gen(algebra, args.gen)
+        if generator is None:
+            raise ValueError("generators look like " + _GENERATOR_FORM)
     report = square_for_force(args.force, args.atom, space, generator=generator)
     payload = report.to_json()
     f, a = args.force, args.atom

@@ -320,14 +320,6 @@ class OppositionCase(Enum):
 class OppositionClassification(Record):
     __slots__ = ("cases", "inf_with_content_neg", "sup_with_content_neg")
 
-    def to_json(self) -> dict:
-        order = (OppositionCase.DISJOINT, OppositionCase.EXHAUSTIVE, OppositionCase.INCOMPARABLE)
-        return {
-            "cases": [c.value for c in order if c in self.cases],
-            "inf_with_content_neg": hyper_to_json(self.inf_with_content_neg),
-            "sup_with_content_neg": hyper_to_json(self.sup_with_content_neg),
-        }
-
 
 def classify_opposition(h: HyperValue) -> OppositionClassification:
     """Sort a nonstandard value into the (possibly overlapping) case set.

@@ -22,6 +22,7 @@ none, lowering raises UnknownActRef at the first reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -44,6 +45,7 @@ class MissingAtom(ValueError):
         return f"no value for atom {self.args[0]!r}"
 
 
+@functools.total_ordering
 class TruthValue4(Enum):
     # a value counts halves, so int order is value order
     ONE = 2
@@ -57,25 +59,10 @@ class TruthValue4(Enum):
 
         return Fraction(self.value, 2)
 
-    def __le__(self, other: "TruthValue4") -> bool:
-        if not isinstance(other, TruthValue4):
-            return NotImplemented
-        return self.value <= other.value
-
     def __lt__(self, other: "TruthValue4") -> bool:
         if not isinstance(other, TruthValue4):
             return NotImplemented
         return self.value < other.value
-
-    def __ge__(self, other: "TruthValue4") -> bool:
-        if not isinstance(other, TruthValue4):
-            return NotImplemented
-        return self.value >= other.value
-
-    def __gt__(self, other: "TruthValue4") -> bool:
-        if not isinstance(other, TruthValue4):
-            return NotImplemented
-        return self.value > other.value
 
     def __str__(self) -> str:
         return _TEXT[self.value]
@@ -95,14 +82,6 @@ CLASSIFICATION = {
 
 def _is_performance(x: TruthValue4) -> bool:
     return x in (TruthValue4.HALF, TruthValue4.NEG_HALF)
-
-
-def sup4(x: TruthValue4, y: TruthValue4) -> TruthValue4:
-    return x if x >= y else y
-
-
-def inf4(x: TruthValue4, y: TruthValue4) -> TruthValue4:
-    return x if x <= y else y
 
 
 def neg4(x: TruthValue4) -> TruthValue4:
@@ -130,14 +109,14 @@ def imp4(x: TruthValue4, y: TruthValue4) -> TruthValue4:
 
 def or4(x: TruthValue4, y: TruthValue4) -> TruthValue4:
     if _is_performance(x) and _is_performance(y):
-        return inf4(x, y)
-    return sup4(x, y)
+        return min(x, y)
+    return max(x, y)
 
 
 def and4(x: TruthValue4, y: TruthValue4) -> TruthValue4:
     if _is_performance(x) and _is_performance(y):
-        return sup4(x, y)
-    return inf4(x, y)
+        return max(x, y)
+    return min(x, y)
 
 
 def classify(v: TruthValue4) -> str:

@@ -544,15 +544,6 @@ def is_tautology_mb(
 class DifferenceResult(Record):
     __slots__ = ("found", "witness", "left_value", "right_value", "checked")
 
-    def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "witness": None if self.witness is None else valuation_to_json(self.witness),
-            "left_value": None if self.left_value is None else hyper_to_json(self.left_value),
-            "right_value": None if self.right_value is None else hyper_to_json(self.right_value),
-            "checked": self.checked,
-        }
-
 
 def find_difference(
     left: Formula,

@@ -161,6 +161,11 @@ class TestJson:
     def test_algebra_round_trip(self):
         assert algebra_from_json(algebra_to_json(K3)) == K3
 
+    def test_an_algebra_is_an_object(self):
+        with pytest.raises(ValueError) as error:
+            algebra_from_json([])
+        assert str(error.value) == 'an algebra is {"atoms": [names]}'
+
     def test_rendering(self):
         assert str(el(K3, "c", "a")) == "{a,c}"
         assert str(K3.bottom()) == "{}"

@@ -19,11 +19,11 @@ from illoc.hyper import HyperValue, StandardInput, hyper_to_json, standard
 from illoc.matrix_m import MissingAtom
 from illoc.matrix_mb import (
     MBMode, MBValuation, MissingAssignment, NotCyclic, StandardAssignment, default_signatures,
-    unfold_cyclic,
+    unfold_cyclic, valuation_from_json,
 )
 from illoc.search import DEFAULT_BUDGET
 from illoc.syntax import (
-    ActRef, And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef, format_formula,
+    ActRef, And, Atom, CyclicAct, Force, Implies, Not, Or, UnknownActRef, format_formula, parse,
 )
 from m_oracle import oracle_assignments, oracle_entails, oracle_eval, oracle_tautology
 import mb_oracle
@@ -384,6 +384,32 @@ class TestUnfold:
         data = json.loads(out)
         assert data["value"] == {"standard": ["a", "b"]}
 
+    def test_a_seed_may_name_an_element(self, capsys, cyclic_defs):
+        code, out, _ = run(
+            capsys, "unfold", "--defs", cyclic_defs, "--act", "x",
+            "--steps", "1", "--seed", "standard:a", "--output", "json",
+        )
+        seed = standard(AlgebraSpec(("a", "b")).element(["a"]))
+        expected = unfold_cyclic(parse(CYCLIC).definitions, "x", 1, seed)
+        assert code == 0
+        assert json.loads(out)["seed"] == hyper_to_json(seed) == {"standard": ["a"]}
+        assert json.loads(out)["value"] == hyper_to_json(expected)
+
+    def test_a_valuation_file_gives_the_algebra_and_the_signatures(self, capsys, cyclic_defs,
+                                                                   tmp_path):
+        data = {"algebra": {"atoms": ["a"]},
+                "signatures": {"promise": {"on_true": [], "on_false": ["a"]}}}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(
+            capsys, "unfold", "--defs", cyclic_defs, "--act", "x",
+            "--steps", "1", "--seed", "standard:1", "--valuation", str(path),
+        )
+        defs, seed = parse(CYCLIC).definitions, standard(AlgebraSpec(("a",)).top())
+        expected = unfold_cyclic(defs, "x", 1, seed, valuation=valuation_from_json(data))
+        assert (code, out, err) == (0, f"{expected}\n", "")
+        assert expected != unfold_cyclic(defs, "x", 1, seed)  # the file's signature counts
+
 
 class TestFmt:
     def test_canonicalizes(self, capsys):
@@ -436,6 +462,26 @@ class TestTable:
         # the atom only occurs inside the act content, so it needs no slot
         assert len(data["rows"]) == 12
 
+    @pytest.mark.parametrize("all_valuations", [False, True])
+    def test_matrix_mb_lists_inadmissible_rows_only_when_asked(self, all_valuations):
+        formula, atoms = Force("f", Force("g", Atom("p"))), ("a",)
+        slots = mb_oracle.oracle_slots(formula, atoms, "pointwise")
+        code, payload = _json_call("table", *_mb_options(atoms, "pointwise", all_valuations),
+                                   "[f]([g](p))")
+        expected = []
+        for index in range(_space(slots)):
+            subvalues = []
+            value = mb_oracle.oracle_eval(formula, atoms, "pointwise",
+                                          _assignment(slots, index), subvalues)
+            admissible = not any(map(mb_oracle.is_const, subvalues))
+            if admissible or all_valuations:
+                expected.append((index, value, admissible))
+        rows = [(_index_of(slots, atoms, row["valuation"]), _table(atoms, row["value"]),
+                 row["admissible"]) for row in payload["rows"]]
+        assert code == 0
+        assert rows == expected
+        assert len(rows) == (4 if all_valuations else 2)
+
     def test_matrix_mb_lists_slots_in_scan_order(self, capsys):
         code, out, _ = run(capsys, "table", "--matrix", "mb", "--algebra", "a", "[f](p) -> p")
         assert out.splitlines()[:2] == ["p={} [f]@p=<{},{a}>  *1", "p={} [f]@p=<{a},{}>  *1"]
@@ -450,6 +496,58 @@ class TestBadInput:
             main(["taut", "--matrix", "m", option, value, "p"])
         assert exit_.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [(["taut", "--budget", "x", "p"], "--budget"),
+         (["unfold", "--act", "x", "--steps", "x", "--seed", "standard:0"], "--steps")],
+        ids=["budget", "steps"],
+    )
+    def test_a_count_that_is_no_integer_exits_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out) == (2, "")
+        assert captured.err.startswith(f"usage: illoc {argv[0]} ")
+        assert captured.err.endswith(f"error: argument {option}: expected an integer, got 'x'\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval"], "no formula given"),
+            (["table"], "no formula given"),
+            (["taut"], "no formula given"),
+            (["taut", "act x = p;"], "empty formula"),
+            (["taut", "# only a comment"], "empty formula"),
+            (["entail", "act x = p;", "q"], "both sides must be formulas"),
+            (["fmt"], "nothing to format"),
+            (["eval", "--assign", "p=2", "p"], "--assign expects name=0 or name=1, got 'p=2'"),
+            (["square", "--gen", "bogus"], 'generators look like "on_true=a,b;on_false=b"'),
+        ],
+        ids=["eval-no-formula", "table-no-formula", "taut-no-formula", "taut-only-a-definition",
+             "taut-only-a-comment", "entail-definition-side", "fmt-nothing", "eval-assign-2",
+             "square-bad-gen"],
+    )
+    def test_input_the_command_cannot_use_exits_3(self, capsys, argv, message):
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+    def test_a_valuation_file_must_hold_an_object(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text("[]", encoding="utf-8")
+        assert run(capsys, "eval", "--matrix", "mb", "--valuation", str(path), "p") == (
+            3, "", f"error: {path}: a valuation must be a JSON object\n")
+
+    def test_a_budget_variable_that_is_no_integer_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("ILLOC_BUDGET", "abc")
+        assert run(capsys, "taut", "p") == (
+            3, "", "error: ILLOC_BUDGET: expected an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("seed", ["nonsense", "on_true=a", "standard"])
+    def test_a_bad_seed_names_the_seed_forms(self, capsys, cyclic_defs, seed):
+        assert run(capsys, "unfold", "--defs", cyclic_defs, "--act", "x", "--steps", "1",
+                   "--seed", seed) == (
+            3, "", 'error: seeds look like "standard:0", "standard:1", "standard:<atoms>" '
+                   'or "on_true=a,b;on_false=b"\n')
 
     @pytest.mark.parametrize(
         "option,value",

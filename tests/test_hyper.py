@@ -312,6 +312,20 @@ class TestJson:
         with pytest.raises(ValueError):
             hyper_from_json(K2, {"on_true": ["a"]})
 
+    @pytest.mark.parametrize("data,message", [
+        (["a"], "a hypervalue is a JSON object"),
+        ({"on_true": [], "on_false": [], "exceptions": 3},
+         'exceptions are a list of {"at": element, "value": element}'),
+    ], ids=["list", "exceptions-int"])
+    def test_malformed_data_is_named(self, data, message):
+        with pytest.raises(ValueError) as error:
+            hyper_from_json(K2, data)
+        assert str(error.value) == message
+
+    def test_an_exception_point_is_printed(self):
+        h = HyperValue(el(K1, "a"), K1.bottom(), ((K1.bottom(), el(K1, "a")),))
+        assert str(h) == "<{a},{} except {}->{a}>"
+
 
 class TestDecodeTables:
     """`decode`/`decode_element` keep the values and elements decoded most recently."""

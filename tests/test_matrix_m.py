@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -89,6 +90,22 @@ class TestOperations:
 
     def test_order_is_numeric(self):
         assert NEG < ZERO < HALF < ONE
+
+    def test_every_comparison_is_the_order_of_the_values(self):
+        for x, y in itertools.product(CARRIER, repeat=2):
+            assert (x < y, x <= y, x > y, x >= y) == (
+                x.value < y.value, x.value <= y.value, x.value > y.value, x.value >= y.value)
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge],
+                             ids=lambda compare: compare.__name__)
+    def test_a_value_is_not_ordered_against_an_int(self, compare):
+        with pytest.raises(TypeError):
+            compare(ONE, 2)
+        with pytest.raises(TypeError):
+            compare(2, ONE)
+
+    def test_a_value_is_not_its_int(self):
+        assert (ONE == 2) is False and (ONE != 2) is True
 
 
 class TestClassification:

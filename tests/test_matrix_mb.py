@@ -742,6 +742,12 @@ class TestUnfold:
         with pytest.raises(ValueError):
             unfold_cyclic(self._defs(), "x", -1, standard(K2.bottom()))
 
+    def test_a_seed_from_another_algebra_is_rejected(self):
+        with pytest.raises(ValueError) as error:
+            unfold_cyclic(self._defs(), "x", 1, standard(K1.bottom()),
+                          valuation=MBValuation(K2, MBMode.POINTWISE))
+        assert str(error.value) == "seed is valued outside the valuation's algebra"
+
 
 def _literal_unfolding(defs, act, steps, seed, valuation):
     """What `unfold_cyclic` computes, written out: the act's reference unfolded

@@ -389,6 +389,11 @@ class TestBudget:
 
 
 class TestSpaceValidation:
+    def test_laws_need_a_content_linked_mode(self):
+        with pytest.raises(ValueError) as error:
+            laws_report("f", CheckSpace("mb", K2, MBMode.FREE))
+        assert str(error.value) == "the laws need a content-linked mode, not FREE"
+
     def test_mb_requires_algebra(self):
         with pytest.raises(ValueError):
             CheckSpace(matrix="mb")

@@ -407,6 +407,12 @@ def test_malformed_json_is_a_value_error(data):
         formula_from_json(data)
 
 
+def test_an_unknown_formula_kind_is_named():
+    with pytest.raises(ValueError) as error:
+        formula_from_json({"kind": "bogus"})
+    assert str(error.value) == "unknown formula kind: 'bogus'"
+
+
 class TestCycles:
     def test_self_denying_promise_is_cyclic(self):
         defs = parse("act x = [f](~x);").definitions
