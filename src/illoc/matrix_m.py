@@ -10,12 +10,15 @@ The connectives below are the one definition of the matrix. Evaluation runs
 on codes derived from them: `eval_m` and `scan_m` lower their formulas once
 into one register program, run it through `MScan.run`, the matrix's one loop
 (over one assignment for `eval_m`), and decode a value to `TruthValue4` only
-for a result a caller keeps. Each instruction indexes its 16-entry code table
-with no call and, after the first assignment, runs only when an atom it reads
-has changed. A tautology check and entailment split their verdict into a
-mask, a 16-entry 0/1 table over the codes of their roots that runs as the
-program's last instruction, and a payload, the one Python call, made only
-where the mask is 1.
+for a result a caller keeps. Negation and force are unary maps on the codes,
+and a chain of them costs no instruction: lowering folds its map into the
+16-entry table of the binary connective that reads it, and only a root whose
+chain is not the identity gets an instruction of its own. Each instruction
+indexes its table with no call and, after the first assignment, runs only
+when an atom it reads has changed. A tautology check and entailment split
+their verdict into a mask, a 16-entry 0/1 table over the codes of their roots
+that runs as the program's last instruction, and a payload, the one Python
+call, made only where the mask is 1.
 Act references are inlined first, and only when there are definitions: with
 none, lowering raises UnknownActRef at the first reference.
 """
@@ -153,14 +156,41 @@ SQUARE_RELATIONS: dict[str, Callable[[int, int, int, int], bool]] = {
 }
 
 
-# The instruction table of each node kind, indexed by 4 * left + right: a
-# unary table repeats its entry across the second operand, which it ignores.
-# Lowering emits the node kind, which hashes faster than a table, and `MScan`
-# links each kind to its table.
-NEG_TABLE16, FORCE_TABLE16 = (tuple(t[x] for x in range(4) for _ in range(4))
+# The maps that chains of ~ and F make on the codes, each a 4-tuple indexed by
+# code: the closure of the two unary tables under composition, found at import.
+# MAPS[0] is the identity, the empty chain. Peeling a chain from the outside,
+# map m with a ~ inside it becomes _NEG_INSIDE[m], and with an F
+# _FORCE_INSIDE[m].
+def _unary_maps() -> tuple[tuple[int, ...], ...]:
+    maps = [tuple(range(4))]
+    for m in maps:  # grows while it is walked: a breadth-first closure
+        for t in (NEG_TABLE, FORCE_TABLE):
+            if (tm := tuple(t[x] for x in m)) not in maps:
+                maps.append(tm)
+    return tuple(maps)
+
+
+MAPS = _unary_maps()
+_WIDTH = len(MAPS)
+_NEG_INSIDE, _FORCE_INSIDE = (tuple(MAPS.index(tuple(m[x] for x in t)) for m in MAPS)
                               for t in (NEG_TABLE, FORCE_TABLE))
-_TABLES = {Not: NEG_TABLE16, Force: FORCE_TABLE16, And: AND_TABLE, Or: OR_TABLE,
-           Implies: IMP_TABLE}
+
+# An instruction's op is a small int, because hashing a 16-tuple at every emit
+# made lowering about 10% slower. A binary op names its connective and the
+# maps of its two operands, _BINARY[kind] + len(MAPS) * left + right; a root
+# op, _ROOT_OP + m, applies map m to its first operand. `MScan` links each op
+# to its fused 16-entry table, indexed by 4 * left + right like the code
+# tables.
+_CONNECTIVES = {And: AND_TABLE, Or: OR_TABLE, Implies: IMP_TABLE}
+_BINARY = {kind: i * _WIDTH ** 2 for i, kind in enumerate(_CONNECTIVES)}
+_ROOT_OP = len(_BINARY) * _WIDTH ** 2
+_FUSED_TABLES = {
+    **{_BINARY[kind] + _WIDTH * i + j:
+       tuple(t[4 * ml[x] + mr[y]] for x in range(4) for y in range(4))
+       for kind, t in _CONNECTIVES.items()
+       for i, ml in enumerate(MAPS) for j, mr in enumerate(MAPS)},
+    **{_ROOT_OP + i: tuple(m[x] for x in range(4) for _ in range(4)) for i, m in enumerate(MAPS)},
+}
 BIT_CODE = (ZERO_CODE, ONE_CODE)  # an atom's slot values: the codes of 0 and 1
 
 # The masks `scan_m` runs as an instruction on the codes of its first and last
@@ -170,37 +200,53 @@ NOT_ONE_MASK = tuple(int(x != ONE_CODE) for x in range(4) for _ in range(4))
 NOT_LEQ_MASK = tuple(int(not leq) for leq in LEQ_TABLE)
 
 
-def _lower(f: Formula, program: Program) -> int:
-    """The register of an act-free formula in program; an atom is the leaf of its name."""
+def _lower(f: Formula, program: Program) -> tuple[int, int]:
+    """The register in program of an act-free formula's unary chain's operand,
+    and the index in MAPS of the chain's map: the formula's value is that map
+    of the register's. An atom is the leaf of its name. A chain is peeled in a
+    loop and costs no instruction: the instruction that reads it fuses its map."""
+    m = 0
+    while True:
+        if isinstance(f, Not):
+            m, f = _NEG_INSIDE[m], f.body
+        elif isinstance(f, Force):
+            m, f = _FORCE_INSIDE[m], f.content
+        else:
+            break
     if isinstance(f, Atom):
-        return program.leaf(f.name)
+        return program.leaf(f.name), m
+    base = _BINARY.get(type(f))
+    if base is not None:
+        a, ma = _lower(f.left, program)
+        b, mb = _lower(f.right, program)
+        return program.emit(base + _WIDTH * ma + mb, a, b), m
     if isinstance(f, ActRef):
         raise UnknownActRef(f.name)
-    if isinstance(f, (Not, Force)):
-        a = _lower(f.body if isinstance(f, Not) else f.content, program)
-        return program.emit(type(f), a, a)
-    if isinstance(f, (And, Or, Implies)):
-        return program.emit(type(f), _lower(f.left, program), _lower(f.right, program))
     raise TypeError(f"cannot evaluate {f!r}")
 
 
 def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
-    """One program for act-free formulas, and the register of each."""
+    """One program for act-free formulas, and the register of each: a formula
+    whose chain's map is not the identity ends in a root instruction."""
     program = Program()
-    return program, [_lower(f, program) for f in resolved]
+    roots = []
+    for f in resolved:
+        r, m = _lower(f, program)
+        roots.append(r if m == 0 else program.emit(_ROOT_OP + m, r, r))
+    return program, roots
 
 
 class MScan:
     """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`),
-    each node kind linked to its table in `ops`, and the register of its
-    mask (`hit`), if it has one.
+    each op linked to its fused table in `ops`, and the register of its mask
+    (`hit`), if it has one.
 
     A verdict gets this object and the codes of the formulas on the current
     assignment; `assignment` builds the 0/1 dict from the slot registers only
     when the verdict asks.
     """
 
-    ops = _TABLES
+    ops = _FUSED_TABLES
 
     def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[str],
                  hit: Optional[int] = None):

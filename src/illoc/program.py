@@ -15,10 +15,12 @@ program on every valuation, each instruction calling its op on packed ints,
 `r.append(op(r[a], r[b]))`, and then the verdict. `matrix_m.MScan.run`
 indexes a 16-entry table per instruction, `r[o] = t[4 * r[a] + r[b]]`, and
 after the first assignment runs an instruction only when a slot it reads has
-changed. A check in `m` emits its mask, a 16-entry 0/1 table over its roots'
-codes, as one more instruction whose op is the table itself (`link` keeps an
-op its mapping does not list), and the loop calls the verdict only where
-that register is 1.
+changed; there a binary op names its connective and the ~/F maps of its
+operands, fused into one table, so a unary chain emits no instruction of its
+own except at a root. A check in `m` emits its mask, a 16-entry 0/1 table
+over its roots' codes, as one more instruction whose op is the table itself
+(`link` keeps an op its mapping does not list), and the loop calls the
+verdict only where that register is 1.
 """
 
 from __future__ import annotations

@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 import m_oracle
 from conftest import random_force_free
 from illoc.matrix_m import (
-    AND_TABLE,
     CARRIER,
     CODE,
-    FORCE_TABLE,
-    FORCE_TABLE16,
-    IMP_TABLE,
     LEQ_TABLE,
-    NEG_TABLE,
-    NEG_TABLE16,
+    MAPS,
     NOT_LEQ_MASK,
     NOT_ONE_MASK,
-    OR_TABLE,
+    ONE_CODE,
+    ZERO_CODE,
     MissingAtom,
     MScan,
     TruthValue4,
@@ -315,8 +311,9 @@ class TestProgram:
 
     def test_a_repeated_subterm_is_one_instruction(self):
         program, _ = lower([self.A])
-        # ~q, p & ~q, [think](..), r | .., ~s, .. & ~s, -> : the second force is shared
-        assert _size(program) == 7
+        # p & ~q, r | F(..), .. & ~s, F(..) -> ..: ~ and F fuse into the
+        # instructions that read them, and the shared force's content is one
+        assert _size(program) == 4
         assert list(program.leaves) == ["p", "q", "r", "s"]
 
     def test_reflexive_implication_adds_one_instruction(self):
@@ -331,47 +328,94 @@ class TestProgram:
         assert left == right
 
     def test_the_square_lowers_each_force_once(self):
-        program, _ = lower(_square_formulas("think", "p"))
-        code, _ = program.link(program.leaves, MScan.ops)
-        forces = [table for table, _, _ in code if table is FORCE_TABLE16]
-        # F(p), ~p, F(~p), ~F(~p), ~F(p), their |, F(~p) & F(p) and its ~
-        assert (len(forces), len(code)) == (2, 8)
+        program, roots = lower(_square_formulas("think", "p"))
+        code, table = program.link(program.leaves, MScan.ops)
+        assert list(program.leaves) == ["p"]
+        # F(p) and ~F(~p) make one map, F(~p) and ~F(p) another: two root
+        # instructions on p for the four corners, then ~F(~p) | ~F(p) on p,
+        # F(~p) & F(p) on p and its ~, a root instruction on the &
+        assert [table[x] for x in roots] == [1, 2, 1, 2, 3, 5]
+        assert [(a, b) for _, a, b in code] == [(0, 0)] * 4 + [(4, 4)]
+
+    def test_a_unary_chain_costs_no_instruction(self):
+        program, (root,) = lower([parse_formula("~~[f](~p) & q")])
+        assert (_size(program), root) == (1, 0)
+        program, (root,) = lower([parse_formula("~~~p")])  # ~: one root instruction
+        assert (_size(program), root) == (1, 0)
+        program, (root,) = lower([parse_formula("~~p")])  # the identity: the leaf itself
+        assert (_size(program), root) == (0, ~0)
+        assert str(eval_m(parse_formula("~~~p"), {"p": 1})) == "0"
+
+
+def _oracle_maps():
+    """Each map that an oracle chain of ~ and F of length <= 4 makes, as the
+    tuple of its values on the oracle's carrier, with its shortest chain."""
+    step = {"~": m_oracle.T_NEG, "F": m_oracle.T_FORCE}
+    maps = {}
+    for n in range(5):
+        for chain in itertools.product("~F", repeat=n):
+            values = list(m_oracle.CARRIER)
+            for op in reversed(chain):  # the innermost applies first
+                values = [step[op][v] for v in values]
+            maps.setdefault(tuple(values), "".join(chain))
+    return maps
+
+
+def _chain(chain, f):
+    for op in reversed(chain):
+        f = Not(f) if op == "~" else Force("think", f)
+    return f
+
+
+class TestFusedTables:
+    """The tables `MScan` links each op to, against the oracle's literal
+    tables on all 16 pairs of codes: every binary connective under every
+    pair of the maps that chains of ~ and F make, and every root map."""
+
+    def test_the_maps_are_the_closure_of_the_oracle_chains(self):
+        assert [str(v) for v in CARRIER] == list(m_oracle.CARRIER)
+        decoded = {tuple(m_oracle.CARRIER[x] for x in m) for m in MAPS}
+        assert decoded == set(_oracle_maps())
+        assert len(MAPS) == len(decoded) == 4
+
+    @pytest.mark.parametrize("kind,oracle",
+                             [(And, m_oracle.T_AND), (Or, m_oracle.T_OR),
+                              (Implies, m_oracle.T_IMP)], ids=["and", "or", "imp"])
+    def test_every_binary_table_is_its_connective_under_its_maps(self, kind, oracle):
+        maps = _oracle_maps()
+        ops = set()
+        for left, right in itertools.product(maps.items(), repeat=2):
+            program, _ = lower([kind(_chain(left[1], Atom("p")), _chain(right[1], Atom("q")))])
+            ((op, _, _),) = program.link(program.leaves)[0]
+            ops.add(op)
+            fused = MScan.ops[op]
+            assert len(fused) == 16
+            for i, j in itertools.product(range(4), repeat=2):
+                expected = oracle[left[0][i], right[0][j]]
+                assert m_oracle.CARRIER[fused[4 * i + j]] == expected
+        assert len(ops) == len(maps) ** 2
+
+    def test_every_root_table_is_its_map(self):
+        ops = set()
+        for values, chain in _oracle_maps().items():
+            program, _ = lower([_chain(chain, Atom("p"))])
+            code, _ = program.link(program.leaves)
+            if not chain:
+                assert code == []
+                continue
+            ((op, a, b),) = code
+            assert a == b
+            ops.add(op)
+            for i, j in itertools.product(range(4), repeat=2):  # the second operand is ignored
+                assert m_oracle.CARRIER[MScan.ops[op][4 * i + j]] == values[i]
+        assert len(ops) == 3  # the maps other than the identity
+
+    def test_every_op_is_a_binary_or_a_root_table(self):
+        assert len(MScan.ops) == 3 * len(MAPS) ** 2 + len(MAPS)
 
 
 class TestCodeTables:
-    """The code tables the compiled evaluator runs on, against the oracle's
-    literals, and the instruction table `MScan` links each node kind to,
-    against its connective on all 16 pairs of operands."""
-
-    @pytest.mark.parametrize("kind,table,connective,oracle",
-                             [(Not, NEG_TABLE, neg4, m_oracle.T_NEG),
-                              (Force, FORCE_TABLE, force4, m_oracle.T_FORCE)],
-                             ids=["neg", "force"])
-    def test_unary(self, kind, table, connective, oracle):
-        assert [str(v) for v in CARRIER] == list(m_oracle.CARRIER)
-        for x in CARRIER:
-            assert str(CARRIER[table[CODE[x]]]) == oracle[str(x)]
-        instruction = MScan.ops[kind]
-        assert len(instruction) == 16
-        for x, y in itertools.product(CARRIER, repeat=2):  # the second operand is ignored
-            assert CARRIER[instruction[CODE[x] * 4 + CODE[y]]] is connective(x)
-
-    @pytest.mark.parametrize("kind,table,connective,oracle",
-                             [(And, AND_TABLE, and4, m_oracle.T_AND),
-                              (Or, OR_TABLE, or4, m_oracle.T_OR),
-                              (Implies, IMP_TABLE, imp4, m_oracle.T_IMP)],
-                             ids=["and", "or", "imp"])
-    def test_binary(self, kind, table, connective, oracle):
-        for x, y in itertools.product(CARRIER, repeat=2):
-            assert str(CARRIER[table[CODE[x] * 4 + CODE[y]]]) == oracle[str(x), str(y)]
-        instruction = MScan.ops[kind]
-        assert len(instruction) == 16
-        for x, y in itertools.product(CARRIER, repeat=2):
-            assert CARRIER[instruction[CODE[x] * 4 + CODE[y]]] is connective(x, y)
-
-    def test_every_node_kind_links_to_a_table(self):
-        assert set(MScan.ops) == {Not, Force, And, Or, Implies}
-        assert (MScan.ops[Not], MScan.ops[Force]) == (NEG_TABLE16, FORCE_TABLE16)
+    """The order and the masks on the codes, against the oracle's literals."""
 
     def test_order(self):
         for x, y in itertools.product(CARRIER, repeat=2):
@@ -649,3 +693,34 @@ class TestWideEarlyRefutation:
         assert eval_m(formula, {atom.name: 1 for atom in self.ATOMS}) is ONE
         assert eval_m(formula, {atom.name: int(atom.name != "x1234") for atom in self.ATOMS}) is ZERO
         assert time.perf_counter() - start < 1.0
+
+
+class TestDeepChains:
+    """A unary chain is peeled in a loop, so a chain deeper than the
+    recursion limit is lowered and answered."""
+
+    @pytest.mark.parametrize("kind,value_at_1,value_at_0",
+                             [(Force, HALF, NEG), (Not, ONE, ZERO)], ids=["forces", "negations"])
+    def test_3000_unary_nodes_are_answered(self, kind, value_at_1, value_at_0):
+        f = Atom("p")
+        for _ in range(3000):
+            f = Force("f", f) if kind is Force else Not(f)
+        assert eval_m(f, {"p": 1}) is value_at_1
+        result = is_tautology_m(f)
+        assert (result.status, result.witness, result.witness_value) == (
+            "refuted", {"p": 0}, value_at_0)
+
+
+class TestLowering:
+    @pytest.mark.parametrize("f", [None, Not(42), And(Atom("p"), Force("f", "q"))],
+                             ids=["none", "in-a-chain", "an-operand"])
+    def test_a_non_formula_is_a_type_error(self, f):
+        with pytest.raises(TypeError, match="cannot evaluate"):
+            lower([f])
+
+    def test_a_scan_with_no_varying_slot_misses_once(self):
+        program, roots = lower([parse_formula("p & ~q")])
+        scan = MScan(program, roots, program.leaves)
+        seen = []
+        assert scan.run([(ONE_CODE,), (ZERO_CODE,)], lambda _, codes: seen.append(codes)) is None
+        assert seen == [[ONE_CODE]]  # 1 & ~0 is 1: one assignment, and the verdict missed
