@@ -24,8 +24,9 @@ result. Only `content_neg` stays on objects, because it keeps the exception
 points. Elsewhere values become `Element`/`HyperValue` objects only where a
 caller keeps them: a witness, a table row, the outcome of `eval_mb`.
 `decode`/`decode_element` keep the 4,096 values and elements, of any
-algebras, decoded most recently, so a check that decodes the same code
-again gets the same object without building and validating it again.
+algebras, built most recently, keyed by the algebra's atom names, so a check
+that decodes the same code again gets the same object without building and
+validating it again, and without hashing an `AlgebraSpec`.
 """
 
 from __future__ import annotations
@@ -211,17 +212,40 @@ def encode(h: HyperValue) -> int:
     return element_index(h.on_true) | element_index(h.on_false) << h.algebra.k
 
 
-@lru_cache(maxsize=4096)
+# What `decode_element` and `decode` built, keyed by (algebra.atoms, code): a
+# tuple of names and an int hash and compare in C, where an AlgebraSpec would
+# go through `Record.__hash__` and, for an equal algebra built apart,
+# `Record.__eq__`. Each keeps the DECODE_CACHE_SIZE entries built most recently.
+DECODE_CACHE_SIZE = 4096
+_elements: dict[tuple[tuple[str, ...], int], Element] = {}
+_values: dict[tuple[tuple[str, ...], int], HyperValue] = {}
+
+
+def _keep(cache: dict, key: tuple, value):
+    if len(cache) >= DECODE_CACHE_SIZE:
+        del cache[next(iter(cache))]  # the oldest: a dict keeps insertion order
+    cache[key] = value
+    return value
+
+
 def decode_element(algebra: AlgebraSpec, code: int) -> Element:
     """The element whose atoms are the set bits of a k-bit code."""
-    return Element(algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1))
+    key = algebra.atoms, code
+    try:
+        return _elements[key]
+    except KeyError:
+        return _keep(_elements, key, Element(
+            algebra, frozenset(a for i, a in enumerate(algebra.atoms) if code >> i & 1)))
 
 
-@lru_cache(maxsize=4096)
 def decode(algebra: AlgebraSpec, code: int) -> HyperValue:
     """The normal form of a packed value."""
-    return HyperValue(decode_element(algebra, code & (1 << algebra.k) - 1),
-                      decode_element(algebra, code >> algebra.k))
+    key = algebra.atoms, code
+    try:
+        return _values[key]
+    except KeyError:
+        return _keep(_values, key, HyperValue(decode_element(algebra, code & (1 << algebra.k) - 1),
+                                              decode_element(algebra, code >> algebra.k)))
 
 
 # --- operations on values: encode, one packed operation, decode ---

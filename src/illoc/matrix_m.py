@@ -30,7 +30,7 @@ import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .program import Program
+from .program import Program, by_level
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -260,7 +260,8 @@ class MScan:
             verdict: Callable[["MScan", list[int]], Any]) -> Any:
         """The first payload, in mixed-radix order over domains (one per key,
         the first most significant, each in its order), for which
-        verdict(self, codes) is not None; None when there is none.
+        verdict(self, codes) is not None; None when there is none, and at
+        once when a domain is empty.
 
         The verdict runs only on the assignments where the mask's register
         holds 1, and on every assignment when there is no mask; the test is
@@ -275,9 +276,12 @@ class MScan:
         levels number. The outer slots advance as an odometer, and the last
         one in a plain loop.
         """
-        r = self.registers = [d[0] for d in domains]
+        try:
+            r = self.registers = [d[0] for d in domains]
+        except IndexError:  # a slot with an empty domain: there is no assignment
+            return None
         roots, hit = self.roots, self.hit
-        for t, a, b in self.code:
+        for t, _, a, b in self.code:
             r.append(t[4 * r[a] + r[b]])
         if hit is None:  # no mask: test a register past the program's that holds 1
             hit = len(r)
@@ -289,7 +293,7 @@ class MScan:
         varying = [j for j, d in enumerate(domains) if len(d) > 1]
         if not varying:
             return None
-        flat, starts = self._by_level(varying, len(domains))  # only once the first assignment misses
+        flat, starts = by_level(self.code, varying, len(domains))  # once the first one misses
         inner = flat[starts[-1]:]
         *outer, last = varying
         digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
@@ -314,26 +318,6 @@ class MScan:
             digits[k] += 1
             r[outer[k]] = domains[outer[k]][digits[k]]
             values, code = domains[last], flat[starts[k]:]
-
-    def _by_level(self, varying: Sequence[int], n: int) -> tuple[tuple, list[int]]:
-        """The instructions (table, out, a, b) that have a level, by level and
-        in postorder within one, and where each level starts; slot varying[k]
-        has level k. One tuple, sliced per run of levels, keeps the memory
-        linear in the program."""
-        level = [-1] * n
-        for k, j in enumerate(varying):
-            level[j] = k
-        groups: list[list] = [[] for _ in varying]
-        for o, (t, a, b) in enumerate(self.code, n):
-            level.append(max(level[a], level[b]))
-            if level[o] >= 0:
-                groups[level[o]].append((t, o, a, b))
-        flat: list = []
-        starts = []
-        for group in groups:
-            starts.append(len(flat))
-            flat += group
-        return tuple(flat), starts
 
     def assignment(self) -> dict[str, int]:
         return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.registers)}

@@ -28,7 +28,6 @@ none, lowering raises UnknownActRef at the first reference.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from enum import Enum
 from functools import lru_cache
@@ -54,7 +53,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
-from .program import Program
+from .program import Program, by_level
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -336,20 +335,63 @@ class MBScan:
             verdict: Callable[["MBScan", list[int]], Any]) -> Any:
         """The first payload, in mixed-radix order over domains (one per key,
         the first most significant, each in its order), for which
-        verdict(self, codes) is not None; None when there is none.
+        verdict(self, codes) is not None; None when there is none, and at
+        once when a domain is empty.
 
-        Every valuation runs the whole program, each instruction calling its
-        op on packed ints, and then the verdict.
+        `MScan.run`'s level scan, with an op called on packed ints in
+        place of a table, and the verdict called on every valuation. The
+        first two sweeps of the last varying slot run every instruction:
+        grouping the levels costs more than it saves over a few valuations,
+        so a check decided there, or a space of two sweeps, pays nothing
+        for it. After them an instruction runs only when its level, the
+        last varying slot it reads (`program.by_level`), is at or after the
+        slot that changed, in postorder, so every register it reads is
+        fresh. A one-value slot is a constant and gives no level. The outer
+        slots advance as an odometer, and the last one in a plain loop.
         """
+        try:
+            r = self.registers = [d[0] for d in domains]
+        except IndexError:  # a slot with an empty domain: there is no valuation
+            return None
         code, roots = self.code, self.roots
-        for values in itertools.product(*domains):
-            r = self.registers = [*values]
-            for op, a, b in code:
-                r.append(op(r[a], r[b]))
-            payload = verdict(self, [r[x] for x in roots])
-            if payload is not None:
-                return payload
-        return None
+        for op, _, a, b in code:
+            r.append(op(r[a], r[b]))
+        payload = verdict(self, [r[x] for x in roots])
+        if payload is not None:
+            return payload
+        last = len(domains) - 1  # the last varying slot
+        while last >= 0 and len(domains[last]) == 1:
+            last -= 1
+        if last < 0:
+            return None
+        values, inner, digits, flat = domains[last][1:], code, None, None
+        while True:
+            for value in values:
+                r[last] = value
+                for op, o, a, b in code:
+                    r[o] = op(r[a], r[b])
+                payload = verdict(self, [r[x] for x in roots])
+                if payload is not None:
+                    return payload
+                code = inner
+            if digits is None:  # the first sweep missed: set the odometer up
+                outer = [j for j in range(last) if len(domains[j]) > 1]
+                if not outer:
+                    return None
+                digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
+            elif flat is None and digits != ends:  # so did the second, and more are left: group
+                flat, starts = by_level(self.code, [*outer, last], len(domains))
+                inner = flat[starts[-1]:]
+            k = len(outer) - 1  # the odometer: the last outer slot not at its end
+            while k >= 0 and digits[k] == ends[k]:
+                digits[k] = 0
+                r[outer[k]] = domains[outer[k]][0]
+                k -= 1
+            if k < 0:
+                return None
+            digits[k] += 1
+            r[outer[k]] = domains[outer[k]][digits[k]]
+            values, code = domains[last], inner if flat is None else flat[starts[k]:]
 
     def admissible(self, i: int) -> bool:
         """No act subvalue of formula i is standard on the current valuation."""
@@ -481,8 +523,9 @@ def scan_mb(
     signatures, the first slot most significant. Lowering keeps each kind's
     leaves in the order first seen, so the scan order, the register table
     that links the program to it and the size of the space come from those
-    lists with no sort. `MBScan.run` runs the program on every valuation;
-    codes holds the formulas' packed values and scan (the MBScan) decodes the
+    lists with no sort. `MBScan.run` runs the program, after the first
+    valuation only the instructions that read a slot that changed; codes
+    holds the formulas' packed values and scan (the MBScan) decodes the
     valuation on demand, and the witness is decoded once, when a verdict hits.
     Returns ((valuation, payload) or None, number of valuations in the
     space). domains maps a slot kind ("atom", "act", "gen" or "sig") to the

@@ -4,7 +4,10 @@ import pytest
 
 from illoc.boolalg import AlgebraSpec, Element, complement, enumerate_elements, join, leq, meet
 from illoc.hyper import (
+    DECODE_CACHE_SIZE,
     HyperValue,
+    _elements as decoded_elements,
+    _values as decoded_values,
     OppositionCase,
     StandardInput,
     classify_opposition,
@@ -30,6 +33,7 @@ from illoc.hyper import (
     standard,
 )
 from illoc.matrix_mb import MBMode, _nonstandard_codes, is_tautology_mb
+from illoc.record import Record
 from illoc.syntax import Atom, Force
 
 K1 = AlgebraSpec(("a",))
@@ -353,18 +357,37 @@ class TestDecodeTables:
 
     def test_many_codes_of_one_algebra_keep_the_tables_bounded(self):
         spec = AlgebraSpec(tuple(f"a{i}" for i in range(8)))
-        limit = decode.cache_info().maxsize
-        assert limit == decode_element.cache_info().maxsize == 4096
+        assert DECODE_CACHE_SIZE == 4096
         for code in range(0, 1 << 16, 5):  # 13,108 distinct values, every element
             assert encode(decode(spec, code)) == code
-        assert decode.cache_info().currsize == limit
-        assert decode_element.cache_info().currsize <= limit
+        assert len(decoded_values) == DECODE_CACHE_SIZE
+        assert len(decoded_elements) <= DECODE_CACHE_SIZE
 
     def test_scans_over_many_algebras_keep_the_tables_bounded(self):
         for i in range(20):
             spec = AlgebraSpec(tuple(f"atom{i}_{j}" for j in range(4)))
             result = is_tautology_mb(Force("f", Atom("p")), spec, MBMode.POINTWISE)
             assert result.status == "refuted"
-        assert decode.cache_info().currsize <= decode.cache_info().maxsize
-        assert decode_element.cache_info().currsize <= decode_element.cache_info().maxsize
+        assert len(decoded_values) <= DECODE_CACHE_SIZE
+        assert len(decoded_elements) <= DECODE_CACHE_SIZE
         assert _nonstandard_codes.cache_info().currsize <= 16
+
+    def test_a_warm_decode_hashes_and_compares_no_algebra(self, monkeypatch):
+        again = AlgebraSpec(("a", "b"))  # equal to K2, built apart
+        warm = [(decode(K2, code), decode_element(K2, code & 3)) for code in range(16)]
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(AlgebraSpec, "__hash__", counted("__hash__", Record.__hash__))
+        monkeypatch.setattr(AlgebraSpec, "__eq__", counted("__eq__", Record.__eq__))
+        assert hash(again) == hash(K2) and calls == ["__hash__", "__hash__"]  # the counters count
+        calls.clear()
+        for spec in (K2, again):
+            decoded = [(decode(spec, code), decode_element(spec, code & 3)) for code in range(16)]
+            assert all(v is w and e is f for (v, e), (w, f) in zip(decoded, warm))
+        assert calls == []

@@ -335,7 +335,7 @@ class TestProgram:
         # instructions on p for the four corners, then ~F(~p) | ~F(p) on p,
         # F(~p) & F(p) on p and its ~, a root instruction on the &
         assert [table[x] for x in roots] == [1, 2, 1, 2, 3, 5]
-        assert [(a, b) for _, a, b in code] == [(0, 0)] * 4 + [(4, 4)]
+        assert [(a, b) for _, _, a, b in code] == [(0, 0)] * 4 + [(4, 4)]
 
     def test_a_unary_chain_costs_no_instruction(self):
         program, (root,) = lower([parse_formula("~~[f](~p) & q")])
@@ -386,7 +386,7 @@ class TestFusedTables:
         ops = set()
         for left, right in itertools.product(maps.items(), repeat=2):
             program, _ = lower([kind(_chain(left[1], Atom("p")), _chain(right[1], Atom("q")))])
-            ((op, _, _),) = program.link(program.leaves)[0]
+            ((op, _, _, _),) = program.link(program.leaves)[0]
             ops.add(op)
             fused = MScan.ops[op]
             assert len(fused) == 16
@@ -403,7 +403,7 @@ class TestFusedTables:
             if not chain:
                 assert code == []
                 continue
-            ((op, a, b),) = code
+            ((op, _, a, b),) = code
             assert a == b
             ops.add(op)
             for i, j in itertools.product(range(4), repeat=2):  # the second operand is ignored

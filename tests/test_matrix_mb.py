@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import itertools
 import random
@@ -413,14 +414,14 @@ class TestProgram:
         # by hand: each slot in the register of its place in scan order, instruction i in 3 + i
         slot = {("atom", "p"): 0, inner: 1, ("sig", "a"): 2}
         sig_imp, standard_p, not_p, either = 3, 4, 5, 6
-        assert [(a, b) for _, a, b in scan.code] == [
+        assert [(a, b) for _, _, a, b in scan.code] == [
             (slot[("sig", "a")], slot[inner]),  # [a]([b](q)): the signature implies the inner force
             (slot[("atom", "p")], slot[("atom", "p")]),  # the standard copy of p
             (standard_p, standard_p),  # ~p
             (sig_imp, not_p),  # the disjunction
         ]
         ops = packed_ops(2)
-        assert [op for op, _, _ in scan.code[:1] + scan.code[2:]] == [ops.imp, ops.neg, ops.or_]
+        assert [op for op, _, _, _ in scan.code[:1] + scan.code[2:]] == [ops.imp, ops.neg, ops.or_]
         assert scan.roots == [either]
         assert [x for _, x in scan.forces[0]] == [slot[inner], sig_imp]
         result = is_tautology_mb(f, K2, mode)
@@ -959,3 +960,169 @@ class TestDifferentialAgainstOracle:
             value = result.witness_value
             assert term_table(spec.atoms, value.on_true.atoms, value.on_false.atoms) == \
                 _oracle_value(formula, spec.atoms, mode.value, index)
+
+
+def _table(spec, h):
+    """The oracle's function table of a package value."""
+    return term_table(spec.atoms, frozenset(h.on_true.atoms), frozenset(h.on_false.atoms))
+
+
+def _oracle_rows(formulas, spec, mode):
+    """Per valuation of the formulas' joint slots, in the oracle's scan order:
+    each formula's value and the values of its force nodes, in postorder."""
+    slots = oracle_slots(functools.reduce(And, formulas), spec.atoms, mode.value)
+    total = 1
+    for _, domain in slots:
+        total *= len(domain)
+    for index in range(total):
+        assignment = {}
+        for key, domain in reversed(slots):
+            index, choice = divmod(index, len(domain))
+            assignment[key] = domain[choice]
+        subvalues = [[] for _ in formulas]
+        values = [oracle_eval(f, spec.atoms, mode.value, assignment, found)
+                  for f, found in zip(formulas, subvalues)]
+        yield values, subvalues
+
+
+def _admissible(subvalues):
+    return not any(mb_oracle.is_const(t) for t in subvalues)
+
+
+@pytest.fixture
+def verdict_calls(monkeypatch):
+    """The valuations on which `MBScan.run` calls a verdict, in call order."""
+    calls = []
+    run = MBScan.run
+
+    def counted_run(scan, domains, verdict):
+        def counted(scan, codes):
+            calls.append(scan.valuation())
+            return verdict(scan, codes)
+
+        return run(scan, domains, counted)
+
+    monkeypatch.setattr(MBScan, "run", counted_run)
+    return calls
+
+
+def _rows(formula, spec, mode, valuations):
+    """The indices of valuations in the oracle's scan order of formula's slots."""
+    return [_oracle_index(formula, spec.atoms, mode.value, v) for v in valuations]
+
+
+class TestLevelScan:
+    """`MBScan.run` re-runs after the first valuation only the instructions
+    that read a slot that changed: against the oracle, on every row it
+    visits, and up to the first hit of each check."""
+
+    # slots atom p, then f's generator on q or the act [f](q), then g's signature:
+    # three varying slots of three kinds, so a carry crosses both outer slots
+    MIXED = parse_formula("[g]([f](q) & p) -> ~p")
+
+    @pytest.mark.parametrize("spec,mode", [(K1, MBMode.POINTWISE), (K1, MBMode.FREE),
+                                           (K1, MBMode.CONNECTIVE), (K2, MBMode.POINTWISE),
+                                           (K2, MBMode.FREE)],
+                             ids=["K1-pointwise", "K1-free", "K1-connective", "K2-pointwise",
+                                  "K2-free"])
+    def test_every_row_reads_fresh_registers(self, spec, mode):
+        f = self.MIXED
+        assert [key[0] for key in slot_keys([f], mode)] == [
+            "atom", "act" if mode is MBMode.FREE else "gen", "sig"]
+        expected = list(_oracle_rows([f], spec, mode))
+        seen = []
+
+        def visit(scan, codes):
+            outcome = scan.outcome(0)
+            seen.append((_oracle_index(f, spec.atoms, mode.value, scan.valuation()),
+                         _table(spec, scan.decode(codes[0])), _table(spec, outcome.value),
+                         scan.admissible(0), outcome.admissible,
+                         {key: _table(spec, h) for key, h in outcome.subvalues.items()},
+                         [format_formula(node) for node, _ in scan.forces[0]]))
+
+        assert scan_mb([f], spec, mode, visit) == (None, len(expected))
+        assert [row[0] for row in seen] == list(range(len(expected)))
+        for (index, code, value, admissible, outcome_admissible, subvalues, printed), \
+                ([oracle_value], [oracle_subvalues]) in zip(seen, expected):
+            assert code == value == oracle_value, index
+            assert admissible == outcome_admissible == _admissible(oracle_subvalues), index
+            assert subvalues == dict(zip(printed, oracle_subvalues)), index
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_hit_stops_the_scan_at_its_row(self, mode):
+        f = self.MIXED
+        total = len(list(_oracle_rows([f], K2, mode)))
+        for stop in (0, 1, 11, 12, 13, total // 2, total - 1):
+            seen = []
+
+            def stop_at(scan, codes):
+                seen.append(None)
+                return "hit" if len(seen) == stop + 1 else None
+
+            valuation, payload = scan_mb([f], K2, mode, stop_at)[0]
+            assert (_oracle_index(f, K2.atoms, mode.value, valuation), payload) == (stop, "hit")
+
+    @pytest.mark.parametrize("name,mode,spec", [("and-split", MBMode.FREE, K2),
+                                                ("imp-distribution", MBMode.POINTWISE, K2),
+                                                ("or-merge", MBMode.FREE, K3)])
+    def test_a_refutation_stops_at_the_oracle_witness(self, verdict_calls, name, mode, spec):
+        f = _schema_formulas()[name]
+        status, index, _ = oracle_status(f, spec.atoms, mode.value)
+        result = is_tautology_mb(f, spec, mode)
+        assert result.status == status == "refuted"
+        assert _rows(f, spec, mode, verdict_calls) == list(range(index + 1))
+        assert _rows(f, spec, mode, [result.witness]) == [index]
+
+    @pytest.mark.parametrize("left,right,mode", [
+        ("[f](p) | ~[f](p)", "[f](p) & q", MBMode.CONNECTIVE),  # the first row fails
+        ("[f](p & q)", "[f](p) & [f](q)", MBMode.FREE),  # row 13, past the first sweep
+        ("[f](p -> q)", "[f](p) -> [f](q)", MBMode.POINTWISE),  # row 60
+    ])
+    def test_a_failing_entailment_stops_at_the_oracle_witness(
+            self, verdict_calls, left, right, mode):
+        left, right = parse_formula(left), parse_formula(right)
+        first = next(index for index, ([lhs, rhs], (ls, rs)) in
+                     enumerate(_oracle_rows([left, right], K2, mode))
+                     if not t_leq(K2.atoms, lhs, rhs) and _admissible(ls) and _admissible(rs))
+        result = entails(left, right, CheckSpace("mb", K2, mode))
+        assert not result.holds
+        assert _rows(And(left, right), K2, mode, verdict_calls) == list(range(first + 1))
+
+    @pytest.mark.parametrize("left,right,mode", [
+        ("[f]([f](p))", "[f](p)", MBMode.FREE),  # idempotence: the first row differs
+        ("[f]([f](p))", "[f](p)", MBMode.CONNECTIVE),
+        ("p & p", "p | [f](p & q)", MBMode.POINTWISE),  # row 70, after two outer steps
+    ])
+    def test_a_found_difference_stops_at_the_oracle_witness(
+            self, verdict_calls, left, right, mode):
+        left, right = parse_formula(left), parse_formula(right)
+        first = next(index for index, ([lhs, rhs], _) in
+                     enumerate(_oracle_rows([left, right], K2, mode)) if lhs != rhs)
+        result = find_difference(left, right, K2, mode)
+        assert result.found
+        assert _rows(And(left, right), K2, mode, verdict_calls) == list(range(first + 1))
+        assert _rows(And(left, right), K2, mode, [result.witness]) == [first]
+
+    @pytest.mark.parametrize("text,status", [
+        ("~[f]([g](p))", "refuted"),  # row 0 refutes but is inadmissible; row 1 is the witness
+        ("[f]([g](p)) & ~[f](p)", "refuted"),  # the witness is past the first sweep
+        ("[f]([g](p)) -> p", "tautology"),  # every refuting row is inadmissible
+    ])
+    def test_an_inadmissible_refutation_does_not_stop_the_scan(
+            self, verdict_calls, text, status):
+        f = parse_formula(text)
+        mode = MBMode.POINTWISE
+        top = mb_oracle.const_table(K2.atoms, frozenset(K2.atoms))
+        rows = list(_oracle_rows([f], K2, mode))
+        refuting = [(index, _admissible(found)) for index, ([value], [found])
+                    in enumerate(rows) if value != top]
+        assert not refuting[0][1]  # the first refuting row is inadmissible
+        result = is_tautology_mb(f, K2, mode)
+        assert result.status == status == oracle_status(f, K2.atoms, mode.value)[0]
+        witness = next((index for index, admissible in refuting if admissible), None)
+        seen = _rows(f, K2, mode, verdict_calls)
+        if witness is None:
+            assert seen == list(range(len(rows)))
+        else:
+            assert seen == list(range(witness + 1))
+            assert _rows(f, K2, mode, [result.witness]) == [witness]

@@ -22,6 +22,15 @@ def _mb_scan(atoms):
     return MBScan(K2, MBMode.POINTWISE, lowered[0].order(), lowered)
 
 
+def _m_scan(atoms):
+    """A scan in m of the conjunction of atoms, one atom slot per name in order."""
+    program, roots = lower_m([parse_formula(" & ".join(atoms))])
+    return MScan(program, roots, atoms)
+
+
+SCANS = {"mb": _mb_scan, "m": _m_scan}
+
+
 def _slots(scan):
     return tuple(scan.registers[:len(scan.keys)])
 
@@ -64,6 +73,28 @@ def test_a_slot_with_an_empty_domain_leaves_nothing_to_visit():
         raise AssertionError(f"visited {_slots(scan)} in an empty space")
 
     assert _mb_scan(["p", "q", "r"]).run([(0, 1), (), (0, 1)], unreachable) is None
+
+
+@pytest.mark.parametrize("matrix", SCANS)
+@pytest.mark.parametrize("empty", [0, 1, 2], ids=["first", "middle", "last"])
+def test_an_empty_domain_misses_before_the_first_valuation(matrix, empty):
+    def unreachable(scan, codes):
+        raise AssertionError(f"visited {_slots(scan)} in an empty space")
+
+    domains = [(0, 1), (0, 1), (0, 1)]
+    domains[empty] = ()
+    assert SCANS[matrix](["p", "q", "r"]).run(domains, unreachable) is None
+
+
+@pytest.mark.parametrize("matrix", SCANS)
+def test_a_scan_where_no_slot_varies_visits_its_one_valuation(matrix):
+    seen = []
+
+    def miss(scan, codes):
+        seen.append(_slots(scan))
+
+    assert SCANS[matrix](["p", "q"]).run([(1,), (0,)], miss) is None
+    assert seen == [(1, 0)]
 
 
 def test_no_slot_is_one_empty_assignment():
