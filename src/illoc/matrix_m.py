@@ -30,7 +30,7 @@ import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .program import Program, by_level
+from .program import Program, advance, by_level
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -273,8 +273,8 @@ class MScan:
         level is never higher than its instruction's, so its register is
         fresh; the mask is an instruction like any other. A one-value slot is
         a constant, gives no level and is not counted among the slots that
-        levels number. The outer slots advance as an odometer, and the last
-        one in a plain loop.
+        levels number. The outer slots advance as an odometer
+        (`program.advance`), and the last one in a plain loop.
         """
         try:
             r = self.registers = [d[0] for d in domains]
@@ -308,15 +308,9 @@ class MScan:
                     if payload is not None:
                         return payload
                 code = inner
-            k = len(outer) - 1  # the odometer: the last outer slot not at its end
-            while k >= 0 and digits[k] == ends[k]:
-                digits[k] = 0
-                r[outer[k]] = domains[outer[k]][0]
-                k -= 1
+            k = advance(r, domains, outer, digits, ends)
             if k < 0:
                 return None
-            digits[k] += 1
-            r[outer[k]] = domains[outer[k]][digits[k]]
             values, code = domains[last], flat[starts[k]:]
 
     def assignment(self) -> dict[str, int]:

@@ -53,7 +53,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
-from .program import Program, by_level
+from .program import Program, advance, by_level
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -340,14 +340,14 @@ class MBScan:
 
         `MScan.run`'s level scan, with an op called on packed ints in
         place of a table, and the verdict called on every valuation. The
-        first two sweeps of the last varying slot run every instruction:
-        grouping the levels costs more than it saves over a few valuations,
-        so a check decided there, or a space of two sweeps, pays nothing
-        for it. After them an instruction runs only when its level, the
-        last varying slot it reads (`program.by_level`), is at or after the
-        slot that changed, in postorder, so every register it reads is
-        fresh. A one-value slot is a constant and gives no level. The outer
-        slots advance as an odometer, and the last one in a plain loop.
+        first sweep of the last varying slot runs every instruction, so a
+        check decided there, or a space of one sweep, pays nothing for
+        grouping the levels. After it an instruction runs only when its
+        level, the last varying slot it reads (`program.by_level`), is at
+        or after the slot that changed, in postorder, so every register it
+        reads is fresh. A one-value slot is a constant and gives no level.
+        The outer slots advance as an odometer (`program.advance`), and the
+        last one in a plain loop.
         """
         try:
             r = self.registers = [d[0] for d in domains]
@@ -364,7 +364,7 @@ class MBScan:
             last -= 1
         if last < 0:
             return None
-        values, inner, digits, flat = domains[last][1:], code, None, None
+        values, inner, digits = domains[last][1:], code, None
         while True:
             for value in values:
                 r[last] = value
@@ -374,24 +374,17 @@ class MBScan:
                 if payload is not None:
                     return payload
                 code = inner
-            if digits is None:  # the first sweep missed: set the odometer up
+            if digits is None:  # the first sweep missed: group the levels, set the odometer up
                 outer = [j for j in range(last) if len(domains[j]) > 1]
                 if not outer:
                     return None
-                digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
-            elif flat is None and digits != ends:  # so did the second, and more are left: group
                 flat, starts = by_level(self.code, [*outer, last], len(domains))
                 inner = flat[starts[-1]:]
-            k = len(outer) - 1  # the odometer: the last outer slot not at its end
-            while k >= 0 and digits[k] == ends[k]:
-                digits[k] = 0
-                r[outer[k]] = domains[outer[k]][0]
-                k -= 1
+                digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
+            k = advance(r, domains, outer, digits, ends)
             if k < 0:
                 return None
-            digits[k] += 1
-            r[outer[k]] = domains[outer[k]][digits[k]]
-            values, code = domains[last], inner if flat is None else flat[starts[k]:]
+            values, code = domains[last], flat[starts[k]:]
 
     def admissible(self, i: int) -> bool:
         """No act subvalue of formula i is standard on the current valuation."""

@@ -13,15 +13,16 @@ b), and can replace each op key by what the linked code runs.
 
 Each matrix runs its linked program in its own scan, with one contract
 (`search`) and one algorithm. The first valuation runs every instruction
-(in `mb` the first two sweeps of the last varying slot do). After that an
+(in `mb` the first sweep of the last varying slot does). After that an
 instruction runs only when its level, the last varying slot it reads
 (`by_level`, the one grouping both scans use), is at or after the slot that
-changed, and the outer slots advance as an odometer. The scans differ
-in what an instruction does. `matrix_mb.MBScan.run` calls its op on packed
-ints, `r[o] = op(r[a], r[b])`. `matrix_m.MScan.run` indexes a 16-entry
-table, `r[o] = t[4 * r[a] + r[b]]`; there a binary op names its connective
-and the ~/F maps of its operands, fused into one table, so a unary chain
-emits no instruction of its own except at a root. A check in `m` emits its
+changed, and the outer slots advance as an odometer (`advance`, the one
+step both scans take). The scans differ in what an instruction does.
+`matrix_mb.MBScan.run` calls its op on packed ints, `r[o] = op(r[a], r[b])`.
+`matrix_m.MScan.run` indexes a 16-entry table, `r[o] = t[4 * r[a] + r[b]]`;
+there a binary op names its connective and the ~/F maps of its operands,
+fused into one table, so a unary chain emits no instruction of its own
+except at a root. A check in `m` emits its
 mask, a 16-entry 0/1 table over its roots' codes, as one more instruction
 whose op is the table itself (`link` keeps an op its mapping does not list),
 and the loop calls the verdict only where that register is 1; `mb` calls
@@ -92,3 +93,21 @@ def by_level(code: Code, varying: Sequence[int], n: int) -> tuple[tuple, list[in
         starts.append(len(flat))
         flat += group
     return tuple(flat), starts
+
+
+def advance(r: list, domains: Sequence[Sequence[int]], outer: Sequence[int],
+            digits: list[int], ends: Sequence[int]) -> int:
+    """Step the odometer over the outer slots: outer[k] holds the value
+    domains[outer[k]][digits[k]] in register outer[k], and ends[k] is its
+    last index. The last outer slot not at its end takes its next value,
+    the ones after it their first; returns its k, -1 when every slot was at
+    its end and the space is done."""
+    k = len(outer) - 1
+    while k >= 0 and digits[k] == ends[k]:
+        digits[k] = 0
+        r[outer[k]] = domains[outer[k]][0]
+        k -= 1
+    if k >= 0:
+        digits[k] += 1
+        r[outer[k]] = domains[outer[k]][digits[k]]
+    return k

@@ -68,16 +68,9 @@ def test_a_falsy_payload_is_a_hit_and_only_none_misses(payload):
     assert seen == [(0, 0), (0, 1), (1, 0)]
 
 
-def test_a_slot_with_an_empty_domain_leaves_nothing_to_visit():
-    def unreachable(scan, codes):
-        raise AssertionError(f"visited {_slots(scan)} in an empty space")
-
-    assert _mb_scan(["p", "q", "r"]).run([(0, 1), (), (0, 1)], unreachable) is None
-
-
 @pytest.mark.parametrize("matrix", SCANS)
 @pytest.mark.parametrize("empty", [0, 1, 2], ids=["first", "middle", "last"])
-def test_an_empty_domain_misses_before_the_first_valuation(matrix, empty):
+def test_a_slot_with_an_empty_domain_leaves_nothing_to_visit(matrix, empty):
     def unreachable(scan, codes):
         raise AssertionError(f"visited {_slots(scan)} in an empty space")
 
