@@ -14,11 +14,11 @@ for a result a caller keeps. Negation and force are unary maps on the codes,
 and a chain of them costs no instruction: lowering folds its map into the
 16-entry table of the binary connective that reads it, and only a root whose
 chain is not the identity gets an instruction of its own. Each instruction
-indexes its table with no call and, after the first assignment, runs only
-when an atom it reads has changed. A tautology check and entailment split
-their verdict into a mask, a 16-entry 0/1 table over the codes of their roots
-that runs as the program's last instruction, and a payload, the one Python
-call, made only where the mask is 1.
+looks up its table by row, t[left][right], with no call and, after the
+first assignment, runs only when an atom it reads has changed. A tautology
+check and entailment split their verdict into a mask, a 16-entry 0/1 table
+over the codes of their roots that runs as the program's last instruction,
+and a payload, the one Python call, made only where the mask is 1.
 Act references are inlined first, and only when there are definitions: with
 none, lowering raises UnknownActRef at the first reference.
 """
@@ -30,7 +30,7 @@ import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .program import Program, advance, by_level
+from .program import Program, blocks
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -178,9 +178,10 @@ _NEG_INSIDE, _FORCE_INSIDE = (tuple(MAPS.index(tuple(m[x] for x in t)) for m in 
 # An instruction's op is a small int, because hashing a 16-tuple at every emit
 # made lowering about 10% slower. A binary op names its connective and the
 # maps of its two operands, _BINARY[kind] + len(MAPS) * left + right; a root
-# op, _ROOT_OP + m, applies map m to its first operand. `MScan` links each op
-# to its fused 16-entry table, indexed by 4 * left + right like the code
-# tables.
+# op, _ROOT_OP + m, applies map m to its first operand. Its fused 16-entry
+# table, indexed by 4 * left + right like the code tables, stays the
+# definition; `MScan` links each op to the table's four rows (`split_rows`),
+# so an instruction reads t[left][right] and computes no index.
 _CONNECTIVES = {And: AND_TABLE, Or: OR_TABLE, Implies: IMP_TABLE}
 _BINARY = {kind: i * _WIDTH ** 2 for i, kind in enumerate(_CONNECTIVES)}
 _ROOT_OP = len(_BINARY) * _WIDTH ** 2
@@ -192,6 +193,13 @@ _FUSED_TABLES = {
     **{_ROOT_OP + i: tuple(m[x] for x in range(4) for _ in range(4)) for i, m in enumerate(MAPS)},
 }
 BIT_CODE = (ZERO_CODE, ONE_CODE)  # an atom's slot values: the codes of 0 and 1
+
+
+def split_rows(table: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """A 16-entry table indexed by 4 * left + right as four rows of four,
+    indexed [left][right]."""
+    return tuple(tuple(table[4 * x:4 * x + 4]) for x in range(4))
+
 
 # The masks `scan_m` runs as an instruction on the codes of its first and last
 # root, 1 where a verdict may hit: a code other than 1's (a one-root mask
@@ -238,8 +246,8 @@ def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
 
 class MScan:
     """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`),
-    each op linked to its fused table in `ops`, and the register of its mask
-    (`hit`), if it has one.
+    each op linked to the rows (`rows`) of its fused table (`ops`), and the
+    register of its mask (`hit`), if it has one.
 
     A verdict gets this object and the codes of the formulas on the current
     assignment; `assignment` builds the 0/1 dict from the slot registers only
@@ -247,11 +255,12 @@ class MScan:
     """
 
     ops = _FUSED_TABLES
+    rows = {op: split_rows(t) for op, t in ops.items()}
 
     def __init__(self, program: Program, roots: Iterable[int], keys: Iterable[str],
                  hit: Optional[int] = None):
         self.keys = tuple(keys)
-        self.code, table = program.link(self.keys, self.ops)
+        self.code, table = program.link(self.keys, self.rows)
         self.roots = [table[x] for x in roots]
         self.hit = None if hit is None else table[hit]
         self.registers: list[int] = []
@@ -266,15 +275,19 @@ class MScan:
         The verdict runs only on the assignments where the mask's register
         holds 1, and on every assignment when there is no mask; the test is
         one index, with no call, on an assignment the mask rules out.
-        The first assignment runs every instruction. Then each one runs only
-        when a slot it reads has changed: an instruction's level is the last
-        varying slot it reads, and when slot j takes its next value the
-        instructions of levels j and later run, in postorder. An operand's
-        level is never higher than its instruction's, so its register is
-        fresh; the mask is an instruction like any other. A one-value slot is
-        a constant, gives no level and is not counted among the slots that
-        levels number. The outer slots advance as an odometer
-        (`program.advance`), and the last one in a plain loop.
+        The first assignment runs every instruction, and one decided there
+        builds nothing more. Then each one runs only when a slot it reads
+        has changed: an instruction's level is the last varying slot it
+        reads, and when slot j takes its next value the instructions of
+        levels j and later run (`program.by_level`). An operand's level is
+        never higher than its instruction's, so its register is fresh; the
+        mask is an instruction like any other. A one-value slot is a
+        constant, gives no level and is not counted among the slots that
+        levels number. `program.blocks` schedules the last slots' steps
+        once, each the values of those slots and the instructions to run,
+        and steps the slots before them as an odometer; the loop runs the
+        steps. Each op is linked to its table's rows, so an instruction is
+        `r[o] = t[r[a]][r[b]]`.
         """
         try:
             r = self.registers = [d[0] for d in domains]
@@ -282,7 +295,7 @@ class MScan:
             return None
         roots, hit = self.roots, self.hit
         for t, _, a, b in self.code:
-            r.append(t[4 * r[a] + r[b]])
+            r.append(t[r[a]][r[b]])
         if hit is None:  # no mask: test a register past the program's that holds 1
             hit = len(r)
             r.append(1)
@@ -293,25 +306,16 @@ class MScan:
         varying = [j for j, d in enumerate(domains) if len(d) > 1]
         if not varying:
             return None
-        flat, starts = by_level(self.code, varying, len(domains))  # once the first one misses
-        inner = flat[starts[-1]:]
-        *outer, last = varying
-        digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
-        values, code = domains[last][1:], inner
-        while True:
-            for value in values:
-                r[last] = value
+        for block, steps in blocks(r, self.code, domains, varying, 1):  # once the first one misses
+            for values, code in steps:
+                r[block] = values
                 for t, o, a, b in code:
-                    r[o] = t[4 * r[a] + r[b]]
+                    r[o] = t[r[a]][r[b]]
                 if r[hit]:
                     payload = verdict(self, [r[x] for x in roots])
                     if payload is not None:
                         return payload
-                code = inner
-            k = advance(r, domains, outer, digits, ends)
-            if k < 0:
-                return None
-            values, code = domains[last], flat[starts[k]:]
+        return None
 
     def assignment(self) -> dict[str, int]:
         return {atom: BIT_CODE.index(code) for atom, code in zip(self.keys, self.registers)}
@@ -369,7 +373,7 @@ def scan_m(
     that reads every row, such as a table, passes none.
     """
     program, roots = lower([inline_acts(f, defs) for f in formulas] if defs else formulas)
-    hit = None if mask is None else program.emit(mask, roots[0], roots[-1])
+    hit = None if mask is None else program.emit(split_rows(mask), roots[0], roots[-1])
     atoms = sorted(program.leaves)
     check_budget(2 ** len(atoms), budget)
     scan = MScan(program, roots, atoms, hit)

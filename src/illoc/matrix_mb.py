@@ -53,7 +53,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
-from .program import Program, advance, by_level
+from .program import Program, blocks
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -341,13 +341,14 @@ class MBScan:
         `MScan.run`'s level scan, with an op called on packed ints in
         place of a table, and the verdict called on every valuation. The
         first sweep of the last varying slot runs every instruction, so a
-        check decided there, or a space of one sweep, pays nothing for
-        grouping the levels. After it an instruction runs only when its
-        level, the last varying slot it reads (`program.by_level`), is at
-        or after the slot that changed, in postorder, so every register it
-        reads is fresh. A one-value slot is a constant and gives no level.
-        The outer slots advance as an odometer (`program.advance`), and the
-        last one in a plain loop.
+        check decided there, or a space of one sweep, builds nothing more.
+        After it an instruction runs only when its level, the last varying
+        slot it reads (`program.by_level`), is at or after the slot that
+        changed, so every register it reads is fresh. A one-value slot is a
+        constant and gives no level. The rest of the space runs from
+        `program.blocks`' steps, the first block's from the valuation after
+        that sweep. When the last slot alone has more values than the
+        program has instructions, as at K3 and K4, the block is that slot.
         """
         try:
             r = self.registers = [d[0] for d in domains]
@@ -364,27 +365,26 @@ class MBScan:
             last -= 1
         if last < 0:
             return None
-        values, inner, digits = domains[last][1:], code, None
-        while True:
-            for value in values:
-                r[last] = value
+        for value in domains[last][1:]:
+            r[last] = value
+            for op, o, a, b in code:
+                r[o] = op(r[a], r[b])
+            payload = verdict(self, [r[x] for x in roots])
+            if payload is not None:
+                return payload
+        varying = [j for j in range(last) if len(domains[j]) > 1]
+        if not varying:  # the first sweep was the whole space
+            return None
+        varying.append(last)
+        for block, steps in blocks(r, code, domains, varying, len(domains[last])):
+            for values, code in steps:
+                r[block] = values
                 for op, o, a, b in code:
                     r[o] = op(r[a], r[b])
                 payload = verdict(self, [r[x] for x in roots])
                 if payload is not None:
                     return payload
-                code = inner
-            if digits is None:  # the first sweep missed: group the levels, set the odometer up
-                outer = [j for j in range(last) if len(domains[j]) > 1]
-                if not outer:
-                    return None
-                flat, starts = by_level(self.code, [*outer, last], len(domains))
-                inner = flat[starts[-1]:]
-                digits, ends = [0] * len(outer), [len(domains[j]) - 1 for j in outer]
-            k = advance(r, domains, outer, digits, ends)
-            if k < 0:
-                return None
-            values, code = domains[last], flat[starts[k]:]
+        return None
 
     def admissible(self, i: int) -> bool:
         """No act subvalue of formula i is standard on the current valuation."""

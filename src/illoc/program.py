@@ -15,23 +15,26 @@ Each matrix runs its linked program in its own scan, with one contract
 (`search`) and one algorithm. The first valuation runs every instruction
 (in `mb` the first sweep of the last varying slot does). After that an
 instruction runs only when its level, the last varying slot it reads
-(`by_level`, the one grouping both scans use), is at or after the slot that
-changed, and the outer slots advance as an odometer (`advance`, the one
-step both scans take). The scans differ in what an instruction does.
+(`by_level`), is at or after the slot that changed. `blocks` is the one
+driver both scans take from there: the last varying slots form an inner
+block whose valuations, each with the instructions it runs, are scheduled
+once per scan, and the slots before the block advance as an odometer, once
+per instance of the block. The scans differ in what an instruction does.
 `matrix_mb.MBScan.run` calls its op on packed ints, `r[o] = op(r[a], r[b])`.
-`matrix_m.MScan.run` indexes a 16-entry table, `r[o] = t[4 * r[a] + r[b]]`;
-there a binary op names its connective and the ~/F maps of its operands,
-fused into one table, so a unary chain emits no instruction of its own
-except at a root. A check in `m` emits its
-mask, a 16-entry 0/1 table over its roots' codes, as one more instruction
-whose op is the table itself (`link` keeps an op its mapping does not list),
-and the loop calls the verdict only where that register is 1; `mb` calls
-its verdict on every valuation.
+`matrix_m.MScan.run` looks up a row of a fused 4 x 4 table,
+`r[o] = t[r[a]][r[b]]`; there a binary op names its connective and the ~/F
+maps of its operands, fused into one table, so a unary chain emits no
+instruction of its own except at a root. A check in `m` emits its mask, a
+4 x 4 0/1 table over its roots' codes, as one more instruction whose op is
+the table itself (`link` keeps an op its mapping does not list), and the
+loop calls the verdict only where that register is 1; `mb` calls its
+verdict on every valuation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Mapping, Optional, Sequence
+from itertools import product
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 Code = list[tuple[Any, int, int, int]]  # (op, out, a, b): register out is op on a and b
 
@@ -69,16 +72,19 @@ class Program:
                 for o, (op, a, b) in enumerate(self._code, n)], table
 
 
-def by_level(code: Code, varying: Sequence[int], n: int) -> tuple[tuple, list[int]]:
-    """The instructions of a program linked over n slots that read a varying
-    slot, by level and in postorder within one, and where each level starts.
+def by_level(code: Code, varying: Sequence[int], n: int) -> list[tuple]:
+    """For each level k, the instructions of a program linked over n slots
+    whose level is k or later, in level order and in postorder within a
+    level, so every operand they read runs before them or did not change.
     An instruction's level is k when varying[k] is the last varying slot it
-    reads. One tuple, sliced per run of levels, keeps the memory linear in
-    the program."""
+    reads; one that reads none has no level and never runs again. Each
+    level's tuple is built here once per scan, not sliced again per sweep;
+    there is one per varying slot, and each slot has two values or more,
+    so the budget bounds their number by its log2."""
     level = [-1] * n
     for k, j in enumerate(varying):
         level[j] = k
-    groups: list[list] = [[] for _ in varying]
+    groups: list = [[] for _ in varying]
     for instruction in code:
         _, _, a, b = instruction
         x, y = level[a], level[b]
@@ -87,27 +93,63 @@ def by_level(code: Code, varying: Sequence[int], n: int) -> tuple[tuple, list[in
         level.append(x)
         if x >= 0:
             groups[x].append(instruction)
-    flat: list = []
-    starts = []
-    for group in groups:
-        starts.append(len(flat))
-        flat += group
-    return tuple(flat), starts
+    suffix: tuple = ()
+    for k in range(len(groups) - 1, -1, -1):
+        suffix = groups[k] = (*groups[k], *suffix)
+    return groups
 
 
-def advance(r: list, domains: Sequence[Sequence[int]], outer: Sequence[int],
-            digits: list[int], ends: Sequence[int]) -> int:
-    """Step the odometer over the outer slots: outer[k] holds the value
-    domains[outer[k]][digits[k]] in register outer[k], and ends[k] is its
-    last index. The last outer slot not at its end takes its next value,
-    the ones after it their first; returns its k, -1 when every slot was at
-    its end and the space is done."""
-    k = len(outer) - 1
-    while k >= 0 and digits[k] == ends[k]:
-        digits[k] = 0
-        r[outer[k]] = domains[outer[k]][0]
-        k -= 1
-    if k >= 0:
+def blocks(r: list, code: Code, domains: Sequence[Sequence[int]], varying: Sequence[int],
+           done: int) -> Iterator[tuple[Any, list]]:
+    """The rest of a scan whose first `done` valuations ran the whole of
+    code into registers r, in the same mixed-radix order: one
+    (block, steps) per instance of the inner block, the first one from
+    valuation `done` of the block on.
+
+    The inner block is the last varying slots: at least one, and more while
+    their joint domain has at most len(code) valuations, so the schedule's
+    memory stays linear in the program (or in the last slot's domain, when
+    that alone is larger). `block` is the register of a one-slot block, and
+    otherwise the slice of the block's registers, one-value slots between
+    them included. steps holds one (values, code) per valuation of the
+    block, built once: r[block] = values writes it, and code is the
+    instructions to run then, `by_level`'s tuple for the first block slot
+    that changed. Between two instances the slots before the block advance
+    as an odometer in r, and steps[0], the block's first valuation, takes
+    the tuple of the outer slot that changed.
+    """
+    suffixes = by_level(code, varying, len(domains))
+    b = len(varying) - 1
+    size = len(domains[varying[b]])
+    while b and size * len(domains[varying[b - 1]]) <= len(code):
+        b -= 1
+        size *= len(domains[varying[b]])
+    if b == len(varying) - 1:  # one slot: an index store costs a fifth of a slice store
+        block: int | slice = varying[b]
+        values: Iterable = domains[block]
+    else:
+        block = slice(varying[b], varying[-1] + 1)
+        values = product(*domains[block])
+    codes = [suffixes[-1]] * size
+    stride = 1
+    for k in range(len(varying) - 2, b - 1, -1):
+        stride *= len(domains[varying[k + 1]])  # a valuation at a multiple of stride moved level k
+        codes[::stride] = [suffixes[k]] * (size // stride)
+    steps = list(zip(values, codes))
+    first = steps[0][0]
+    outer = varying[:b]
+    digits = [0] * b
+    yield block, steps[done:]
+    while True:
+        # the last outer slot not at its end takes its next value, the later ones their first
+        k = b - 1
+        while k >= 0 and digits[k] == len(domains[outer[k]]) - 1:
+            digits[k] = 0
+            r[outer[k]] = domains[outer[k]][0]
+            k -= 1
+        if k < 0:
+            return
         digits[k] += 1
         r[outer[k]] = domains[outer[k]][digits[k]]
-    return k
+        steps[0] = first, suffixes[k]
+        yield block, steps

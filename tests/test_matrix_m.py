@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import m_oracle
 from conftest import random_force_free
 from illoc.matrix_m import (
+    BIT_CODE,
     CARRIER,
     CODE,
     LEQ_TABLE,
@@ -36,6 +37,7 @@ from illoc.matrix_m import (
     scan_m,
 )
 from illoc.opposition import CheckSpace, _square_formulas, entails
+from illoc.program import blocks
 from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula, walk
 
 ONE, HALF, ZERO, NEG = (
@@ -413,6 +415,22 @@ class TestFusedTables:
     def test_every_op_is_a_binary_or_a_root_table(self):
         assert len(MScan.ops) == 3 * len(MAPS) ** 2 + len(MAPS)
 
+    @staticmethod
+    def _linked_mask(formulas, mask):
+        """The op of the mask instruction a check's scan links."""
+        _, scan = scan_m(formulas, lambda scan, codes: scan, mask=mask)
+        (op,) = [op for op, out, _, _ in scan.code if out == scan.hit]
+        return op
+
+    def test_every_table_and_mask_is_linked_by_row(self):
+        assert MScan.rows.keys() == MScan.ops.keys()
+        pairs = [(MScan.ops[op], MScan.rows[op]) for op in MScan.ops]
+        pairs += [(NOT_ONE_MASK, self._linked_mask([Atom("p")], NOT_ONE_MASK)),
+                  (NOT_LEQ_MASK, self._linked_mask([Atom("p"), Atom("q")], NOT_LEQ_MASK))]
+        for flat, rows in pairs:
+            for x, y in itertools.product(range(4), repeat=2):
+                assert rows[x][y] == flat[4 * x + y]
+
 
 class TestCodeTables:
     """The order and the masks on the codes, against the oracle's literals."""
@@ -631,6 +649,16 @@ class TestRegisterFreshness:
         rng = random.Random(seed)
         a, b = wide_formula(rng), wide_formula(rng)
         self.check([a, b, Or(a, Force("think", b))])
+
+    def test_a_carry_crosses_the_block_and_the_outer_slots(self):
+        f = parse_formula("(x0 & x1 | x2 -> x3) & (x4 | ~x5) -> [think](x0 & x5) | x1 & ~x4")
+        program, _ = lower([f])
+        code, _ = program.link(sorted(program.leaves))
+        # 9 instructions (10 with a mask): the inner block is x3-x5, whose 8
+        # assignments fit, so every eighth assignment carries into x0-x2
+        assert len(code) == 9
+        assert next(blocks([], code, [BIT_CODE] * 6, range(6), 1))[0] == slice(3, 6)
+        self.check([f])
 
 
 class TestMask:

@@ -54,6 +54,7 @@ from illoc.matrix_mb import (
     valuation_to_json,
 )
 from illoc.matrix_m import eval_m, is_tautology_m
+from illoc.program import blocks
 from illoc.opposition import CheckSpace, _square_formulas, entails, square_for_force
 from illoc.search import BudgetExceeded
 from illoc.syntax import (
@@ -1029,6 +1030,24 @@ class TestLevelScan:
         f = self.MIXED
         assert [key[0] for key in slot_keys([f], mode)] == [
             "atom", "act" if mode is MBMode.FREE else "gen", "sig"]
+        self.check_every_row(f, spec, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_carry_crosses_the_block_and_both_outer_slots(self, mode):
+        # four slots of two values at K1 and six instructions: the inner block
+        # is the last two slots, so every fourth row carries into the two
+        # outer ones
+        f = parse_formula("[h]([g]([f](q) & p) -> ~p)")
+        lowered = lower([f], mode, K1.k)
+        scan = MBScan(K1, mode, lowered[0].order(), lowered)
+        assert (len(scan.keys), len(scan.code)) == (4, 6)
+        assert next(blocks([], scan.code, [range(2)] * 4, range(4), 2))[0] == slice(2, 4)
+        self.check_every_row(f, K1, mode)
+
+    @staticmethod
+    def check_every_row(f, spec, mode):
+        """Every row a scan of f visits: its value, admissibility and
+        subvalues, against the oracle's row at the same index."""
         expected = list(_oracle_rows([f], spec, mode))
         seen = []
 

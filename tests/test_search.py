@@ -1,5 +1,6 @@
-"""The scan order both matrices keep, `MBScan.run` on lowered programs, and
-the budget check the callers of a scan make before they build the domains."""
+"""The scan order both matrices keep, `MBScan.run` on lowered programs, the
+schedule of the inner block both scans run (`program.blocks`), and the
+budget check the callers of a scan make before they build the domains."""
 
 import itertools
 
@@ -9,22 +10,26 @@ from illoc.boolalg import AlgebraSpec
 from illoc.matrix_m import BIT_CODE, MScan
 from illoc.matrix_m import lower as lower_m
 from illoc.matrix_mb import MBMode, MBScan, lower
+from illoc.program import blocks
 from illoc.search import BudgetExceeded, check_budget
 from illoc.syntax import parse_formula
 
 K2 = AlgebraSpec(("a", "b"))  # an atom slot takes the codes 0 to 3
 
 
-def _mb_scan(atoms):
-    """A scan of the conjunction of atoms, one atom slot per name in order."""
-    formulas = [parse_formula(" & ".join(atoms))] if atoms else []
+def _mb_scan(atoms, text=None):
+    """A scan of the conjunction of atoms (or of text over them), one atom
+    slot per name in order."""
+    text = text or " & ".join(atoms)
+    formulas = [parse_formula(text)] if text else []
     lowered = lower(formulas, MBMode.POINTWISE, K2.k)
     return MBScan(K2, MBMode.POINTWISE, lowered[0].order(), lowered)
 
 
-def _m_scan(atoms):
-    """A scan in m of the conjunction of atoms, one atom slot per name in order."""
-    program, roots = lower_m([parse_formula(" & ".join(atoms))])
+def _m_scan(atoms, text=None):
+    """A scan in m of the conjunction of atoms (or of text over them), one
+    atom slot per name in order."""
+    program, roots = lower_m([parse_formula(text or " & ".join(atoms))])
     return MScan(program, roots, atoms)
 
 
@@ -105,6 +110,90 @@ def test_both_matrices_scan_three_two_value_slots_in_the_same_order():
     assert _mb_scan(["p", "q", "r"]).run(
         domains, lambda scan, codes: mb_seen.append(_slots(scan))) is None
     assert m_seen == mb_seen == list(itertools.product(*domains))
+
+
+def _sized_scan(matrix, atoms, size):
+    """A scan of the conjunction of atoms, or-ed with the first atom until
+    its linked program has exactly size instructions."""
+    text = " & ".join(atoms)
+    scan = SCANS[matrix](atoms)
+    while len(scan.code) < size:
+        text = f"({text}) | {atoms[0]}"
+        scan = SCANS[matrix](atoms, text)
+    assert len(scan.code) == size
+    return scan
+
+
+def _first_block(scan, domains):
+    """The register or slice of the inner block that `blocks` schedules for
+    a scan over domains."""
+    varying = [j for j, d in enumerate(domains) if len(d) > 1]
+    return next(blocks([], scan.code, domains, varying, 1))[0]
+
+
+def _visits(scan, domains, stop=None):
+    """The slot values of every valuation the scan's verdict gets, whose
+    codes each equal a one-valuation run's, which runs every instruction;
+    and what the scan returns, with a verdict that hits at index stop only."""
+    seen = []
+
+    def visit(scan, codes):
+        seen.append((_slots(scan), codes))
+        return len(seen) - 1 if len(seen) - 1 == stop else None
+
+    result = scan.run(domains, visit)
+    for values, codes in seen:
+        assert scan.run([(v,) for v in values], lambda _, fresh: fresh) == codes, values
+    return [values for values, _ in seen], result
+
+
+# Domains in both matrices: the codes 0 to 3 are values of an atom slot in m
+# (the four truth values) and at K2 in mb. An mb program over n atoms has at
+# least 2n - 1 instructions, so every size is at least that.
+BOUND_CASES = {
+    # size: the program's instructions; block: what `blocks` makes the inner block
+    "block-covers-every-slot": (8, [(0, 1), (2, 3), (1, 0)], slice(0, 3)),
+    "one-value-slot-inside-the-block": (7, [(0, 1), (0, 1), (3,), (1, 0)], slice(1, 4)),
+    "joint-domain-at-the-bound": (9, [(0, 1), (0, 1, 2), (1, 0, 3), (3, 2, 1)], slice(2, 4)),
+    "one-valuation-over-the-bound": (8, [(0, 1), (0, 1, 2), (1, 0, 3), (3, 2, 1)], 3),
+    "last-slot-over-the-bound": (3, [(0, 1), (0, 1, 2, 3)], 1),
+}
+
+
+@pytest.mark.parametrize("matrix", SCANS)
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_the_inner_block_grows_while_its_domain_fits_the_program(matrix, case):
+    size, domains, block = BOUND_CASES[case]
+    atoms = [f"x{i}" for i in range(len(domains))]
+    scan = _sized_scan(matrix, atoms, size)
+    assert _first_block(scan, domains) == block
+    seen, result = _visits(scan, domains)
+    assert result is None
+    assert seen == list(itertools.product(*domains))
+
+
+@pytest.mark.parametrize("matrix", SCANS)
+@pytest.mark.parametrize("stop", [1, 3, 4, 11, 12, 13, 23], ids=lambda stop: f"row-{stop}")
+def test_a_witness_stops_the_schedule_at_its_row(matrix, stop):
+    """Slot 0 is outer and slots 1 and 2 the block, which has 12 valuations:
+    rows 0-3 are the first sweep of the last slot (in mb the whole program
+    runs on them, in m on row 0 only), rows 4-11 the rest of the first
+    block, row 12 opens the second block and rows 13-23 are in it."""
+    size, domains = 12, [(0, 1), (0, 1, 2), (3, 2, 1, 0)]
+    scan = _sized_scan(matrix, ["p", "q", "r"], size)
+    assert _first_block(scan, domains) == slice(1, 3)
+    seen, result = _visits(scan, domains, stop)
+    assert result == stop
+    assert seen == list(itertools.product(*domains))[:stop + 1]
+
+
+@pytest.mark.parametrize("matrix", SCANS)
+def test_a_carry_crosses_the_block_and_every_outer_slot(matrix):
+    domains = [(0, 1), (1, 0), (2, 3), (0, 1), (3, 1)]
+    scan = _sized_scan(matrix, [f"x{i}" for i in range(5)], 9)
+    assert _first_block(scan, domains) == slice(2, 5)
+    seen, _ = _visits(scan, domains)
+    assert seen == list(itertools.product(*domains))
 
 
 def test_a_space_of_exactly_the_budget_is_allowed_and_one_more_is_refused():
