@@ -493,15 +493,21 @@ _COMMANDS = {
 
 
 class _Command(argparse.ArgumentParser):
-    """A command's parser that adds its arguments when first used: a call uses one of eight."""
+    """A command's parser, built when first used: a call uses one of eight.
+
+    At `add_parser` time it only keeps its keyword arguments and what adds its
+    arguments; its first parse, usage or help runs `ArgumentParser.__init__`
+    with them and then adds the arguments.
+    """
 
     def __init__(self, *, add_arguments, **kwargs):
-        super().__init__(**kwargs)
-        self._add_arguments = add_arguments
+        self._add_arguments, self._kwargs = add_arguments, kwargs
 
     def _ready(self) -> None:
-        add, self._add_arguments = self._add_arguments, lambda sub: None
-        add(self)
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            super().__init__(**self._kwargs)
+            add(self)
 
     def parse_known_args(self, args=None, namespace=None):
         self._ready()
@@ -517,6 +523,7 @@ class _Command(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; each command's parser is built when a call first uses it."""
     parser = argparse.ArgumentParser(prog="illoc",
                                      description="Matrix semantics for illocutionary acts")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Command)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -677,6 +678,44 @@ class TestDispatch:
 
         monkeypatch.setattr(illoc.cli, "_add_common", unreachable)
         assert run(capsys, "fmt", "p & q") == (0, "p & q\n", "")
+
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        """How many times `ArgumentParser.__init__` ran, as a one-item list."""
+        count = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return count
+
+    def test_the_top_level_parser_builds_no_command(self, inits):
+        illoc.cli.build_parser()
+        assert inits == [1]
+
+    @pytest.mark.parametrize("command", ARGS)
+    def test_a_call_builds_only_its_own_commands_parser(self, capsys, monkeypatch, inits,
+                                                        command):
+        monkeypatch.setattr(illoc.cli, "_cmd_" + command.replace("-", "_"), lambda args: 0)
+        assert run(capsys, command, *ARGS[command]) == (0, "", "")
+        assert inits == [2]
+
+    @pytest.mark.parametrize("command", ARGS)
+    def test_a_commands_help_builds_only_its_own_parser(self, capsys, inits, command):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        assert capsys.readouterr().out.startswith(f"usage: illoc {command} ")
+        assert inits == [2]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frob"]], ids=["none", "help", "unknown"])
+    def test_a_call_without_a_command_builds_no_command(self, capsys, inits, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert inits == [1]
 
 
 M_ATOMS = ("p", "q", "r", "s")
