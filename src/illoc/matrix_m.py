@@ -14,8 +14,7 @@ for a result a caller keeps. Negation and force are unary maps on the codes,
 and a chain of them costs no instruction: lowering folds its map into the
 16-entry table of the binary connective that reads it, and only a root whose
 chain is not the identity gets an instruction of its own. Each instruction
-looks up its table by row, t[left][right], with no call and, after the
-first assignment, runs only when an atom it reads has changed. A tautology
+looks up its table by row, t[left][right], with no call. A tautology
 check and entailment split their verdict into a mask, a 16-entry 0/1 table
 over the codes of their roots that runs as the program's last instruction,
 and a payload, the one Python call, made only where the mask is 1.
@@ -30,7 +29,7 @@ import itertools
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .program import Program, blocks
+from .program import Program, schedule
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -247,7 +246,8 @@ def lower(resolved: Sequence[Formula]) -> tuple[Program, list[int]]:
 class MScan:
     """A scan over the atoms of its formulas (`keys`, sorted in `scan_m`),
     each op linked to the rows (`rows`) of its fused table (`ops`), and the
-    register of its mask (`hit`), if it has one.
+    register the verdict's call tests (`hit`): its mask's, or with no mask
+    the one past the program's, which holds 1.
 
     A verdict gets this object and the codes of the formulas on the current
     assignment; `assignment` builds the 0/1 dict from the slot registers only
@@ -262,7 +262,7 @@ class MScan:
         self.keys = tuple(keys)
         self.code, table = program.link(self.keys, self.rows)
         self.roots = [table[x] for x in roots]
-        self.hit = None if hit is None else table[hit]
+        self.hit = len(self.keys) + len(self.code) if hit is None else table[hit]
         self.registers: list[int] = []
 
     def run(self, domains: Sequence[Sequence[int]],
@@ -274,39 +274,13 @@ class MScan:
 
         The verdict runs only on the assignments where the mask's register
         holds 1, and on every assignment when there is no mask; the test is
-        one index, with no call, on an assignment the mask rules out.
-        The first assignment runs every instruction, and one decided there
-        builds nothing more. Then each one runs only when a slot it reads
-        has changed: an instruction's level is the last varying slot it
-        reads, and when slot j takes its next value the instructions of
-        levels j and later run (`program.by_level`). An operand's level is
-        never higher than its instruction's, so its register is fresh; the
-        mask is an instruction like any other. A one-value slot is a
-        constant, gives no level and is not counted among the slots that
-        levels number. `program.blocks` schedules the last slots' steps
-        once, each the values of those slots and the instructions to run,
-        and steps the slots before them as an odometer; the loop runs the
-        steps. Each op is linked to its table's rows, so an instruction is
-        `r[o] = t[r[a]][r[b]]`.
+        one index, with no call, on an assignment the mask rules out. The
+        assignments come from `program.schedule`, and each op is linked to
+        its table's rows, so an instruction is `r[o] = t[r[a]][r[b]]`.
         """
-        try:
-            r = self.registers = [d[0] for d in domains]
-        except IndexError:  # a slot with an empty domain: there is no assignment
-            return None
         roots, hit = self.roots, self.hit
-        for t, _, a, b in self.code:
-            r.append(t[r[a]][r[b]])
-        if hit is None:  # no mask: test a register past the program's that holds 1
-            hit = len(r)
-            r.append(1)
-        if r[hit]:
-            payload = verdict(self, [r[x] for x in roots])
-            if payload is not None:
-                return payload
-        varying = [j for j, d in enumerate(domains) if len(d) > 1]
-        if not varying:
-            return None
-        for block, steps in blocks(r, self.code, domains, varying, 1):  # once the first one misses
+        r = self.registers = [1] * (len(domains) + len(self.code) + 1)
+        for block, steps in schedule(r, self.code, domains):
             for values, code in steps:
                 r[block] = values
                 for t, o, a, b in code:

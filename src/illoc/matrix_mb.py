@@ -53,7 +53,7 @@ from .hyper import (
     normalize,
     packed_ops,
 )
-from .program import Program, blocks
+from .program import Program, schedule
 from .record import Record
 from .search import DEFAULT_BUDGET, check_budget
 from .syntax import (
@@ -338,45 +338,12 @@ class MBScan:
         verdict(self, codes) is not None; None when there is none, and at
         once when a domain is empty.
 
-        `MScan.run`'s level scan, with an op called on packed ints in
-        place of a table, and the verdict called on every valuation. The
-        first sweep of the last varying slot runs every instruction, so a
-        check decided there, or a space of one sweep, builds nothing more.
-        After it an instruction runs only when its level, the last varying
-        slot it reads (`program.by_level`), is at or after the slot that
-        changed, so every register it reads is fresh. A one-value slot is a
-        constant and gives no level. The rest of the space runs from
-        `program.blocks`' steps, the first block's from the valuation after
-        that sweep. When the last slot alone has more values than the
-        program has instructions, as at K3 and K4, the block is that slot.
+        The valuations come from `program.schedule`, and an instruction
+        calls its op on packed ints.
         """
-        try:
-            r = self.registers = [d[0] for d in domains]
-        except IndexError:  # a slot with an empty domain: there is no valuation
-            return None
-        code, roots = self.code, self.roots
-        for op, _, a, b in code:
-            r.append(op(r[a], r[b]))
-        payload = verdict(self, [r[x] for x in roots])
-        if payload is not None:
-            return payload
-        last = len(domains) - 1  # the last varying slot
-        while last >= 0 and len(domains[last]) == 1:
-            last -= 1
-        if last < 0:
-            return None
-        for value in domains[last][1:]:
-            r[last] = value
-            for op, o, a, b in code:
-                r[o] = op(r[a], r[b])
-            payload = verdict(self, [r[x] for x in roots])
-            if payload is not None:
-                return payload
-        varying = [j for j in range(last) if len(domains[j]) > 1]
-        if not varying:  # the first sweep was the whole space
-            return None
-        varying.append(last)
-        for block, steps in blocks(r, code, domains, varying, len(domains[last])):
+        roots = self.roots
+        r = self.registers = [0] * (len(domains) + len(self.code))
+        for block, steps in schedule(r, self.code, domains):
             for values, code in steps:
                 r[block] = values
                 for op, o, a, b in code:
@@ -516,14 +483,13 @@ def scan_mb(
     signatures, the first slot most significant. Lowering keeps each kind's
     leaves in the order first seen, so the scan order, the register table
     that links the program to it and the size of the space come from those
-    lists with no sort. `MBScan.run` runs the program, after the first
-    valuation only the instructions that read a slot that changed; codes
-    holds the formulas' packed values and scan (the MBScan) decodes the
-    valuation on demand, and the witness is decoded once, when a verdict hits.
-    Returns ((valuation, payload) or None, number of valuations in the
-    space). domains maps a slot kind ("atom", "act", "gen" or "sig") to the
-    codes, in scan order, that its slots take in place of every value of the
-    kind. The space is sized from the domains' lengths and refused over the
+    lists with no sort. `MBScan.run` runs the program; codes holds the
+    formulas' packed values and scan (the MBScan) decodes the valuation on
+    demand, and the witness is decoded once, when a verdict hits. Returns
+    ((valuation, payload) or None, number of valuations in the space).
+    domains maps a slot kind ("atom", "act", "gen" or "sig") to the codes,
+    in scan order, that its slots take in place of every value of the kind.
+    The space is sized from the domains' lengths and refused over the
     budget before any slot's domain is built.
     """
     k = algebra.k

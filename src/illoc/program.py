@@ -12,14 +12,8 @@ start and a leaf's ~j from its end, emits each instruction as (op, out, a,
 b), and can replace each op key by what the linked code runs.
 
 Each matrix runs its linked program in its own scan, with one contract
-(`search`) and one algorithm. The first valuation runs every instruction
-(in `mb` the first sweep of the last varying slot does). After that an
-instruction runs only when its level, the last varying slot it reads
-(`by_level`), is at or after the slot that changed. `blocks` is the one
-driver both scans take from there: the last varying slots form an inner
-block whose valuations, each with the instructions it runs, are scheduled
-once per scan, and the slots before the block advance as an odometer, once
-per instance of the block. The scans differ in what an instruction does.
+(`search`), over the valuations that `schedule` yields; the level scan is
+described there. The scans differ in what an instruction does.
 `matrix_mb.MBScan.run` calls its op on packed ints, `r[o] = op(r[a], r[b])`.
 `matrix_m.MScan.run` looks up a row of a fused 4 x 4 table,
 `r[o] = t[r[a]][r[b]]`; there a binary op names its connective and the ~/F
@@ -33,8 +27,9 @@ verdict on every valuation.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import product, repeat
+from types import MappingProxyType
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Code = list[tuple[Any, int, int, int]]  # (op, out, a, b): register out is op on a and b
 
@@ -54,20 +49,17 @@ class Program:
         return self._code.setdefault((op, a, b), len(self._code))
 
     def link(self, order: Sequence[Hashable],
-             ops: Optional[Mapping] = None) -> tuple[Code, list[int]]:
+             ops: Mapping = MappingProxyType({})) -> tuple[Code, list[int]]:
         """The instructions (op, out, a, b) with slot key order[i] in register
         i and instruction i in register len(order) + i, order holding every
         leaf once, and the register table: entry x is the linked register of
         a lowering's register x, an instruction's x >= 0 or a leaf's ~j,
-        which indexes the table from its end. With ops, each op that ops
-        lists is replaced by ops[op] and any other is kept."""
+        which indexes the table from its end. Each op that ops lists is
+        replaced by ops[op] and any other is kept."""
         n, leaves = len(order), self.leaves
         table = [*range(n, n + len(self._code)), *[0] * n]
         for i, key in enumerate(order):
             table[~leaves[key]] = i
-        if ops is None:
-            return [(op, o, table[a], table[b])
-                    for o, (op, a, b) in enumerate(self._code, n)], table
         return [(ops.get(op, op), o, table[a], table[b])
                 for o, (op, a, b) in enumerate(self._code, n)], table
 
@@ -99,25 +91,47 @@ def by_level(code: Code, varying: Sequence[int], n: int) -> list[tuple]:
     return groups
 
 
-def blocks(r: list, code: Code, domains: Sequence[Sequence[int]], varying: Sequence[int],
-           done: int) -> Iterator[tuple[Any, list]]:
-    """The rest of a scan whose first `done` valuations ran the whole of
-    code into registers r, in the same mixed-radix order: one
-    (block, steps) per instance of the inner block, the first one from
-    valuation `done` of the block on.
+def schedule(r: list, code: Code,
+             domains: Sequence[Sequence[int]]) -> Iterator[tuple[Any, Iterable]]:
+    """Every valuation of a scan over domains, one per slot, in mixed-radix
+    order (the first slot most significant, each domain in its order), as
+    one (block, steps) per run of valuations: each step is (values, code),
+    `r[block] = values` writes its slots into the registers r, and code is
+    the instructions to run then. r, with a register for every slot and
+    instruction, gets each domain's first value in its slot registers here;
+    nothing is yielded when a domain is empty, and one step of the whole
+    program, with the empty slice as its block, when no slot varies.
 
-    The inner block is the last varying slots: at least one, and more while
-    their joint domain has at most len(code) valuations, so the schedule's
-    memory stays linear in the program (or in the last slot's domain, when
-    that alone is larger). `block` is the register of a one-slot block, and
-    otherwise the slice of the block's registers, one-value slots between
-    them included. steps holds one (values, code) per valuation of the
-    block, built once: r[block] = values writes it, and code is the
-    instructions to run then, `by_level`'s tuple for the first block slot
-    that changed. Between two instances the slots before the block advance
-    as an odometer in r, and steps[0], the block's first valuation, takes
-    the tuple of the outer slot that changed.
+    The level scan: the first sweep of the last varying slot runs the whole
+    program, lazily, so a check decided there builds nothing more. After it
+    an instruction runs only when its level, the last varying slot it reads
+    (`by_level`), is at or after the slot that changed, so every register
+    it reads is fresh; a one-value slot is a constant and gives no level.
+    The rest of the space runs as an inner block of the last varying slots:
+    at least one, and more while their joint domain has at most len(code)
+    valuations, so the steps' memory stays linear in the program (or in the
+    last slot's domain, when that alone is larger). `block` is the register
+    of a one-slot block, and otherwise the slice of the block's registers,
+    one-value slots between them included. The block's steps are built
+    once, each with `by_level`'s tuple for the first block slot that
+    changed; the first instance yields those after the first sweep. Between
+    two instances the slots before the block advance as an odometer in r,
+    and steps[0], the block's first valuation, takes the tuple of the outer
+    slot that changed.
     """
+    if not all(domains):  # a slot with an empty domain: there is no valuation
+        return
+    r[:len(domains)] = [d[0] for d in domains]
+    last = len(domains) - 1  # the last varying slot
+    while last >= 0 and len(domains[last]) == 1:
+        last -= 1
+    if last < 0:
+        yield slice(0, 0), [((), code)]
+        return
+    yield last, zip(domains[last], repeat(code))
+    varying = [j for j, d in enumerate(domains) if len(d) > 1]
+    if len(varying) == 1:  # the first sweep was the whole space
+        return
     suffixes = by_level(code, varying, len(domains))
     b = len(varying) - 1
     size = len(domains[varying[b]])
@@ -139,7 +153,7 @@ def blocks(r: list, code: Code, domains: Sequence[Sequence[int]], varying: Seque
     first = steps[0][0]
     outer = varying[:b]
     digits = [0] * b
-    yield block, steps[done:]
+    yield block, steps[len(domains[last]):]  # after the first sweep
     while True:
         # the last outer slot not at its end takes its next value, the later ones their first
         k = b - 1

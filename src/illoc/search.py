@@ -6,11 +6,10 @@ listed order, and returns the first payload, a verdict's value other than
 None, so the first hit is well defined and the same for every caller; a
 slot with an empty domain leaves nothing to visit. Each matrix has one such
 loop, `matrix_mb.MBScan.run` and `matrix_m.MScan.run`, each `run(domains,
-verdict)`, and both run the level scan that `program` describes: after
-the first assignment only the instructions that read a slot that changed
-run again, and where the scan has a mask the verdict runs only on the
-assignments the mask admits, still in this order. Their callers size the
-space and check `check_budget` before the scan starts.
+verdict)`, and both take their valuations from `program.schedule`; where
+the scan has a mask the verdict runs only on the assignments the mask
+admits, still in this order. Their callers size the space and check
+`check_budget` before the scan starts.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from illoc.matrix_m import (
     scan_m,
 )
 from illoc.opposition import CheckSpace, _square_formulas, entails
-from illoc.program import blocks
+from illoc.program import schedule
 from illoc.syntax import ActRef, And, Atom, Force, Implies, Not, Or, parse, parse_formula, walk
 
 ONE, HALF, ZERO, NEG = (
@@ -657,7 +657,8 @@ class TestRegisterFreshness:
         # 9 instructions (10 with a mask): the inner block is x3-x5, whose 8
         # assignments fit, so every eighth assignment carries into x0-x2
         assert len(code) == 9
-        assert next(blocks([], code, [BIT_CODE] * 6, range(6), 1))[0] == slice(3, 6)
+        _, (block, _) = itertools.islice(schedule([], code, [BIT_CODE] * 6), 2)
+        assert block == slice(3, 6)
         self.check([f])
 
 
@@ -703,8 +704,8 @@ def _balanced_and(atoms):
 
 class TestWideEarlyRefutation:
     """A space of 2**2000 assignments is answered at its first one: the scan
-    does not recurse per slot, and groups no instructions before its first
-    assignment misses."""
+    does not recurse per slot, and groups no instructions before the first
+    sweep of its last slot misses."""
 
     ATOMS = [Atom(f"x{i:04}") for i in range(2000)]
 

@@ -54,7 +54,7 @@ from illoc.matrix_mb import (
     valuation_to_json,
 )
 from illoc.matrix_m import eval_m, is_tautology_m
-from illoc.program import blocks
+from illoc.program import schedule
 from illoc.opposition import CheckSpace, _square_formulas, entails, square_for_force
 from illoc.search import BudgetExceeded
 from illoc.syntax import (
@@ -1041,7 +1041,8 @@ class TestLevelScan:
         lowered = lower([f], mode, K1.k)
         scan = MBScan(K1, mode, lowered[0].order(), lowered)
         assert (len(scan.keys), len(scan.code)) == (4, 6)
-        assert next(blocks([], scan.code, [range(2)] * 4, range(4), 2))[0] == slice(2, 4)
+        _, (block, _) = itertools.islice(schedule([], scan.code, [range(2)] * 4), 2)
+        assert block == slice(2, 4)
         self.check_every_row(f, K1, mode)
 
     @staticmethod

@@ -1,19 +1,20 @@
 """The scan order both matrices keep, `MBScan.run` on lowered programs, the
-schedule of the inner block both scans run (`program.blocks`), and the
-budget check the callers of a scan make before they build the domains."""
+schedule of valuations both scans run (`program.schedule`), and the budget
+check the callers of a scan make before they build the domains."""
 
 import itertools
 
 import pytest
 
 from illoc.boolalg import AlgebraSpec
-from illoc.matrix_m import BIT_CODE, MScan
+from illoc.matrix_m import BIT_CODE, MScan, is_tautology_m
 from illoc.matrix_m import lower as lower_m
-from illoc.matrix_mb import MBMode, MBScan, lower
-from illoc.program import blocks
+from illoc.matrix_mb import MBMode, MBScan, is_tautology_mb, lower
+from illoc.program import by_level, schedule
 from illoc.search import BudgetExceeded, check_budget
 from illoc.syntax import parse_formula
 
+K1 = AlgebraSpec(("a",))
 K2 = AlgebraSpec(("a", "b"))  # an atom slot takes the codes 0 to 3
 
 
@@ -29,7 +30,8 @@ def _mb_scan(atoms, text=None):
 def _m_scan(atoms, text=None):
     """A scan in m of the conjunction of atoms (or of text over them), one
     atom slot per name in order."""
-    program, roots = lower_m([parse_formula(text or " & ".join(atoms))])
+    text = text or " & ".join(atoms)
+    program, roots = lower_m([parse_formula(text)] if text else [])
     return MScan(program, roots, atoms)
 
 
@@ -95,8 +97,9 @@ def test_a_scan_where_no_slot_varies_visits_its_one_valuation(matrix):
     assert seen == [(1, 0)]
 
 
-def test_no_slot_is_one_empty_assignment():
-    scan = _mb_scan([])
+@pytest.mark.parametrize("matrix", SCANS)
+def test_no_slot_is_one_empty_assignment(matrix):
+    scan = SCANS[matrix]([])
     assert scan.keys == () and scan.code == []
     assert scan.run([], lambda scan, codes: ("hit", codes)) == ("hit", [])
 
@@ -125,10 +128,11 @@ def _sized_scan(matrix, atoms, size):
 
 
 def _first_block(scan, domains):
-    """The register or slice of the inner block that `blocks` schedules for
-    a scan over domains."""
-    varying = [j for j, d in enumerate(domains) if len(d) > 1]
-    return next(blocks([], scan.code, domains, varying, 1))[0]
+    """The register or slice of the inner block that `schedule` runs for a
+    scan over domains: the block of its second yield, after the first sweep
+    of the last varying slot."""
+    _, (block, _) = itertools.islice(schedule([], scan.code, domains), 2)
+    return block
 
 
 def _visits(scan, domains, stop=None):
@@ -151,7 +155,7 @@ def _visits(scan, domains, stop=None):
 # (the four truth values) and at K2 in mb. An mb program over n atoms has at
 # least 2n - 1 instructions, so every size is at least that.
 BOUND_CASES = {
-    # size: the program's instructions; block: what `blocks` makes the inner block
+    # size: the program's instructions; block: what `schedule` makes the inner block
     "block-covers-every-slot": (8, [(0, 1), (2, 3), (1, 0)], slice(0, 3)),
     "one-value-slot-inside-the-block": (7, [(0, 1), (0, 1), (3,), (1, 0)], slice(1, 4)),
     "joint-domain-at-the-bound": (9, [(0, 1), (0, 1, 2), (1, 0, 3), (3, 2, 1)], slice(2, 4)),
@@ -176,9 +180,9 @@ def test_the_inner_block_grows_while_its_domain_fits_the_program(matrix, case):
 @pytest.mark.parametrize("stop", [1, 3, 4, 11, 12, 13, 23], ids=lambda stop: f"row-{stop}")
 def test_a_witness_stops_the_schedule_at_its_row(matrix, stop):
     """Slot 0 is outer and slots 1 and 2 the block, which has 12 valuations:
-    rows 0-3 are the first sweep of the last slot (in mb the whole program
-    runs on them, in m on row 0 only), rows 4-11 the rest of the first
-    block, row 12 opens the second block and rows 13-23 are in it."""
+    rows 0-3 are the first sweep of the last slot (the whole program runs
+    on them), rows 4-11 the rest of the first block, row 12 opens the
+    second block and rows 13-23 are in it."""
     size, domains = 12, [(0, 1), (0, 1, 2), (3, 2, 1, 0)]
     scan = _sized_scan(matrix, ["p", "q", "r"], size)
     assert _first_block(scan, domains) == slice(1, 3)
@@ -194,6 +198,36 @@ def test_a_carry_crosses_the_block_and_every_outer_slot(matrix):
     assert _first_block(scan, domains) == slice(2, 5)
     seen, _ = _visits(scan, domains)
     assert seen == list(itertools.product(*domains))
+
+
+LEVEL_CASES = {
+    # check: (its scan, whether it ends in the first sweep of the last varying slot)
+    "m-refuted-at-row-1": (lambda: is_tautology_m(parse_formula("q -> p")), True),
+    "m-refuted-at-row-2": (lambda: is_tautology_m(parse_formula("p | q -> q")), False),
+    "m-tautology-of-one-sweep": (lambda: is_tautology_m(parse_formula("p -> p")), True),
+    "m-tautology-of-two-sweeps": (
+        lambda: is_tautology_m(parse_formula("p & q -> p | r")), False),
+    "mb-refuted-at-row-1": (lambda: is_tautology_mb(
+        parse_formula("[f](q) -> [g](p)"), K2, MBMode.POINTWISE), True),
+    "mb-refuted-at-row-2": (lambda: is_tautology_mb(
+        parse_formula("p -> q"), K1, MBMode.POINTWISE), False),
+    "mb-tautology-of-two-sweeps": (lambda: is_tautology_mb(
+        parse_formula("[f](p) -> p"), K1, MBMode.POINTWISE), False),
+}
+
+
+@pytest.mark.parametrize("case", LEVEL_CASES)
+def test_the_levels_are_grouped_once_and_only_when_the_first_sweep_misses(monkeypatch, case):
+    check, in_first_sweep = LEVEL_CASES[case]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return by_level(*args)
+
+    monkeypatch.setattr("illoc.program.by_level", counted)
+    check()
+    assert len(calls) == (0 if in_first_sweep else 1)
 
 
 def test_a_space_of_exactly_the_budget_is_allowed_and_one_more_is_refused():
