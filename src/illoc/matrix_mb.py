@@ -185,36 +185,22 @@ _KINDS = ("atom", "act", "gen", "sig")
 
 class MBProgram(Program):
     """The program of one lowering and what lowering keeps beside it: the
-    bound act names, each formula's force nodes with their registers, and
-    the leaves of each kind, first seen first, whose lists one after another
-    are the scan order."""
+    bound act names and each formula's force nodes with their registers."""
 
     def __init__(self, bound: frozenset[str]) -> None:
         super().__init__()
         self.bound = bound
         self.forces: list[list[tuple[Force, int]]] = []  # per formula
-        self.kinds: dict[str, list[tuple]] = {}  # kind -> its leaves; only the kinds seen
-
-    def leaf(self, key: tuple) -> int:
-        leaves = self.leaves
-        j = leaves.get(key)
-        if j is None:
-            j = leaves[key] = len(leaves)
-            self.kinds.setdefault(key[0], []).append(key)
-        return ~j
 
     def order(self) -> list[tuple]:
-        """The leaves a scan varies, in scan order: atoms, acts, generators, signatures."""
-        kinds = self.kinds
-        return [key for kind in _KINDS if kind in kinds for key in kinds[kind]]
-
-
-# a program, the register of each formula and each one's force nodes with theirs
-Lowered = tuple[MBProgram, list[int], list[list[tuple[Force, int]]]]
+        """The leaves a scan varies, in scan order: atoms, acts, generators,
+        signatures, each kind's first seen first."""
+        leaves = self.leaves
+        return [key for kind in _KINDS for key in leaves if key[0] == kind]
 
 
 @lru_cache(maxsize=None)
-def _lowering(mode: MBMode, k: int, nested_pointwise: bool) -> Callable[[Formula, MBProgram], int]:
+def _lowering(mode: MBMode, k: int, nested_pointwise: bool) -> Callable[..., int]:
     """How one mode over k atoms lowers a node into a program, returning its
     register; built once per (mode, k, nested_pointwise), beside
     `packed_ops(k)`, and dispatched on the node's type."""
@@ -232,67 +218,55 @@ def _lowering(mode: MBMode, k: int, nested_pointwise: bool) -> Callable[[Formula
     force_imp = ops.pointwise_imp if nested_pointwise else ops.imp
     free = mode is MBMode.FREE
 
-    def reference(f: ActRef, p: MBProgram) -> tuple:
-        if f.name not in p.bound:
-            raise UnknownActRef(f.name)
-        return ("ref", f.name)
-
-    def has_act(f: Formula, p: MBProgram) -> bool:
-        # whether f holds a force or a reference outside any force in it; the
-        # walk stops at a force, so each node is walked for its nearest force only
+    def has_act(f: Formula) -> bool:
+        # whether a force or a reference occurs anywhere in f
         t = type(f)
-        if t is Force:
-            return True
-        if t is ActRef:
-            reference(f, p)  # an unbound one raises here, as lowering it would
-            return True
         if t is Atom:
             return False
         if t is Not:
-            return has_act(f.body, p)
-        return has_act(f.left, p) or has_act(f.right, p)
+            return has_act(f.body)
+        if t is Force or t is ActRef:
+            return True
+        return has_act(f.left) or has_act(f.right)
 
-    def extend(force: str, f: Formula, p: MBProgram) -> int:
-        # the value of a force over force-free content, from per-atom generators
+    def node(f: Formula, p: MBProgram, force: Optional[str] = None) -> int:
+        # force is None in the matrix; in the force-free content of a force it
+        # is the force's name, and the content takes its value from that
+        # force's generators, one per atom, through the content's connectives
         t = type(f)
         if t is Atom:
-            return p.leaf(("gen", force, f.name))
-        if t is Not:
-            a = extend(force, f.body, p)
-            return p.emit(content[t], a, a)
-        if t in content:
-            return p.emit(content[t], extend(force, f.left, p), extend(force, f.right, p))
-        raise TypeError(f"force-free content cannot contain {f!r}")
-
-    def node(f: Formula, p: MBProgram) -> int:
-        t = type(f)
-        if t is Atom:
+            if force is not None:
+                return p.leaf(("gen", force, f.name))
             a = p.leaf(("atom", f.name))
             return p.emit(standard, a, a)
+        connectives = matrix if force is None else content
         if t is Not:
-            a = node(f.body, p)
-            return p.emit(matrix[t], a, a)
-        if t in matrix:
-            return p.emit(matrix[t], node(f.left, p), node(f.right, p))
+            a = node(f.body, p, force)
+            return p.emit(connectives[t], a, a)
+        if t in connectives:
+            return p.emit(connectives[t], node(f.left, p, force), node(f.right, p, force))
         if t is Force:
-            if has_act(f.content, p):
+            if has_act(f.content):
                 x = p.emit(force_imp, p.leaf(("sig", f.force)), node(f.content, p))
             elif free:
                 x = p.leaf(("act", format_formula(f)))
             else:
-                x = extend(f.force, f.content, p)
+                x = node(f.content, p, f.force)
             p.forces[-1].append((f, x))
             return x
         if t is ActRef:
-            return p.leaf(reference(f, p))
+            if f.name not in p.bound:
+                raise UnknownActRef(f.name)
+            return p.leaf(("ref", f.name))
         raise TypeError(f"cannot evaluate {f!r}")
 
     return node
 
 
 def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
-          bound: frozenset[str] = frozenset(), nested_pointwise: bool = False) -> Lowered:
-    """One program for act-free formulas.
+          bound: frozenset[str] = frozenset(),
+          nested_pointwise: bool = False) -> tuple[MBProgram, list[int]]:
+    """One program for act-free formulas, and the register of each one's root.
 
     Its leaves are slot keys: ("atom", name), ("act", key), ("gen", force,
     atom), ("sig", force) and, for a reference in bound, ("ref", name); any
@@ -306,7 +280,7 @@ def lower(resolved: Sequence[Formula], mode: MBMode, k: int, *,
     for f in resolved:
         program.forces.append([])
         roots.append(node(f, program))
-    return program, roots, program.forces
+    return program, roots
 
 
 class MBScan:
@@ -320,13 +294,12 @@ class MBScan:
     """
 
     def __init__(self, algebra: AlgebraSpec, mode: MBMode, keys: Iterable[tuple],
-                 lowered: Lowered):
-        program, roots, forces = lowered
+                 program: MBProgram, roots: Sequence[int]):
         self.keys = tuple(keys)
         self.code, table = program.link(self.keys)
         self.roots = [table[x] for x in roots]
         self.algebra, self.mode = algebra, mode
-        self.forces = [[(node, table[x]) for node, x in found] for found in forces]
+        self.forces = [[(node, table[x]) for node, x in found] for found in program.forces]
         self.registers: list[int] = []
         self._is_standard = packed_ops(algebra.k).is_standard
         self._subvalue_keys: dict[int, dict[str, int]] = {}
@@ -387,7 +360,7 @@ def _visit(resolved: Formula, valuation: MBValuation,
 
     The first leaf with no value raises MissingAssignment.
     """
-    lowered = lower([resolved], valuation.mode, valuation.algebra.k, **lowering)
+    program, roots = lower([resolved], valuation.mode, valuation.algebra.k, **lowering)
     codes = {
         **{("atom", name): element_index(e) for name, e in valuation.atom_values.items()},
         **{("act", key): encode(h) for key, h in valuation.act_values.items()},
@@ -395,11 +368,11 @@ def _visit(resolved: Formula, valuation: MBValuation,
         **{("sig", name): encode(h) for name, h in valuation.signatures.items()},
         **(extra or {}),
     }
-    keys = lowered[0].leaves
+    keys = program.leaves
     for key in keys:
         if key not in codes:
             raise MissingAssignment(_MISSING[key[0]].format(*key[1:]))
-    scan = MBScan(valuation.algebra, valuation.mode, keys, lowered)
+    scan = MBScan(valuation.algebra, valuation.mode, keys, program, roots)
     return scan.run([(codes[key],) for key in keys], lambda scan, _: scan)
 
 
@@ -424,46 +397,41 @@ def _nonstandard_codes(k: int) -> tuple[int, ...]:
     return tuple(u | v << k for u in range(1 << k) for v in range(1 << k) if u != v)
 
 
-def _check_domains(kinds: Mapping[str, Sequence[tuple]], domains: Mapping[str, Sequence[int]],
-                   k: int) -> None:
-    """Raise ValueError for an unknown kind, or a code its slots cannot take."""
+def _slot_domains(order: Sequence[tuple], k: int, domains: Mapping[str, Sequence[int]],
+                  budget: int) -> tuple[list, int]:
+    """The domain of each slot of a lowering's scan order over k atoms, and
+    the size of the space.
+
+    A slot takes its kind's given domain, or every value of its kind. A
+    given domain of an unknown kind, or with a code its kind cannot take,
+    raises ValueError; the message names the kind's first slot, and the
+    domain of a kind with no slot is not checked. The space is sized from
+    the domains' lengths and refused over budget before any domain is
+    built, and a nonstandard domain is built only for a scan with a slot
+    that needs it.
+    """
     for kind in domains:
         if kind not in _KINDS:
             raise ValueError(f"unknown slot kind {kind!r}")
     low = (1 << k) - 1
-    for kind in _KINDS:  # in scan order: the message names the first slot of a bad domain
-        if kind not in domains or kind not in kinds:
-            continue
+    size, last = 1, None
+    for key in order:
+        kind = key[0]
         atom = kind == "atom"
-        for code in domains[kind]:
-            if not 0 <= code < 1 << (k if atom else 2 * k) or not atom and code & low == code >> k:
-                raise ValueError(f"{code} is outside the domain of slot {kinds[kind][0]!r}")
-
-
-def _slot_domains(kinds: Mapping[str, Sequence[tuple]], k: int,
-                  domains: Mapping[str, Sequence[int]], budget: int) -> tuple[list, int]:
-    """The domain of each slot of a lowering's kinds over k atoms, in scan
-    order, and the size of the space.
-
-    A slot takes its kind's given domain, or every value of its kind. The
-    space is sized from the domains' lengths and refused over budget before
-    any domain is built, and a nonstandard domain is built only for a scan
-    with a slot that needs it.
-    """
-    if domains:
-        _check_domains(kinds, domains, k)
-    size = 1
-    for kind, keys in kinds.items():
-        size *= (len(domains[kind]) if kind in domains
-                 else 2 ** k if kind == "atom" else 4 ** k - 2 ** k) ** len(keys)
+        if kind not in domains:
+            size *= 2 ** k if atom else 4 ** k - 2 ** k
+            continue
+        if kind != last:  # the kind's first slot: order lists each kind's slots together
+            for code in domains[kind]:
+                if (not 0 <= code < 1 << (k if atom else 2 * k)
+                        or not atom and code & low == code >> k):
+                    raise ValueError(f"{code} is outside the domain of slot {key!r}")
+            last = kind
+        size *= len(domains[kind])
     check_budget(size, budget)
-    slots: list = []
-    for kind in _KINDS:
-        if kind in kinds:
-            slots += [domains[kind] if kind in domains
-                      else range(1 << k) if kind == "atom"  # binary-counting order, as `enumerate_elements`
-                      else _nonstandard_codes(k)] * len(kinds[kind])
-    return slots, size
+    return [domains[key[0]] if key[0] in domains
+            else range(1 << k) if key[0] == "atom"  # binary-counting order, as `enumerate_elements`
+            else _nonstandard_codes(k) for key in order], size
 
 
 def scan_mb(
@@ -480,12 +448,12 @@ def scan_mb(
 
     The formulas are lowered once into one program, whose leaves are the
     slots (`slot_keys`), scanned atoms first, then acts, generators and
-    signatures, the first slot most significant. Lowering keeps each kind's
-    leaves in the order first seen, so the scan order, the register table
-    that links the program to it and the size of the space come from those
-    lists with no sort. `MBScan.run` runs the program; codes holds the
-    formulas' packed values and scan (the MBScan) decodes the valuation on
-    demand, and the witness is decoded once, when a verdict hits. Returns
+    signatures, the first slot most significant, each kind's first seen
+    first (`MBProgram.order`); the register table that links the program to
+    that order and the size of the space come from it. `MBScan.run` runs
+    the program; codes holds the formulas' packed values and scan (the
+    MBScan) decodes the valuation on demand, and the witness is decoded
+    once, when a verdict hits. Returns
     ((valuation, payload) or None, number of valuations in the space).
     domains maps a slot kind ("atom", "act", "gen" or "sig") to the codes,
     in scan order, that its slots take in place of every value of the kind.
@@ -493,10 +461,10 @@ def scan_mb(
     budget before any slot's domain is built.
     """
     k = algebra.k
-    lowered = lower([inline_acts(f, defs) for f in formulas] if defs else formulas, mode, k)
-    program = lowered[0]
-    slots, size = _slot_domains(program.kinds, k, domains or {}, budget)
-    scan = MBScan(algebra, mode, program.order(), lowered)
+    program, roots = lower([inline_acts(f, defs) for f in formulas] if defs else formulas, mode, k)
+    order = program.order()
+    slots, size = _slot_domains(order, k, domains or {}, budget)
+    scan = MBScan(algebra, mode, order, program, roots)
     payload = scan.run(slots, verdict)
     return None if payload is None else (scan.valuation(), payload), size
 

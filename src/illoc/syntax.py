@@ -341,20 +341,18 @@ def format_program(defs: ActDefs, formula: Optional[Formula] = None) -> str:
 
 # --- structural queries ---
 
-def children(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, Not):
-        yield f.body
-    elif isinstance(f, (And, Or, Implies)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, Force):
-        yield f.content
-
-
 def walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    for child in children(f):
-        yield from walk(child)
+    """f and every node under it in preorder, left to right, from an explicit stack."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, Not):
+            stack.append(f.body)
+        elif isinstance(f, (And, Or, Implies)):
+            stack += f.right, f.left
+        elif isinstance(f, Force):
+            stack.append(f.content)
 
 
 def atoms_of(f: Formula) -> list[str]:

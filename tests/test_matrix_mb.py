@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import functools
 import gc
 import itertools
@@ -369,21 +370,27 @@ class TestProgram:
     @pytest.mark.parametrize("mode", MODES)
     def test_entailment_of_a_formula_by_itself_lowers_it_once(self, mode):
         alone = lower([self.A], mode, 2)[0]
-        program, (left, right), (forces, again) = lower([self.A, self.A], mode, 2)
+        program, (left, right) = lower([self.A, self.A], mode, 2)
+        forces, again = program.forces
         assert _size(program) == _size(alone)
         assert left == right and forces == again
 
     @pytest.mark.parametrize("mode", [MBMode.POINTWISE, MBMode.CONNECTIVE])
     def test_the_square_lowers_each_force_once(self, mode):
-        program, _, forces = lower(_square_formulas("f", "p"), mode, 2)
+        program, _ = lower(_square_formulas("f", "p"), mode, 2)
+        forces = program.forces
         # F(p) is its generator and F(~p) one content negation of it
         registers = {x for found in forces for _, x in found}
         assert len(registers) == 2
         # F(~p), ~F(~p), ~F(p), their |, F(~p) & F(p) and its ~
         assert _size(program) == 6
 
+    def test_a_node_that_is_no_formula_is_named(self):
+        with pytest.raises(TypeError, match="cannot evaluate 3"):
+            lower([And(Atom("p"), 3)], MBMode.POINTWISE, 1)
+
     def test_forces_are_listed_in_postorder(self):
-        _, _, (forces,) = lower([parse_formula("[a]([b](p)) & [c](q)")], MBMode.POINTWISE, 1)
+        (forces,) = lower([parse_formula("[a]([b](p)) & [c](q)")], MBMode.POINTWISE, 1)[0].forces
         assert [format_formula(f) for f, _ in forces] == ["[b](p)", "[a]([b](p))", "[c](q)"]
 
     @pytest.mark.parametrize("mode,key", [(MBMode.POINTWISE, ("gen", "b", "p")),
@@ -406,12 +413,11 @@ class TestProgram:
                                             (MBMode.FREE, ("act", "[b](q)"))])
     def test_leaves_first_seen_against_scan_order_link_to_their_slots(self, mode, inner):
         f = parse_formula("[a]([b](q)) | ~p")
-        lowered = lower([f], mode, 2)
-        program = lowered[0]
+        program, roots = lower([f], mode, 2)
         # a signature and the inner force's slot are seen before the atom, which is scanned first
         assert list(program.leaves) == [("sig", "a"), inner, ("atom", "p")]
         assert program.order() == [("atom", "p"), inner, ("sig", "a")]
-        scan = MBScan(K2, mode, program.order(), lowered)
+        scan = MBScan(K2, mode, program.order(), program, roots)
         # by hand: each slot in the register of its place in scan order, instruction i in 3 + i
         slot = {("atom", "p"): 0, inner: 1, ("sig", "a"): 2}
         sig_imp, standard_p, not_p, either = 3, 4, 5, 6
@@ -686,9 +692,13 @@ class TestScanDomains:
         ({"atom": (4,)}, r"4 is outside the domain of slot \('atom', 'p'\)"),
         ({"atom": (-1,)}, r"-1 is outside the domain of slot \('atom', 'p'\)"),
         ({"gens": (1,)}, "unknown slot kind 'gens'"),
+        # atoms come first in scan order, so their domain is checked first
+        ({"gen": (0,), "atom": (4,)}, r"4 is outside the domain of slot \('atom', 'p'\)"),
+        ({"atom": (4,), "gens": (1,)}, "unknown slot kind 'gens'"),  # before any code
+        ({"act": (0,)}, None),  # ignored: in POINTWISE the formula has no act slot
     ])
     def test_a_domain_outside_its_kind_is_refused(self, domains, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) if message else contextlib.nullcontext():
             find_difference(parse_formula("[f](p)"), parse_formula("p"), K2, MBMode.POINTWISE,
                             domains=domains)
 
@@ -1038,8 +1048,8 @@ class TestLevelScan:
         # is the last two slots, so every fourth row carries into the two
         # outer ones
         f = parse_formula("[h]([g]([f](q) & p) -> ~p)")
-        lowered = lower([f], mode, K1.k)
-        scan = MBScan(K1, mode, lowered[0].order(), lowered)
+        program, roots = lower([f], mode, K1.k)
+        scan = MBScan(K1, mode, program.order(), program, roots)
         assert (len(scan.keys), len(scan.code)) == (4, 6)
         _, (block, _) = itertools.islice(schedule([], scan.code, [range(2)] * 4), 2)
         assert block == slice(2, 4)

@@ -23,8 +23,8 @@ def _mb_scan(atoms, text=None):
     slot per name in order."""
     text = text or " & ".join(atoms)
     formulas = [parse_formula(text)] if text else []
-    lowered = lower(formulas, MBMode.POINTWISE, K2.k)
-    return MBScan(K2, MBMode.POINTWISE, lowered[0].order(), lowered)
+    program, roots = lower(formulas, MBMode.POINTWISE, K2.k)
+    return MBScan(K2, MBMode.POINTWISE, program.order(), program, roots)
 
 
 def _m_scan(atoms, text=None):

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formula
+from illoc.boolalg import AlgebraSpec
+from illoc.matrix_mb import default_signatures
 from illoc.syntax import (
     ActRef,
     And,
@@ -262,6 +264,17 @@ class TestDeepNesting:
             assert isinstance(f, Not) and isinstance(f.body, Force)
             f = f.body.content
         assert f == Atom("p")
+
+    def test_binary_nesting_is_walked_without_recursion(self):
+        depth = 30_000  # past the recursion limit
+        f = And(ActRef("x"), Force("f", Atom("p")))
+        for i in range(depth):
+            f = (And, Or, Implies)[i % 3](Atom(f"q{i % 7}"), f)
+        assert atoms_of(f) == [f"q{i % 7}" for i in range(depth - 1, depth - 8, -1)] + ["p"]
+        defs = {"x": f}
+        assert forces_of(f, defs) == frozenset({"f"})
+        assert detect_cycles(defs) == [["x"]]
+        assert list(default_signatures(defs, AlgebraSpec(("a",)))) == ["f"]
 
     def test_unclosed_parentheses_report_the_end(self):
         depth = 100_000
