@@ -228,6 +228,8 @@ def _cmd_eval(args) -> int:
         }
         _emit(args, payload, f"{value} {classify(value)}")
         return 0
+    if args.assign:
+        raise ValueError("--assign values atoms in matrix m; in mb, give a --valuation file")
     valuation = _load_valuation(args, _algebra_of(args))
     outcome = eval_mb(formula, valuation, defs)
     payload = {
@@ -430,12 +432,14 @@ def _cmd_fmt(args) -> int:
     defs, formula = _load_program(args, None)
     if args.formula is not None:
         formula = _parse_argument(args.formula, defs)
-    payload = {
+    if args.output == "text":  # the JSON's AST nests as deeply as the formula: text needs none
+        print(format_program(defs, formula))
+        return 0
+    _emit(args, {
         "definitions": {name: format_formula(body) for name, body in defs.items()},
         "formula": None if formula is None else format_formula(formula),
         "ast": None if formula is None else formula_to_json(formula),
-    }
-    _emit(args, payload, format_program(defs, formula))
+    }, "")
     return 0
 
 

@@ -10,9 +10,13 @@ order, which makes them Boolean infinitesimals.
 
 Two order-like structures live side by side and are deliberately kept apart:
 `pinf`/`psup` are the pointwise lattice operations (componentwise meet/join),
-while `hleq`/`osup`/`oinf` follow the stipulated order in which any standard
-value dominates any nonstandard one. The top standard value is the maximum
-of the whole space, but the bottom standard value is *not* its minimum.
+while `hleq` is the stipulated order, in which any standard value dominates
+any nonstandard one. The top standard value is the maximum of the whole
+space, but the bottom standard value is *not* its minimum. The order is no
+lattice, and `osup`/`oinf` are not its join/meet but the componentwise
+join/meet of two values of one kind, or a mixed pair's standard/nonstandard
+operand: at K1 `osup(<{a},{}>, <{},{a}>)` is `*1`, but the pair's least upper
+bound is `*0`, and at K2 the pair has two minimal upper bounds and no join.
 
 Every operation runs on packed values. An element of the k-atom algebra is
 a k-bit int with bit i for atom i (the order of `element_index`), and a
@@ -80,7 +84,7 @@ class HyperValue(Record):
         return self.on_true.algebra
 
     def __str__(self) -> str:
-        if not self.exceptions and self.on_true == self.on_false:
+        if not self.exceptions and self.on_true.atoms == self.on_false.atoms:  # one algebra
             c = self.on_true
             if not c.atoms:
                 return "*0"
@@ -158,14 +162,14 @@ def packed_ops(k: int) -> PackedOps:
         return h >> k | (h & low) << k
 
     def osup(a, b):
-        # join along the stipulated order: a mixed pair joins at its standard operand
+        # componentwise join, or a mixed pair's standard operand: not the order's join
         sa, sb = a & low == a >> k, b & low == b >> k
         if sa == sb:
             return a | b
         return a if sa else b
 
     def oinf(a, b):
-        # meet along the stipulated order: a mixed pair meets at its nonstandard operand
+        # componentwise meet, or a mixed pair's nonstandard operand
         sa, sb = a & low == a >> k, b & low == b >> k
         if sa == sb:
             return a & b
@@ -297,17 +301,14 @@ def hleq(h1: HyperValue, h2: HyperValue) -> bool:
 
 
 def osup(h1: HyperValue, h2: HyperValue) -> HyperValue:
-    """Join along the stipulated order.
-
-    Mixed pairs resolve to the standard operand: it bounds both, and every
-    upper bound of a standard value is standard and at least it. Nonstandard
-    pairs take the componentwise join, which may collapse to a constant.
-    """
+    """The componentwise join of two standard or two nonstandard values (which
+    may collapse to a constant), or a mixed pair's standard operand; not the
+    stipulated order's join, which some pairs lack (see the module doc)."""
     return decode(h1.algebra, _apply("osup", h1, h2))
 
 
 def oinf(h1: HyperValue, h2: HyperValue) -> HyperValue:
-    """Meet along the stipulated order; dual of `osup`."""
+    """The dual of `osup`: the componentwise meet, or a mixed pair's nonstandard operand."""
     return decode(h1.algebra, _apply("oinf", h1, h2))
 
 

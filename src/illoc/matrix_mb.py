@@ -114,6 +114,9 @@ class MBMode(Enum):
     POINTWISE = "pointwise"
     CONNECTIVE = "connective"
 
+    # a member equals only itself: hashed by identity in C, not by name in Python
+    __hash__ = object.__hash__
+
 
 class MBValuation(Record):
     """Values for the slots of a formula; a map left out is a fresh empty dict."""
@@ -133,17 +136,16 @@ class MBValuation(Record):
         for name, value in atom_values.items():
             if value.algebra != algebra:
                 raise ValueError(f"atom {name!r} is valued outside the algebra")
-        _set_algebra(self, algebra)
-        _set_mode(self, mode)
-        _set_atom_values(self, atom_values)
-        _set_act_values(self, _nonstandard("act", act_values, algebra))
-        _set_generators(self, _nonstandard("generator", generators, algebra))
-        _set_signatures(self, _nonstandard("signature", signatures, algebra))
+        _fill(self, algebra, mode, atom_values, _nonstandard("act", act_values, algebra),
+              _nonstandard("generator", generators, algebra),
+              _nonstandard("signature", signatures, algebra))
 
 
-# bound once, as the formula nodes' in `syntax`: a scan builds one valuation per witness
-(_set_algebra, _set_mode, _set_atom_values, _set_act_values, _set_generators,
- _set_signatures) = MBValuation._setters
+def _fill(v: MBValuation, *fields) -> MBValuation:
+    """v with its fields set, in slot order, to values already checked and normalized."""
+    for set_field, value in zip(MBValuation._setters, fields):
+        set_field(v, value)
+    return v
 
 
 def _nonstandard(label: str, mapping: Optional[Mapping], algebra: AlgebraSpec) -> dict:
@@ -187,14 +189,15 @@ class MBProgram(Program):
     """The program of one lowering and what lowering keeps beside it: the
     bound act names and each formula's force nodes with their registers."""
 
+    __slots__ = ("bound", "forces")
+
     def __init__(self, bound: frozenset[str]) -> None:
         super().__init__()
         self.bound = bound
         self.forces: list[list[tuple[Force, int]]] = []  # per formula
 
     def order(self) -> list[tuple]:
-        """The leaves a scan varies, in scan order: atoms, acts, generators,
-        signatures, each kind's first seen first."""
+        """The leaves a scan varies, in scan order: each kind's in `_KINDS`, first seen first."""
         leaves = self.leaves
         return [key for kind in _KINDS for key in leaves if key[0] == kind]
 
@@ -232,24 +235,29 @@ def _lowering(mode: MBMode, k: int, nested_pointwise: bool) -> Callable[..., int
     def node(f: Formula, p: MBProgram, force: Optional[str] = None) -> int:
         # force is None in the matrix; in the force-free content of a force it
         # is the force's name, and the content takes its value from that
-        # force's generators, one per atom, through the content's connectives
+        # force's generators, one per atom, through the content's connectives;
+        # leaves and instructions are numbered as in `Program.leaf` and `emit`
         t = type(f)
         if t is Atom:
+            leaves = p.leaves
             if force is not None:
-                return p.leaf(("gen", force, f.name))
-            a = p.leaf(("atom", f.name))
-            return p.emit(standard, a, a)
+                return ~leaves.setdefault(("gen", force, f.name), len(leaves))
+            a, code = ~leaves.setdefault(("atom", f.name), len(leaves)), p.instructions
+            return code.setdefault((standard, a, a), len(code))
         connectives = matrix if force is None else content
-        if t is Not:
-            a = node(f.body, p, force)
-            return p.emit(connectives[t], a, a)
-        if t in connectives:
-            return p.emit(connectives[t], node(f.left, p, force), node(f.right, p, force))
+        if t in connectives:  # a negation reads its one operand twice
+            a = node(f.body if t is Not else f.left, p, force)
+            b = a if t is Not else node(f.right, p, force)
+            code = p.instructions
+            return code.setdefault((connectives[t], a, b), len(code))
+        leaves = p.leaves
         if t is Force:
             if has_act(f.content):
-                x = p.emit(force_imp, p.leaf(("sig", f.force)), node(f.content, p))
+                a = ~leaves.setdefault(("sig", f.force), len(leaves))
+                b, code = node(f.content, p), p.instructions
+                x = code.setdefault((force_imp, a, b), len(code))
             elif free:
-                x = p.leaf(("act", format_formula(f)))
+                x = ~leaves.setdefault(("act", format_formula(f)), len(leaves))
             else:
                 x = node(f.content, p, f.force)
             p.forces[-1].append((f, x))
@@ -257,7 +265,7 @@ def _lowering(mode: MBMode, k: int, nested_pointwise: bool) -> Callable[..., int
         if t is ActRef:
             if f.name not in p.bound:
                 raise UnknownActRef(f.name)
-            return p.leaf(("ref", f.name))
+            return ~leaves.setdefault(("ref", f.name), len(leaves))
         raise TypeError(f"cannot evaluate {f!r}")
 
     return node
@@ -293,16 +301,26 @@ class MBScan:
     only when the verdict asks.
     """
 
+    __slots__ = ("keys", "code", "_table", "roots", "algebra", "mode", "_forces", "_linked",
+                 "registers", "_is_standard", "_subvalue_keys")
+
     def __init__(self, algebra: AlgebraSpec, mode: MBMode, keys: Iterable[tuple],
                  program: MBProgram, roots: Sequence[int]):
         self.keys = tuple(keys)
-        self.code, table = program.link(self.keys)
-        self.roots = [table[x] for x in roots]
+        self.code, self._table = program.link(self.keys)
+        self.roots = [self._table[x] for x in roots]
         self.algebra, self.mode = algebra, mode
-        self.forces = [[(node, table[x]) for node, x in found] for found in program.forces]
+        self._forces, self._linked = program.forces, None
         self.registers: list[int] = []
         self._is_standard = packed_ops(algebra.k).is_standard
         self._subvalue_keys: dict[int, dict[str, int]] = {}
+
+    @property
+    def forces(self) -> list[list[tuple[Force, int]]]:
+        """Each formula's force nodes and their linked registers, linked at the first ask."""
+        if self._linked is None:
+            self._linked = [[(node, self._table[x]) for node, x in found] for found in self._forces]
+        return self._linked
 
     def run(self, domains: Sequence[Sequence[int]],
             verdict: Callable[["MBScan", list[int]], Any]) -> Any:
@@ -329,7 +347,10 @@ class MBScan:
     def admissible(self, i: int) -> bool:
         """No act subvalue of formula i is standard on the current valuation."""
         r, is_standard = self.registers, self._is_standard
-        return not any(is_standard(r[x]) for _, x in self.forces[i])
+        for _, x in self.forces[i]:
+            if is_standard(r[x]):
+                return False
+        return True
 
     def decode(self, code: int) -> HyperValue:
         return decode(self.algebra, code)
@@ -343,6 +364,7 @@ class MBScan:
         return EvalOutcome(self.decode(r[self.roots[i]]), self.admissible(i), subvalues)
 
     def valuation(self) -> MBValuation:
+        """The current valuation, whose codes `_slot_domains` checked: not checked again."""
         algebra = self.algebra
         parts: dict[str, dict] = {"atom": {}, "act": {}, "gen": {}, "sig": {}}
         for key, code in zip(self.keys, self.registers):  # the slot registers
@@ -351,7 +373,7 @@ class MBScan:
                 parts[kind][key[1]] = decode_element(algebra, code)
             else:
                 parts[kind][key[1:] if kind == "gen" else key[1]] = decode(algebra, code)
-        return MBValuation(algebra, self.mode, *parts.values())
+        return _fill(MBValuation.__new__(MBValuation), algebra, self.mode, *parts.values())
 
 
 def _visit(resolved: Formula, valuation: MBValuation,

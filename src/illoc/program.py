@@ -38,15 +38,17 @@ class Program:
     """While lowering, a register is an instruction's index i >= 0 or a leaf's
     ~j, j being the leaf's position in `leaves` (first seen first)."""
 
+    __slots__ = ("leaves", "instructions")
+
     def __init__(self) -> None:
         self.leaves: dict[Hashable, int] = {}  # slot key -> position
-        self._code: dict[tuple, int] = {}  # instruction -> index
+        self.instructions: dict[tuple, int] = {}  # instruction -> index
 
     def leaf(self, key: Hashable) -> int:
         return ~self.leaves.setdefault(key, len(self.leaves))
 
     def emit(self, op: Hashable, a: int, b: int) -> int:
-        return self._code.setdefault((op, a, b), len(self._code))
+        return self.instructions.setdefault((op, a, b), len(self.instructions))
 
     def link(self, order: Sequence[Hashable],
              ops: Mapping = MappingProxyType({})) -> tuple[Code, list[int]]:
@@ -57,11 +59,13 @@ class Program:
         which indexes the table from its end. Each op that ops lists is
         replaced by ops[op] and any other is kept."""
         n, leaves = len(order), self.leaves
-        table = [*range(n, n + len(self._code)), *[0] * n]
+        table = list(range(n, n + len(self.instructions) + n))  # the leaves' n are set below
         for i, key in enumerate(order):
             table[~leaves[key]] = i
-        return [(ops.get(op, op), o, table[a], table[b])
-                for o, (op, a, b) in enumerate(self._code, n)], table
+        numbered = enumerate(self.instructions, n)
+        if ops:
+            return [(ops.get(op, op), o, table[a], table[b]) for o, (op, a, b) in numbered], table
+        return [(op, o, table[a], table[b]) for o, (op, a, b) in numbered], table
 
 
 def by_level(code: Code, varying: Sequence[int], n: int) -> list[tuple]:
@@ -73,10 +77,10 @@ def by_level(code: Code, varying: Sequence[int], n: int) -> list[tuple]:
     level's tuple is built here once per scan, not sliced again per sweep;
     there is one per varying slot, and each slot has two values or more,
     so the budget bounds their number by its log2."""
-    level = [-1] * n
-    for k, j in enumerate(varying):
-        level[j] = k
-    groups: list = [[] for _ in varying]
+    level, groups = [-1] * n, []
+    for j in varying:
+        level[j] = len(groups)
+        groups.append([])
     for instruction in code:
         _, _, a, b = instruction
         x, y = level[a], level[b]
@@ -153,7 +157,8 @@ def schedule(r: list, code: Code,
     first = steps[0][0]
     outer = varying[:b]
     digits = [0] * b
-    yield block, steps[len(domains[last]):]  # after the first sweep
+    if size > len(domains[last]):  # a block of the last slot alone was the first sweep
+        yield block, steps[len(domains[last]):]
     while True:
         # the last outer slot not at its end takes its next value, the later ones their first
         k = b - 1

@@ -19,9 +19,10 @@ records define their own `__init__`:
   base constructor's argument handling would add to the cost of every node
   the parser and `substitute` build and of every check: the seven formula
   nodes and `MBValuation`, which also checks its input. Each calls its
-  slots' `__set__` from `_setters`, bound to module names once after the
-  class, since `setfield` by name looks the slot up on the class at every
-  call.
+  slots' `__set__` from `_setters` (a node's bound to module names once
+  after the class), since `setfield` by name looks the slot up on the class
+  at every call. A scan's witness is an `MBValuation` set through `_setters`
+  without the checks, which its slots' domains already passed.
 """
 
 from __future__ import annotations

@@ -307,19 +307,23 @@ _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_LEAF = 1, 2, 3, 4, 5
 
 
 def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, (Atom, ActRef)):
+    t = type(f)
+    if t is Atom or t is ActRef:
         return f.name
-    if isinstance(f, Force):
+    if t is Force:
         return f"[{f.force}]({_fmt(f.content, 0)})"
-    if isinstance(f, Not):
-        return "~" + _fmt(f.body, _PREC_NOT)
-    if isinstance(f, And):
+    if t is Not:  # a run of ~ in one step, so its length costs no recursion
+        run, f = 1, f.body
+        while type(f) is Not:
+            run, f = run + 1, f.body
+        return "~" * run + _fmt(f, _PREC_NOT)
+    if t is And:
         text = f"{_fmt(f.left, _PREC_AND)} & {_fmt(f.right, _PREC_AND + 1)}"
         prec = _PREC_AND
-    elif isinstance(f, Or):
+    elif t is Or:
         text = f"{_fmt(f.left, _PREC_OR)} | {_fmt(f.right, _PREC_OR + 1)}"
         prec = _PREC_OR
-    elif isinstance(f, Implies):
+    elif t is Implies:
         text = f"{_fmt(f.left, _PREC_IMPLIES + 1)} -> {_fmt(f.right, _PREC_IMPLIES)}"
         prec = _PREC_IMPLIES
     else:

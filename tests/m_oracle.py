@@ -54,8 +54,14 @@ def oracle_eval(f, assignment: dict) -> str:
     """The value of an act-free formula under a 0/1 assignment of its atoms."""
     if isinstance(f, Atom):
         return ONE if assignment[f.name] == 1 else ZERO
-    if isinstance(f, Not):
-        return T_NEG[oracle_eval(f.body, assignment)]
+    if isinstance(f, Not):  # a run of ~ in a loop, so its length costs no recursion
+        run = 0
+        while isinstance(f, Not):
+            f, run = f.body, run + 1
+        value = oracle_eval(f, assignment)
+        for _ in range(run):
+            value = T_NEG[value]
+        return value
     if isinstance(f, Force):
         return T_FORCE[oracle_eval(f.content, assignment)]
     table = {And: T_AND, Or: T_OR, Implies: T_IMP}[type(f)]
@@ -63,10 +69,10 @@ def oracle_eval(f, assignment: dict) -> str:
 
 
 def oracle_atoms(f) -> set:
+    while isinstance(f, Not):
+        f = f.body
     if isinstance(f, Atom):
         return {f.name}
-    if isinstance(f, Not):
-        return oracle_atoms(f.body)
     if isinstance(f, Force):
         return oracle_atoms(f.content)
     return oracle_atoms(f.left) | oracle_atoms(f.right)

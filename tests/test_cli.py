@@ -114,6 +114,15 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--matrix", "m", "--assign", "p=1", "p & q")
         assert (code, out, err) == (3, "", "error: no value for atom 'q'\n")
 
+    @pytest.mark.parametrize("assign", ["p=2", "=1", "p=1"],
+                             ids=["bad-value", "no-name", "well-formed"])
+    def test_matrix_mb_refuses_assign(self, capsys, mb_valuation, assign):
+        # mb reads every value from --valuation: an --assign is refused, not dropped
+        code, out, err = run(capsys, "eval", "--matrix", "mb", "--valuation", mb_valuation,
+                             "--assign", assign, "[f](p) -> p")
+        assert (code, out) == (3, "")
+        assert err == "error: --assign values atoms in matrix m; in mb, give a --valuation file\n"
+
     def test_cyclic_act_is_semantic_error(self, capsys, cyclic_defs):
         code, _, err = run(
             capsys, "eval", "--matrix", "mb", "--defs", cyclic_defs, "x"
@@ -566,8 +575,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [["fmt", TOO_DEEP_NEGATIONS], ["taut", "--matrix", "m", TOO_DEEP_FORCES]],
-        ids=["fmt-negations", "taut-forces"],
+        [["fmt", TOO_DEEP_FORCES], ["taut", "--matrix", "m", TOO_DEEP_FORCES]],
+        ids=["fmt-forces", "taut-forces"],
     )
     def test_deep_nesting_is_refused_without_a_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -579,6 +588,7 @@ class TestBadInput:
         "argv,exit_code,first_line",
         [
             (["fmt", DEEP_NEGATIONS], 0, DEEP_NEGATIONS),
+            (["fmt", TOO_DEEP_NEGATIONS], 0, TOO_DEEP_NEGATIONS),
             (["taut", "--matrix", "m", DEEP_NEGATIONS], 1, "refuted at p=0 with value 0"),
             (["taut", "--matrix", "mb", "--algebra", "a", DEEP_NEGATIONS], 1,
              "refuted with value *0"),
@@ -589,7 +599,7 @@ class TestBadInput:
             (["taut", "--matrix", "mb", "--algebra", "a", DEEP_FORCES], 1,
              "refuted with value <{},{a}>"),
         ],
-        ids=["fmt", "taut-m", "taut-mb", "eval-m", "table-m", "fmt-parentheses",
+        ids=["fmt", "fmt-too-deep", "taut-m", "taut-mb", "eval-m", "table-m", "fmt-parentheses",
              "taut-forces", "taut-mb-forces"],
     )
     def test_deep_negation_is_answered(self, capsys, argv, exit_code, first_line):

@@ -35,6 +35,7 @@ from illoc.hyper import (
 from illoc.matrix_mb import MBMode, _nonstandard_codes, is_tautology_mb
 from illoc.record import Record
 from illoc.syntax import Atom, Force
+from mb_oracle import t_leq, t_osup, term_table
 
 K1 = AlgebraSpec(("a",))
 K2 = AlgebraSpec(("a", "b"))
@@ -229,6 +230,32 @@ class TestOrderJoinMeet:
     def test_standard_pairs_use_base_algebra(self):
         assert osup(standard(el(K2, "a")), standard(el(K2, "b"))) == standard(K2.top())
         assert oinf(standard(el(K2, "a")), standard(el(K2, "b"))) == standard(K2.bottom())
+
+
+class TestOsupIsNotTheOrderJoin:
+    """`osup` is the componentwise join of two values of one kind and the
+    standard operand of a mixed pair, and `leq` has no join for some pairs:
+    both witnesses, against the table oracle's `t_osup` and `t_leq`."""
+
+    @staticmethod
+    def minimal_upper_bounds(spec, x, y):
+        table = {h: term_table(spec.atoms, h.on_true.atoms, h.on_false.atoms)
+                 for h in enumerate_hypervalues(spec)}
+        bounds = [h for h in table
+                  if t_leq(spec.atoms, table[x], table[h]) and t_leq(spec.atoms, table[y], table[h])]
+        assert table[osup(x, y)] == t_osup(table[x], table[y])
+        return {str(h) for h in bounds
+                if not any(g != h and t_leq(spec.atoms, table[g], table[h]) for g in bounds)}
+
+    def test_at_k1_two_infinitesimals_osup_to_the_top_but_join_at_the_bottom(self):
+        x, y = hyper(el(K1, "a"), K1.bottom()), hyper(K1.bottom(), el(K1, "a"))
+        assert str(osup(x, y)) == "*1"
+        assert self.minimal_upper_bounds(K1, x, y) == {"*0"}
+
+    def test_at_k2_the_same_pair_has_two_minimal_upper_bounds_and_no_join(self):
+        x, y = hyper(el(K2, "a"), K2.bottom()), hyper(K2.bottom(), el(K2, "a"))
+        assert str(osup(x, y)) == "*{a}"
+        assert self.minimal_upper_bounds(K2, x, y) == {"<{a,b},{a}>", "<{a},{a,b}>"}
 
 
 class TestOppositionCases:

@@ -238,6 +238,28 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation_from_json({"mode": "free"})
 
+    @pytest.mark.parametrize("mode", list(MBMode))
+    def test_a_scan_decodes_what_the_checking_constructor_builds(self, mode):
+        # an atom, an act or f's generator on q, g's signature and h's generator on p:
+        # the witness a scan decodes skips the constructor's checks, and on every
+        # row it must equal what the constructor builds from the same maps
+        f = parse_formula("[g]([f](q) & p) -> ~p | [h](p)")
+        kinds = {"atom", "sig", "act" if mode is MBMode.FREE else "gen"}
+        assert {key[0] for key in slot_keys([f], mode)} == kinds
+        rows = []
+
+        def visit(scan, _):
+            rows.append(scan.valuation())
+
+        assert scan_mb([f], K2, mode, visit, domains={"atom": (0, 3)}) == (None, len(rows))
+        for v in rows:
+            assert type(v) is MBValuation and v.algebra is K2 and v.mode is mode
+            assert v == MBValuation(K2, mode, v.atom_values, v.act_values, v.generators,
+                                    v.signatures)
+        maps = ("atom_values", "act_values", "generators", "signatures")
+        assert {name for name in maps if getattr(rows[-1], name)} == {
+            "atom_values", "signatures", "act_values" if mode is MBMode.FREE else "generators"}
+
 
 class TestEval:
     def test_detachment_instance(self):

@@ -302,6 +302,16 @@ class TestPrinter:
         assert format_formula(Not(And(Atom("p"), Atom("q")))) == "~(p & q)"
         assert format_formula(Not(Force("f", Atom("p")))) == "~[f](p)"
 
+    def test_a_run_of_negations_prints_without_recursion(self):
+        f = Atom("p")
+        for _ in range(30_000):  # past the recursion limit
+            f = Not(f)
+        assert format_formula(And(f, Force("g", f))) == f"{'~' * 30_000}p & [g]({'~' * 30_000}p)"
+
+    def test_a_node_that_is_no_formula_is_refused(self):
+        with pytest.raises(TypeError, match="^not a formula: 'p'$"):
+            format_formula(Not(And(Atom("p"), "p")))
+
     def test_seeded_round_trip_corpus(self):
         rng = random.Random(20260810)
         for _ in range(1000):
